@@ -141,7 +141,7 @@ _RECORD_FIELDS = [
     "experiment", "model", "model_params", "method", "T", "D", "seed", "lambda",
     "tolerance", "converged", "iterations", "resets", "final_err", "final_diff",
     "final_merit", "lle", "gamma", "mismatch", "pl_lower", "pl_upper",
-    "elapsed", "error",
+    "elapsed", "error", "diag_error",
 ]
 
 
@@ -171,6 +171,7 @@ class RunRecord:
     pl_upper: float = float("nan")
     elapsed: float = float("nan")
     error: str = ""
+    diag_error: str = ""
     merit_history: list | None = None
     diff_history: list | None = None
 
@@ -185,7 +186,7 @@ class RunRecord:
             "final_merit": self.final_merit, "lle": self.lle,
             "gamma": self.gamma, "mismatch": self.mismatch,
             "pl_lower": self.pl_lower, "pl_upper": self.pl_upper,
-            "elapsed": self.elapsed, "error": self.error,
+            "elapsed": self.elapsed, "error": self.error, "diag_error": self.diag_error,
         }
 
 
@@ -242,8 +243,8 @@ def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
             if entry.family == "fixed" and T * sys_.dim <= diagnostics.DENSE_GUARD:
                 record.mismatch = diagnostics.jacobian_mismatch(sys_, oracle, entry.method)
                 record.gamma = diagnostics.asymptotic_rate(sys_, oracle, entry.method)
-        except Exception:
-            pass  # diagnostics are best effort; the solve row stands
+        except Exception as e:  # diagnostics are best effort; the solve row stands
+            record.diag_error = f"{type(e).__name__}: {e}"
     except Exception as e:  # crash isolation: a failed run is still a row
         record.error = f"{type(e).__name__}: {e}"
         record.converged = False

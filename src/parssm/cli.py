@@ -56,7 +56,6 @@ def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--init", default="jacobi", choices=("jacobi", "zeros", "normal"))
     p.add_argument("--metric", default="diff", choices=("diff", "merit"))
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="trust-region precision (kalman method only)")
     p.add_argument("--mode", default="filter", choices=("filter", "smoother"))
@@ -68,7 +67,7 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         tol=args.tol, max_iters=args.max_iters, init=args.init, seed=args.seed,
         window=args.window, damping=Damping.parse(args.damping),
-        metric=args.metric, workers=args.workers,
+        metric=args.metric,
     )
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import ContractError, DynamicsSystem, NumericalFailure, Trajectory
 from .fixedpoint import NO_DAMPING, SolverMethod, _method_transitions
+from .pscan import lane_matrices
 
 DENSE_GUARD = 4096  # largest T*D the cubic-cost oracle paths accept
 
@@ -106,17 +107,7 @@ def assemble_approx_j(sys: DynamicsSystem, traj: Trajectory,
     _check_dense_guard(T, D, "assemble_approx_j")
     ts = np.arange(1, T + 1)
     lane, A = _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
-    if lane == "dense":
-        blocks = A
-    elif lane == "diagonal":
-        blocks = np.stack([np.diag(a) for a in A])
-    elif lane == "zero":
-        blocks = np.zeros((T, D, D))
-    elif lane == "identity":
-        blocks = np.broadcast_to(np.eye(D), (T, D, D))
-    else:
-        blocks = A[:, None, None] * np.eye(D)[None, :, :]
-    return assemble_blocks(np.asarray(blocks))
+    return assemble_blocks(lane_matrices(lane, A, T, D))
 
 
 def min_singular_value(M: np.ndarray) -> float:
@@ -186,17 +177,7 @@ def _transition_matrices(sys, traj, method):
     prev = traj.prev_states()
     A_true = sys.jacobian_batch(ts, prev)
     lane, A = _method_transitions(sys, ts, prev, method, NO_DAMPING)
-    if lane == "dense":
-        approx = A
-    elif lane == "diagonal":
-        approx = np.stack([np.diag(a) for a in A])
-    elif lane == "zero":
-        approx = np.zeros((T, D, D))
-    elif lane == "identity":
-        approx = np.broadcast_to(np.eye(D), (T, D, D)).copy()
-    else:
-        approx = A[:, None, None] * np.eye(D)[None, :, :]
-    return np.asarray(approx), A_true
+    return lane_matrices(lane, A, T, D), A_true
 
 
 def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,

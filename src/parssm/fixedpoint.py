@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import ContractError, DynamicsSystem, Trajectory, as_state, max_abs_diff, merit
-from .pscan import AffineOp, Transition, evaluate_stacked
+from .pscan import ZERO, AffineOp, evaluate_stacked, lane_apply, lane_transitions
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ class SolverConfig:
     record_history: bool = True
     record_iterates: bool = False
     metric: str = "diff"  # "diff" | "merit"
-    workers: int = 1
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -133,8 +132,6 @@ class SolverConfig:
             raise ContractError(f"unknown init {self.init!r}")
         if self.metric not in ("diff", "merit"):
             raise ContractError(f"unknown metric {self.metric!r}")
-        if self.workers < 1:
-            raise ContractError("workers must be >= 1")
 
     def resolved(self, T: int) -> "SolverConfig":
         if self.window is not None and not (1 <= self.window <= T):
@@ -206,7 +203,7 @@ def _linearize_stacked(sys, states_prev, ts, method, damping):
             prev = np.where(bad[:, None], 0.0, prev)
             fvals[bad] = sys.step_batch(np.asarray(ts)[bad], np.zeros((int(bad.sum()), prev.shape[1])))
         lane, A = _method_transitions(sys, ts, prev, method, damping)
-        if lane in ("dense", "diagonal"):
+        if A is not None:
             flat = A.reshape(len(ts), -1)
             abad = ~np.all(np.isfinite(flat), axis=1)
             if abad.any():
@@ -214,16 +211,8 @@ def _linearize_stacked(sys, states_prev, ts, method, damping):
                 zeros = np.zeros((int(abad.sum()), prev.shape[1]))
                 _, A_sub = _method_transitions(sys, sub_ts, zeros, method, damping)
                 A[abad] = A_sub
-        if lane == "dense":
-            b = fvals - np.einsum("tij,tj->ti", A, prev)
-        elif lane == "diagonal":
-            b = fvals - A * prev
-        elif lane == "scalar":
-            b = fvals - A[:, None] * prev
-        elif lane == "identity":
-            b = fvals - prev
-        else:  # zero transitions: the update is a pure map
-            b = fvals
+        # zero transitions: the update is a pure map, with nothing to subtract
+        b = fvals if lane == ZERO else fvals - lane_apply(lane, A, prev)
     return lane, A, b
 
 
@@ -240,20 +229,7 @@ def linearize(sys: DynamicsSystem, traj: Trajectory, method: SolverMethod,
     sys._check_traj(traj)
     ts = np.arange(1, sys.horizon + 1)
     lane, A, b = _linearize_stacked(sys, traj.prev_states(), ts, method, damping)
-    ops = []
-    for t in range(sys.horizon):
-        if lane == "dense":
-            trans = Transition.dense(A[t])
-        elif lane == "diagonal":
-            trans = Transition.diagonal(A[t])
-        elif lane == "scalar":
-            trans = Transition.scaled(A[t])
-        elif lane == "identity":
-            trans = Transition.identity()
-        else:
-            trans = Transition.zero()
-        ops.append(AffineOp(trans, b[t]))
-    return ops
+    return [AffineOp(A_t, b_t) for A_t, b_t in zip(lane_transitions(lane, A, sys.horizon), b)]
 
 
 def jacobi_init(sys: DynamicsSystem) -> Trajectory:
@@ -362,7 +338,7 @@ def fixed_point_solve(sys: DynamicsSystem, cfg: SolverConfig,
         ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
         lane, A, b = _linearize_stacked(sys, prev, ts, method, cfg.damping)
         with np.errstate(all="ignore"):
-            return evaluate_stacked(lane, A, b, s_left, workers=cfg.workers)
+            return evaluate_stacked(lane, A, b, s_left)
 
     return solve_loop(sys, cfg, chunk_step)
 

@@ -6,16 +6,18 @@ upward through the lattice
     Zero / Identity / ScaledIdentity  <  Diagonal  <  Dense
 
 so per-element cost stays O(D) for the structured classes and O(D^3) only for
-Dense. The scan itself is a two-phase tree (up-sweep building power-of-two
-partial products, down-sweep filling in the remaining inclusive prefixes)
-padded to the next power of two with identity elements; it performs at most
-2T element compositions in ceil(log2 T) synchronized levels.
+Dense. Whole sequences are scanned as stacked arrays in one lane, and this
+module alone converts lanes to matrices, Transitions and products A_t x_t.
+The scan itself is a two-phase tree (up-sweep building power-of-two partial
+products, down-sweep filling in the remaining inclusive prefixes). Each level
+composes two strided slice views of the sequence, so nothing is padded,
+gathered or scattered. It performs fewer than 2T element compositions in
+floor(log2 T) up-sweep and at most ceil(log2 T) - 1 down-sweep levels, on one
+worker: ``scan_stacked`` keeps a ``workers`` keyword that accepts only 1.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +71,7 @@ class Transition:
     @property
     def dim(self) -> int | None:
         """Intrinsic dimension, or None for the dimension-free scalar kinds."""
-        if self.kind == DIAGONAL:
-            return self.value.shape[0]
-        if self.kind == DENSE:
+        if self.kind in (DIAGONAL, DENSE):
             return self.value.shape[0]
         return None
 
@@ -102,9 +102,7 @@ class Transition:
             return np.zeros_like(x)
         if self.kind == IDENTITY:
             return x
-        if self.kind == SCALED:
-            return self.value * x
-        if self.kind == DIAGONAL:
+        if self.kind in (SCALED, DIAGONAL):
             return self.value * x
         return self.value @ x
 
@@ -139,10 +137,9 @@ def compose_transitions(first: Transition, second: Transition) -> Transition:
         return Transition.identity()
     if rank == 1:
         return Transition.scaled(second.scalar() * first.scalar())
-    if rank == 2:
-        dim = first.dim if first.dim is not None else second.dim
-        return Transition.diagonal(second.diag_vector(dim) * first.diag_vector(dim))
     dim = first.dim if first.dim is not None else second.dim
+    if rank == 2:
+        return Transition.diagonal(second.diag_vector(dim) * first.diag_vector(dim))
     return Transition.dense(second.matrix(dim) @ first.matrix(dim))
 
 
@@ -177,105 +174,109 @@ class ComposeCounter:
 # stacked-array engine
 #
 # A lane is the promoted representation of a whole sequence:
+#   "zero"     -> every transition is Zero      A is None or (T,) zeros
+#   "identity" -> every transition is Identity  A is None or (T,) ones
 #   "scalar"   -> A has shape (T,)        covers Zero/Identity/ScaledIdentity
 #   "diagonal" -> A has shape (T, D)
 #   "dense"    -> A has shape (T, D, D)
-# b always has shape (T, D).
+# b always has shape (T, D). The lane_* helpers are the only code that turns
+# a lane into matrices, Transitions or products A_t x_t.
 # ---------------------------------------------------------------------------
 
+SCALAR = "scalar"
 
-def _compose_into(lane: str, A, b, hi: np.ndarray, lo: np.ndarray):
+
+def lane_apply(lane: str, A, X: np.ndarray) -> np.ndarray:
+    """Row-wise products A_t x_t of the lane's transitions with the rows of X."""
+    if lane == ZERO:
+        return np.zeros_like(X)
+    if lane == IDENTITY:
+        return X
+    if lane == SCALAR:
+        return A[:, None] * X
+    if lane == DIAGONAL:
+        return A * X
+    return np.einsum("tij,tj->ti", A, X)
+
+
+def lane_matrices(lane: str, A, T: int, D: int) -> np.ndarray:
+    """The lane's transitions as a (T, D, D) stack of dense matrices."""
+    if lane == DENSE:
+        return A
+    out = np.zeros((T, D, D))
+    i = np.arange(D)
+    out[:, i, i] = lane_apply(lane, A, np.ones((T, D)))  # the diagonal is A_t applied to ones
+    return out
+
+
+def lane_transitions(lane: str, A, T: int) -> list:
+    """The lane's transitions as T ``Transition`` objects."""
+    if lane == ZERO:
+        return [Transition.zero()] * T
+    if lane == IDENTITY:
+        return [Transition.identity()] * T
+    make = {SCALAR: Transition.scaled, DIAGONAL: Transition.diagonal, DENSE: Transition.dense}[lane]
+    return [make(a) for a in A]
+
+
+def _compose_into(lane: str, A, b, hi: slice, lo: slice):
     """Overwrite slots ``hi`` with op[hi] o op[lo] (op[lo] acting first)."""
-    A_hi = A[hi].copy()
-    if lane == "dense":
-        A[hi] = np.einsum("nij,njk->nik", A_hi, A[lo])
-        b[hi] += np.einsum("nij,nj->ni", A_hi, b[lo])
-    elif lane == "diagonal":
-        A[hi] = A_hi * A[lo]
-        b[hi] += A_hi * b[lo]
+    b[hi] += lane_apply(lane, A[hi], b[lo])
+    if lane == DENSE:
+        A[hi] = A[hi] @ A[lo]
     else:
-        A[hi] = A_hi * A[lo]
-        b[hi] += A_hi[:, None] * b[lo]
-
-
-def _run_level(lane, A, b, hi, lo, workers, counter):
-    if counter is not None:
-        counter.add(len(hi))
-    if workers <= 1 or len(hi) < 2 * workers:
-        _compose_into(lane, A, b, hi, lo)
-        return
-    chunks = np.array_split(np.arange(len(hi)), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda c: _compose_into(lane, A, b, hi[c], lo[c]), chunks))
+        A[hi] *= A[lo]
 
 
 def scan_stacked(lane: str, A: np.ndarray, b: np.ndarray, workers: int = 1,
                  counter: ComposeCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All inclusive prefix compositions of a stacked affine sequence.
 
-    Two-phase tree scan, padded to the next power of two with identity
-    elements. Tree nodes whose whole range lies in the padding are skipped, so
-    the element-composition count stays below 2T. Within one invocation each
-    node is computed exactly once; workers only split the batched composition
-    at a level, synchronizing at level boundaries.
+    Two-phase tree scan on strided views of the sequence itself. Up-sweep
+    level l composes slots m 2^(l+1) - 1 (0-based) with the slot 2^l to
+    their left; down-sweep level l, coarse to fine, does the same for slots
+    m 2^(l+1) + 3 2^l - 1. Each level is one batched composition of two
+    disjoint slices, so every node is computed exactly once, fewer than 2T
+    compositions in all.
+
+    ``workers`` must be 1: the scan runs on one worker. The keyword remains
+    because the benchmark's span tracer (``perfbench/spans.py``) still passes
+    it by name; any other value raises ContractError.
     """
-    T, D = b.shape
+    if workers != 1:
+        raise ContractError(f"scan_stacked runs on one worker, got workers={workers}")
+    T = b.shape[0]
     if T == 0:
         raise ContractError("parallel scan needs at least one element")
-    levels = max(1, math.ceil(math.log2(T))) if T > 1 else 0
-    P = 1 << levels
-    if lane == "dense":
-        pad = np.broadcast_to(np.eye(D), (P - T, D, D))
-    elif lane == "diagonal":
-        pad = np.ones((P - T, D))
-    else:
-        pad = np.ones(P - T)
-    A = np.concatenate([np.asarray(A, dtype=np.float64), pad]) if P > T else np.array(A, dtype=np.float64)
-    b = np.concatenate([b, np.zeros((P - T, D))]) if P > T else b.copy()
-
-    # up-sweep: position i = m 2^(l+1) - 1 (0-based) accumulates its left sibling
-    for level in range(levels):
-        stride = 1 << (level + 1)
-        hi = np.arange(stride - 1, P, stride)
-        hi = hi[hi < T]
-        if len(hi) == 0:
-            continue
+    A = np.array(A, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
+    levels = (T - 1).bit_length()  # ceil(log2 T)
+    up = [(lv, (2 << lv) - 1) for lv in range(levels) if (2 << lv) <= T]
+    down = [(lv, (3 << lv) - 1) for lv in range(levels - 2, -1, -1) if (3 << lv) <= T]
+    for lv, first in up + down:
+        step, half = 2 << lv, 1 << lv
+        _compose_into(lane, A, b, slice(first, T, step), slice(first - half, T - half, step))
         if counter is not None:
-            counter.up_levels += 1
-        _run_level(lane, A, b, hi, hi - (1 << level), workers, counter)
-
-    # down-sweep: fill the remaining inclusive prefixes, coarse to fine
-    for level in range(levels - 2, -1, -1):
-        stride = 1 << (level + 1)
-        hi = np.arange(stride + (1 << level) - 1, P, stride)
-        hi = hi[hi < T]
-        if len(hi) == 0:
-            continue
-        if counter is not None:
-            counter.down_levels += 1
-        _run_level(lane, A, b, hi, hi - (1 << level), workers, counter)
-
-    return A[:T], b[:T]
+            counter.add(len(range(first, T, step)))
+    if counter is not None:
+        counter.up_levels += len(up)
+        counter.down_levels += len(down)
+    return A, b
 
 
-def evaluate_stacked(lane: str, A: np.ndarray, b: np.ndarray, s0: np.ndarray,
-                     workers: int = 1) -> np.ndarray:
+def evaluate_stacked(lane: str, A: np.ndarray, b: np.ndarray, s0: np.ndarray) -> np.ndarray:
     """States of the LDS s_t = A_t s_{t-1} + b_t, from stacked arrays.
 
     Zero transitions bypass the scan (embarrassingly parallel map); identity
     transitions reduce to a prefix sum. Other lanes run the tree scan and
     apply the prefix operators to s0.
     """
-    if lane == "zero":
+    if lane == ZERO:
         return b.copy()
-    if lane == "identity":
+    if lane == IDENTITY:
         return s0[None, :] + np.cumsum(b, axis=0)
-    pA, pb = scan_stacked(lane, A, b, workers=workers)
-    if lane == "dense":
-        return np.einsum("tij,j->ti", pA, s0) + pb
-    if lane == "diagonal":
-        return pA * s0[None, :] + pb
-    return pA[:, None] * s0[None, :] + pb
+    pA, pb = scan_stacked(lane, A, b)
+    return lane_apply(lane, pA, np.broadcast_to(s0, pb.shape)) + pb
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +284,23 @@ def evaluate_stacked(lane: str, A: np.ndarray, b: np.ndarray, s0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _lane_of(ops) -> str:
+def _stack(ops):
+    """(lane, A, b) of an op list, in the least lane holding every transition.
+
+    The zero, identity and scalar lanes carry the per-step scalars as A.
+    """
     kinds = {op.A.kind for op in ops}
-    if DENSE in kinds:
-        return "dense"
-    if DIAGONAL in kinds:
-        return "diagonal"
-    return "scalar"
-
-
-def _stack(ops, lane: str):
-    T, D = len(ops), ops[0].dim
+    D = ops[0].dim
     b = np.stack([op.b for op in ops])
-    if lane == "dense":
-        A = np.stack([op.A.matrix(D) for op in ops])
-    elif lane == "diagonal":
-        A = np.stack([op.A.diag_vector(D) for op in ops])
-    else:
-        A = np.array([op.A.scalar() for op in ops])
-    return A, b
+    if DENSE in kinds:
+        return DENSE, np.stack([op.A.matrix(D) for op in ops]), b
+    if DIAGONAL in kinds:
+        return DIAGONAL, np.stack([op.A.diag_vector(D) for op in ops]), b
+    lane = ZERO if kinds == {ZERO} else IDENTITY if kinds == {IDENTITY} else SCALAR
+    return lane, np.array([op.A.scalar() for op in ops]), b
 
 
-def parallel_scan(ops, workers: int = 1, counter: ComposeCounter | None = None):
+def parallel_scan(ops, counter: ComposeCounter | None = None):
     """All inclusive prefixes: element t is ops_t o ... o ops_1.
 
     Mixed sequences are promoted to the least representation class containing
@@ -319,33 +315,27 @@ def parallel_scan(ops, workers: int = 1, counter: ComposeCounter | None = None):
     for op in ops:
         if op.dim != D:
             raise ContractError("all scan elements must share one state size")
-    lane = _lane_of(ops)
-    A, b = _stack(ops, lane)
-    pA, pb = scan_stacked(lane, A, b, workers=workers, counter=counter)
+    lane, A, b = _stack(ops)
+    pA, pb = scan_stacked(lane, A, b, counter=counter)
+    if lane != SCALAR:
+        return [AffineOp(A_t, b_t) for A_t, b_t in zip(lane_transitions(lane, pA, len(ops)), pb)]
     out = []
-    if lane == "dense":
-        for t in range(len(ops)):
-            out.append(AffineOp(Transition.dense(pA[t]), pb[t]))
-    elif lane == "diagonal":
-        for t in range(len(ops)):
-            out.append(AffineOp(Transition.diagonal(pA[t]), pb[t]))
-    else:
-        saw_zero = False
-        all_identity = True
-        for t, op in enumerate(ops):
-            saw_zero = saw_zero or op.A.kind == ZERO
-            all_identity = all_identity and op.A.kind == IDENTITY
-            if saw_zero:
-                A_t = Transition.zero()
-            elif all_identity:
-                A_t = Transition.identity()
-            else:
-                A_t = Transition.scaled(pA[t])
-            out.append(AffineOp(A_t, pb[t]))
+    saw_zero = False
+    all_identity = True
+    for t, op in enumerate(ops):
+        saw_zero = saw_zero or op.A.kind == ZERO
+        all_identity = all_identity and op.A.kind == IDENTITY
+        if saw_zero:
+            A_t = Transition.zero()
+        elif all_identity:
+            A_t = Transition.identity()
+        else:
+            A_t = Transition.scaled(pA[t])
+        out.append(AffineOp(A_t, pb[t]))
     return out
 
 
-def evaluate_lds(ops, s0, workers: int = 1) -> Trajectory:
+def evaluate_lds(ops, s0) -> Trajectory:
     """Roll out the LDS defined by ``ops`` from s0, in O(log T) scan depth.
 
     Equals the sequential recurrence s_t = A_t s_{t-1} + b_t up to tree
@@ -356,14 +346,7 @@ def evaluate_lds(ops, s0, workers: int = 1) -> Trajectory:
     if len(ops) == 0:
         raise ContractError("evaluate_lds needs at least one element")
     s0 = as_state(s0, ops[0].dim)
-    kinds = {op.A.kind for op in ops}
-    if kinds == {ZERO}:
-        states = np.stack([op.b for op in ops])
-    elif kinds == {IDENTITY}:
-        states = s0[None, :] + np.cumsum(np.stack([op.b for op in ops]), axis=0)
-    else:
-        lane = _lane_of(ops)
-        A, b = _stack(ops, lane)
-        with np.errstate(all="ignore"):
-            states = evaluate_stacked(lane, A, b, s0, workers=workers)
+    lane, A, b = _stack(ops)
+    with np.errstate(all="ignore"):
+        states = evaluate_stacked(lane, A, b, s0)
     return Trajectory(s0, states)

@@ -18,10 +18,9 @@ import numpy as np
 
 from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
                    as_state, residual)
-from .fixedpoint import Damping, SolveReport, SolverConfig, solve_loop
+from .fixedpoint import (NEWTON, NO_DAMPING, QUASI_DIAGONAL, SolveReport, SolverConfig,
+                         _linearize_stacked, solve_loop)
 from .pscan import evaluate_stacked
-
-_NO_DAMP = Damping()
 
 
 @dataclass
@@ -88,19 +87,6 @@ def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
     gamma = sigma2 * np.linalg.solve(m, np.eye(d))
     gamma = 0.5 * (gamma + gamma.T)
     return gamma
-
-
-def _newton_blocks(sys, chunk_prev, ts, diagonal):
-    """Linearization (A_t, b_t) about the iterate, full or diagonal.
-
-    Shares the fixed-point module's overflow handling: rows whose predecessor
-    has overflowed are linearized at the reset value.
-    """
-    from .fixedpoint import NEWTON, QUASI_DIAGONAL, _linearize_stacked
-
-    method = QUASI_DIAGONAL if diagonal else NEWTON
-    _, A, b = _linearize_stacked(sys, chunk_prev, ts, method, _NO_DAMP)
-    return A, b
 
 
 def _forward_full(A, b, emissions, s_left, lam):
@@ -199,7 +185,7 @@ def _kalman_chunk(sys, chunk, t0, s_left, cfg: TrustRegionConfig,
     prev = np.vstack([s_left[None, :], chunk[:-1]])
     ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
     diagonal = cfg.jacobian == "diagonal"
-    A, b = _newton_blocks(sys, prev, ts, diagonal)
+    _, A, b = _linearize_stacked(sys, prev, ts, QUASI_DIAGONAL if diagonal else NEWTON, NO_DAMPING)
     emissions = np.where(np.isfinite(chunk), chunk, 0.0)
     forward = _forward_diag if diagonal else _forward_full
     means, sig_post, sig_pred, A_eff, bias = forward(A, b, emissions, s_left, cfg.lam)

@@ -102,6 +102,19 @@ class TestRunExperiment:
         assert len(bad) == 8 and len(good) == 8
         assert all(not r.converged for r in bad)
 
+    def test_diagnostic_failure_is_recorded(self, tmp_path):
+        """alpha = 0 makes the Jacobian chain vanish, so the exponent estimate
+        fails; the solve columns still stand and the failure is named."""
+        doc = _tiny_config(tmp_path, model={"kind": "affine", "T": 16},
+                           sweep={"alpha": [0.0, 0.5]}, methods=[{"method": "newton"}], seeds=[0])
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        by_alpha = {json.loads(r.model_params)["alpha"]: r for r in records}
+        bad, good = by_alpha[0.0], by_alpha[0.5]
+        assert bad.error == "" and bad.converged and bad.final_err <= 1e-6
+        assert bad.diag_error.startswith("NumericalFailure: ")
+        assert np.isnan(bad.lle) and np.isnan(bad.gamma)
+        assert good.diag_error == "" and np.isfinite(good.lle)
+
     def test_model_param_sweep_reaches_constructor(self, tmp_path):
         doc = _tiny_config(tmp_path, model={"kind": "rnn", "D": 4, "T": 16},
                            sweep={"g": [0.5, 1.5]}, methods=[{"method": "newton"}])

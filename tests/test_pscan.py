@@ -1,4 +1,4 @@
-"""Parallel scan: closure, associativity, tree structure, worker independence."""
+"""Parallel scan: closure, associativity, tree structure, lane algebra."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import parssm as P
 from parssm.pscan import (AffineOp, ComposeCounter, Transition, affine_compose,
-                          evaluate_lds, parallel_scan)
+                          evaluate_lds, lane_apply, lane_matrices, lane_transitions,
+                          parallel_scan, scan_stacked)
 
 
 def _rand_dense(rng, d, scale=0.6):
@@ -104,8 +105,6 @@ class TestParallelScan:
     def test_upsweep_table_walkthrough(self):
         """T=8: after the up-sweep, positions 2, 4, 8 hold the products
         A_{1:2}, A_{1:4}, A_{1:8} exactly as in the tree schedule."""
-        from parssm.pscan import scan_stacked
-
         rng = np.random.default_rng(8)
         A = rng.standard_normal((8, 2, 2)) * 0.7
         b = rng.standard_normal((8, 2))
@@ -117,7 +116,7 @@ class TestParallelScan:
 
         def spy(lane, Aarr, barr, hi, lo):
             orig(lane, Aarr, barr, hi, lo)
-            for h in hi:
+            for h in range(*hi.indices(len(Aarr))):
                 recorded[int(h)] = Aarr[h].copy()
 
         pscan_mod._compose_into = spy
@@ -151,22 +150,29 @@ class TestParallelScan:
         if T & (T - 1) == 0:
             assert counter.up_levels == int(np.log2(T))
 
+    def test_schedule_is_exact(self):
+        """Levels and compositions of the tree schedule, in closed form, for
+        every T in 1..1100: floor(log2 T) up-sweep levels with T - popcount(T)
+        compositions; down-sweep level l runs for l <= ceil(log2 T) - 2 with
+        3 2^l <= T and composes floor((T - 3 2^l) / 2^(l+1)) + 1 slots."""
+        seen = {}
+        for T in range(1, 1101):
+            down = [lv for lv in range(max(0, (T - 1).bit_length() - 1)) if 3 * 2 ** lv <= T]
+            compositions = (T - bin(T).count("1")) + sum(
+                (T - 3 * 2 ** lv) // 2 ** (lv + 1) + 1 for lv in down)
+            counter = ComposeCounter()
+            scan_stacked("scalar", np.ones(T), np.zeros((T, 1)), counter=counter)
+            seen[T] = (counter.compositions, counter.up_levels, counter.down_levels)
+            assert seen[T] == (compositions, T.bit_length() - 1, len(down)), T
+        assert (seen[8], seen[100], seen[1000]) == ((11, 3, 2), (190, 6, 6), (1984, 9, 9))
+
     def test_empty_rejected(self):
         with pytest.raises(P.ContractError):
             parallel_scan([])
 
-    def test_worker_independence(self):
-        import os
-
-        rng = np.random.default_rng(77)
-        ops = [_rand_dense(rng, 4) for _ in range(97)]
-        base = parallel_scan(ops, workers=1)
-        for w in (2, max(2, os.cpu_count() or 2)):
-            other = parallel_scan(ops, workers=w)
-            for x, y in zip(base, other):
-                scale = max(1.0, float(np.max(np.abs(x.A.matrix(4)))))
-                assert np.max(np.abs(x.A.matrix(4) - y.A.matrix(4))) <= 1e-10 * scale
-                assert np.max(np.abs(x.b - y.b)) <= 1e-10 * scale
+    def test_scan_runs_on_one_worker(self):
+        with pytest.raises(P.ContractError):
+            scan_stacked("scalar", np.ones(4), np.zeros((4, 2)), workers=2)
 
     def test_mixed_promotes_and_matches_dense(self):
         """Mixed scalar/diagonal sequences equal the dense-promoted scan."""
@@ -189,6 +195,26 @@ class TestParallelScan:
             assert got.A.kind in ("diagonal", "zero")
             np.testing.assert_allclose(got.A.matrix(D), ref.A.matrix(D), atol=1e-10)
             np.testing.assert_allclose(got.b, ref.b, atol=1e-10)
+
+
+@pytest.mark.parametrize("lane,kind", [("zero", "zero"), ("identity", "identity"),
+                                       ("scalar", "scaled"), ("diagonal", "diagonal"),
+                                       ("dense", "dense")])
+def test_lane_helpers_match_transitions(lane, kind):
+    """Per row, the lane helpers agree with the Transition they stand for."""
+    rng = np.random.default_rng(21)
+    T, D = 6, 3
+    shape = {"scalar": (T,), "diagonal": (T, D), "dense": (T, D, D)}.get(lane)
+    A = rng.standard_normal(shape) if shape else None
+    X = rng.standard_normal((T, D))
+    trans = lane_transitions(lane, A, T)
+    applied = lane_apply(lane, A, X)
+    mats = lane_matrices(lane, A, T, D)
+    assert len(trans) == T and mats.shape == (T, D, D)
+    for t, tr in enumerate(trans):
+        assert tr.kind == kind
+        np.testing.assert_allclose(applied[t], tr.apply(X[t]), rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(mats[t], tr.matrix(D))
 
 
 class TestEvaluateLds:
