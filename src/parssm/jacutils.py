@@ -7,6 +7,7 @@ stochastic diagonal estimator (Rademacher probes, one JVP per probe).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +115,14 @@ def _rademacher(rng, n, d):
     return rng.integers(0, 2, size=(n, d)).astype(np.float64) * 2.0 - 1.0
 
 
+@lru_cache(maxsize=4096)
+def _row_probes(seed_base, t: int, n: int, d: int) -> np.ndarray:
+    """Row t's (n, d) probes from default_rng((seed_base, t)); shared, so read-only."""
+    probes = _rademacher(np.random.default_rng((seed_base, t)), n, d)
+    probes.flags.writeable = False
+    return probes
+
+
 def hutchinson_diag(sys, t: int, s: np.ndarray, n: int = 1, seed=0,
                     probes: np.ndarray | None = None) -> DiagEstimate:
     """Unbiased diagonal estimate: mean over n Rademacher probes of v * (A_t v).
@@ -163,16 +172,15 @@ def hutchinson_diag_batch(sys, ts: np.ndarray, S: np.ndarray, n: int = 1,
     """Batched non-strict Hutchinson estimates via finite-difference JVPs.
 
     Probes for row t are drawn from default_rng((seed_base, t)), matching the
-    per-row estimator's stream, but all 2 n probes per row go through one
-    ``step_batch`` pass. Used by the default ``diag_jacobian_batch``.
+    per-row estimator's stream, and drawn once per (seed_base, t, n, d) for
+    every later call; all 2 n probes per row go through one ``step_batch``
+    pass. Used by the default ``diag_jacobian_batch``.
     """
     S = np.asarray(S, dtype=np.float64)
     m, d = S.shape
     ts = np.asarray(ts)
     n = max(1, n)
-    probes = np.stack([
-        _rademacher(np.random.default_rng((seed_base, int(t))), n, d) for t in ts
-    ])  # (m, n, d)
+    probes = np.stack([_row_probes(seed_base, int(t), n, d) for t in ts])  # (m, n, d)
     hs = 1e-6 * (1.0 + np.max(np.abs(S), axis=1))  # Rademacher probes: ||v||_inf = 1
     with np.errstate(all="ignore"):
         plus = S[:, None, :] + hs[:, None, None] * probes

@@ -228,16 +228,28 @@ def _compose_into(lane: str, A, b, hi: slice, lo: slice):
         A[hi] *= A[lo]
 
 
+def tree_schedule(T: int) -> tuple[list, list]:
+    """Up- and down-sweep levels of the tree scan over T slots, as (hi, lo)
+    pairs of strided slices: level l composes slots hi with the slots 2^l to
+    their left, which act first. Up-sweep level l writes slots m 2^(l+1) - 1
+    (0-based); down-sweep level l, coarse to fine, slots m 2^(l+1) + 3 2^l - 1.
+    Run in order, the levels leave every slot holding its inclusive prefix
+    under any associative composition, after fewer than 2T compositions."""
+    levels = (T - 1).bit_length()  # ceil(log2 T)
+
+    def level(lv, first):
+        return slice(first, T, 2 << lv), slice(first - (1 << lv), T - (1 << lv), 2 << lv)
+
+    return ([level(lv, (2 << lv) - 1) for lv in range(levels) if (2 << lv) <= T],
+            [level(lv, (3 << lv) - 1) for lv in range(levels - 2, -1, -1) if (3 << lv) <= T])
+
+
 def scan_stacked(lane: str, A: np.ndarray, b: np.ndarray, workers: int = 1,
                  counter: ComposeCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All inclusive prefix compositions of a stacked affine sequence.
 
-    Two-phase tree scan on strided views of the sequence itself. Up-sweep
-    level l composes slots m 2^(l+1) - 1 (0-based) with the slot 2^l to
-    their left; down-sweep level l, coarse to fine, does the same for slots
-    m 2^(l+1) + 3 2^l - 1. Each level is one batched composition of two
-    disjoint slices, so every node is computed exactly once, fewer than 2T
-    compositions in all.
+    Two-phase tree scan on strided views of the sequence itself, on the
+    levels of ``tree_schedule``, each one batched composition of two slices.
 
     ``workers`` must be 1: the scan runs on one worker. The keyword remains
     because the benchmark's span tracer (``perfbench/spans.py``) still passes
@@ -250,14 +262,11 @@ def scan_stacked(lane: str, A: np.ndarray, b: np.ndarray, workers: int = 1,
         raise ContractError("parallel scan needs at least one element")
     A = np.array(A, dtype=np.float64)
     b = np.array(b, dtype=np.float64)
-    levels = (T - 1).bit_length()  # ceil(log2 T)
-    up = [(lv, (2 << lv) - 1) for lv in range(levels) if (2 << lv) <= T]
-    down = [(lv, (3 << lv) - 1) for lv in range(levels - 2, -1, -1) if (3 << lv) <= T]
-    for lv, first in up + down:
-        step, half = 2 << lv, 1 << lv
-        _compose_into(lane, A, b, slice(first, T, step), slice(first - half, T - half, step))
+    up, down = tree_schedule(T)
+    for hi, lo in up + down:
+        _compose_into(lane, A, b, hi, lo)
         if counter is not None:
-            counter.add(len(range(first, T, step)))
+            counter.add(len(range(T)[hi]))
     if counter is not None:
         counter.up_levels += len(up)
         counter.down_levels += len(down)

@@ -8,6 +8,11 @@ the causal variant used in production; the RTS smoother computes the exact
 MAP and exists as the oracle path. The filter damps every transition to
 Gamma_t A_t with ||Gamma_t||_2 <= 1/(1 + lam), which is what stabilizes the
 iteration on locally expanding dynamics.
+
+Neither pass loops over time: the filtered covariances are the prefixes of a
+tree scan over filtering elements (Sarkka & Garcia-Fernandez 2021), the means
+an affine scan, and the smoother an affine scan run backward in time. One code
+path serves full (matrix) and diagonal (elementwise) Jacobians.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
                    as_state, residual)
 from .fixedpoint import (NEWTON, NO_DAMPING, QUASI_DIAGONAL, SolveReport, SolverConfig,
                          _linearize_stacked, solve_loop)
-from .pscan import evaluate_stacked
+from .pscan import DENSE, evaluate_stacked, lane_apply, tree_schedule
 
 
 @dataclass
@@ -89,113 +94,111 @@ def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
     return gamma
 
 
-def _forward_full(A, b, emissions, s_left, lam):
-    """Covariance/gain recursion plus filtered means via the scan.
+def _algebra(lane: str, D: int):
+    """(product, transpose, inverse, identity) on the lane's stacks: matrix
+    algebra on "dense" (T, D, D) stacks, elementwise on "diagonal" (T, D)."""
+    if lane == DENSE:
+        return np.matmul, lambda X: np.swapaxes(X, -1, -2), np.linalg.inv, np.eye(D)
+    return np.multiply, lambda X: X, np.reciprocal, 1.0
 
-    Returns (filtered_means, Sigma_post (T,D,D), Sigma_pred (T,D,D),
-    A_eff, bias) where the filtered means solve the affine recursion
-    mu_t = Gamma_t A_t mu_{t-1} + bias_t. The covariance pass depends only
-    on {A_t} and lam, never on the data.
+
+def _filter_covariances(lane, A, lam):
+    """Filtered covariances Sigma_post_t: the C of each prefix of a tree scan.
+
+    With process noise I and emission covariance I/lam, element t is
+    Abar_t = A_t/(1 + lam), C_t = I/(1 + lam), J_t = lam/(1 + lam) A_t^T A_t,
+    and Abar_1 = J_1 = 0 since s_0 is known. Element i then j combines to
+    M = (I + C_i J_j)^-1, Abar = Abar_j M Abar_i, C = Abar_j M C_i Abar_j^T
+    + C_j, J = Abar_i^T M^T J_j Abar_i + J_i. The data never enter.
     """
-    T, D = b.shape
-    eye = np.eye(D)
-    sig = np.zeros((D, D))
-    A_eff = np.empty((T, D, D))
-    bias = np.empty((T, D))
-    sig_post = np.empty((T, D, D))
-    sig_pred = np.empty((T, D, D))
-    for t in range(T):
-        x = A[t] @ sig @ A[t].T
-        pred = x + eye
-        m = lam * pred + eye
-        gamma = np.linalg.solve(m, eye)
-        gamma = 0.5 * (gamma + gamma.T)
-        k = eye - gamma
-        A_eff[t] = gamma @ A[t]
-        bias[t] = gamma @ b[t] + k @ emissions[t]
-        if lam > 0.0:
-            sig = gamma @ pred @ gamma.T + (1.0 / lam) * (k @ k.T)
-        else:
-            sig = pred
-        asym = float(np.max(np.abs(sig - sig.T)))
-        scale = max(1.0, float(np.max(np.abs(sig)))) if np.all(np.isfinite(sig)) else 1.0
-        if not np.all(np.isfinite(sig)) or asym > 1e-8 * scale:
-            raise NumericalFailure("covariance update lost symmetry", t=t + 1)
-        sig = 0.5 * (sig + sig.T)
-        sig_post[t] = sig
-        sig_pred[t] = pred
-    # PSD check batched over the pass; report the first offending index
-    scales = np.maximum(1.0, np.abs(sig_post).max(axis=(1, 2)))
-    min_eigs = np.linalg.eigvalsh(sig_post)[:, 0]
-    bad = np.nonzero(min_eigs < -1e-8 * scales)[0]
-    if bad.size:
-        raise NumericalFailure("covariance update went indefinite", t=int(bad[0]) + 1)
-    means = evaluate_stacked("dense", A_eff, bias, s_left)
-    return means, sig_post, sig_pred, A_eff, bias
+    mul, tr, inv, one = _algebra(lane, A.shape[1])
+    Ab = A / (1.0 + lam)
+    C = np.broadcast_to(one / (1.0 + lam), A.shape).copy()
+    J = (lam / (1.0 + lam)) * mul(tr(A), A)
+    Ab[0] = 0.0
+    J[0] = 0.0
+    up, down = tree_schedule(len(A))
+    for hi, lo in up + down:
+        M = inv(one + mul(C[lo], J[hi]))
+        AM = mul(Ab[hi], M)
+        C[hi] = mul(mul(AM, C[lo]), tr(Ab[hi])) + C[hi]
+        J[hi] = mul(mul(tr(Ab[lo]), mul(tr(M), J[hi])), Ab[lo]) + J[lo]
+        Ab[hi] = mul(AM, Ab[lo])
+    return C
 
 
-def _forward_diag(A, b, emissions, s_left, lam):
-    """Elementwise covariance/gain recursion for diagonal linearizations."""
-    T, D = b.shape
-    sig = np.zeros(D)
-    A_eff = np.empty((T, D))
-    bias = np.empty((T, D))
-    sig_post = np.empty((T, D))
-    sig_pred = np.empty((T, D))
-    for t in range(T):
-        pred = A[t] * sig * A[t] + 1.0
-        gamma = 1.0 / (lam * pred + 1.0)
-        k = 1.0 - gamma
-        A_eff[t] = gamma * A[t]
-        bias[t] = gamma * b[t] + k * emissions[t]
-        if lam > 0.0:
-            sig = gamma * pred * gamma + k * k / lam
-        else:
-            sig = pred
-        if not np.all(np.isfinite(sig)) or np.min(sig) < 0.0:
-            raise NumericalFailure("covariance update went negative", t=t + 1)
-        sig_post[t] = sig
-        sig_pred[t] = pred
-    means = evaluate_stacked("diagonal", A_eff, bias, s_left)
-    return means, sig_post, sig_pred, A_eff, bias
+def _raise_at_first(bad, message):
+    first = np.flatnonzero(bad)
+    if first.size:
+        raise NumericalFailure(message, t=int(first[0]) + 1)
 
 
-def _smooth_full(A, b, means, sig_post, sig_pred):
-    T, D = means.shape
-    out = means.copy()
-    for t in range(T - 2, -1, -1):
-        gain = sig_post[t] @ A[t + 1].T @ np.linalg.inv(sig_pred[t + 1])
-        pred_mean = A[t + 1] @ means[t] + b[t + 1]
-        out[t] = means[t] + gain @ (out[t + 1] - pred_mean)
-    return out
+def _check_covariances(lane, sig):
+    """Raise NumericalFailure at the first step with a non-finite or asymmetric
+    covariance, else at the first indefinite (full) or negative (diagonal) one."""
+    T = len(sig)
+    flat = sig.reshape(T, -1)
+    broken = ~np.all(np.isfinite(flat), axis=1)
+    if lane != DENSE:
+        _raise_at_first(broken | (flat.min(axis=1) < 0.0), "covariance update went negative")
+        return
+    scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+    asym = np.abs(sig - np.swapaxes(sig, 1, 2)).reshape(T, -1).max(axis=1)
+    _raise_at_first(broken | (asym > 1e-8 * scale), "covariance update lost symmetry")
+    min_eigs = np.linalg.eigvalsh(0.5 * (sig + np.swapaxes(sig, 1, 2)))[:, 0]
+    _raise_at_first(min_eigs < -1e-8 * scale, "covariance update went indefinite")
 
 
-def _smooth_diag(A, b, means, sig_post, sig_pred):
-    T, D = means.shape
-    out = means.copy()
-    for t in range(T - 2, -1, -1):
-        gain = sig_post[t] * A[t + 1] / sig_pred[t + 1]
-        pred_mean = A[t + 1] * means[t] + b[t + 1]
-        out[t] = means[t] + gain * (out[t + 1] - pred_mean)
-    return out
+def _forward(lane, A, b, emissions, s_left, lam):
+    """Kalman filter pass over a "dense" or "diagonal" linearization.
+
+    Returns (filtered_means, Sigma_post, Sigma_pred), stacked over t. The
+    filtered means solve the affine recursion mu_t = Gamma_t A_t mu_{t-1}
+    + Gamma_t b_t + (I - Gamma_t) y_t, with Gamma_t = (lam Sigma_pred_t + I)^-1
+    and the current iterate y_t as emission.
+    """
+    mul, tr, inv, one = _algebra(lane, b.shape[1])
+    with np.errstate(all="ignore"):
+        sig_post = _filter_covariances(lane, A, lam)
+        _check_covariances(lane, sig_post)
+    sig_post = 0.5 * (sig_post + tr(sig_post))
+    sig_pred = np.broadcast_to(one, sig_post.shape).copy()
+    sig_pred[1:] += mul(mul(A[1:], sig_post[:-1]), tr(A[1:]))
+    gamma = inv(lam * sig_pred + one)
+    gamma = 0.5 * (gamma + tr(gamma))
+    A_eff = mul(gamma, A)
+    bias = lane_apply(lane, gamma, b) + lane_apply(lane, one - gamma, emissions)
+    means = evaluate_stacked(lane, A_eff, bias, s_left)
+    return means, sig_post, sig_pred
+
+
+def _smooth(lane, A, b, means, sig_post, sig_pred):
+    """RTS smoother as a backward affine scan.
+
+    With gains G_t = Sigma_post_t A_{t+1}^T Sigma_pred_{t+1}^-1 the smoothed
+    means obey out_t = G_t out_{t+1} + (mu_t - G_t (A_{t+1} mu_t + b_{t+1}))
+    from out_T = mu_T, which the scan runs on the reversed arrays (the last
+    step enters as the map x -> mu_T).
+    """
+    mul, tr, inv, _ = _algebra(lane, b.shape[1])
+    G = np.zeros_like(sig_post)
+    G[:-1] = mul(mul(sig_post[:-1], tr(A[1:])), inv(sig_pred[1:]))
+    offset = means.copy()
+    offset[:-1] -= lane_apply(lane, G[:-1], lane_apply(lane, A[1:], means[:-1]) + b[1:])
+    return evaluate_stacked(lane, G[::-1], offset[::-1], np.zeros(b.shape[1]))[::-1]
 
 
 def _kalman_chunk(sys, chunk, t0, s_left, cfg: TrustRegionConfig,
                   collect_beliefs: bool = False):
     prev = np.vstack([s_left[None, :], chunk[:-1]])
     ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
-    diagonal = cfg.jacobian == "diagonal"
-    _, A, b = _linearize_stacked(sys, prev, ts, QUASI_DIAGONAL if diagonal else NEWTON, NO_DAMPING)
+    method = QUASI_DIAGONAL if cfg.jacobian == "diagonal" else NEWTON
+    lane, A, b = _linearize_stacked(sys, prev, ts, method, NO_DAMPING)
     emissions = np.where(np.isfinite(chunk), chunk, 0.0)
-    forward = _forward_diag if diagonal else _forward_full
-    means, sig_post, sig_pred, A_eff, bias = forward(A, b, emissions, s_left, cfg.lam)
-    if cfg.mode == "smoother":
-        smooth = _smooth_diag if diagonal else _smooth_full
-        out = smooth(A, b, means, sig_post, sig_pred)
-    else:
-        out = means
+    means, sig_post, sig_pred = _forward(lane, A, b, emissions, s_left, cfg.lam)
+    out = _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
     if collect_beliefs:
-        covs = [np.diag(s) for s in sig_post] if diagonal else list(sig_post)
+        covs = list(sig_post) if lane == DENSE else [np.diag(s) for s in sig_post]
         beliefs = [GaussianBelief(m, c) for m, c in zip(means, covs)]
         return out, beliefs
     return out

@@ -1,13 +1,15 @@
 """Kalman trust-region steps: attenuation bound, MAP oracle, solve loop."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 import parssm as P
 from parssm.fixedpoint import NEWTON, SolverConfig, linearize
-from parssm.pscan import evaluate_lds
-from parssm.trustregion import (GaussianBelief, TrustRegionConfig, attenuation,
-                                kalman_solve, kalman_step, lm_step_dense,
+from parssm.pscan import evaluate_lds, evaluate_stacked
+from parssm.trustregion import (GaussianBelief, TrustRegionConfig, _forward, _smooth,
+                                attenuation, kalman_solve, kalman_step, lm_step_dense,
                                 select_lambda)
 
 
@@ -15,6 +17,106 @@ def _noisy_guess(sys_, scale=1.0, seed=0):
     rng = np.random.default_rng(seed)
     base = P.rollout_sequential(sys_).states
     return P.Trajectory(sys_.initial_state, base + scale * rng.standard_normal(base.shape))
+
+
+def _sequential_filter_full(A, b, emissions, s_left, lam):
+    """Oracle: the step-by-step covariance/gain recursion (Joseph form), then
+    the filtered means from the affine recursion it defines."""
+    T, D = b.shape
+    eye = np.eye(D)
+    sig = np.zeros((D, D))
+    A_eff = np.empty((T, D, D))
+    bias = np.empty((T, D))
+    sig_post = np.empty((T, D, D))
+    sig_pred = np.empty((T, D, D))
+    for t in range(T):
+        pred = A[t] @ sig @ A[t].T + eye
+        gamma = np.linalg.solve(lam * pred + eye, eye)
+        gamma = 0.5 * (gamma + gamma.T)
+        k = eye - gamma
+        A_eff[t] = gamma @ A[t]
+        bias[t] = gamma @ b[t] + k @ emissions[t]
+        sig = gamma @ pred @ gamma.T + (1.0 / lam) * (k @ k.T) if lam > 0.0 else pred
+        sig = 0.5 * (sig + sig.T)
+        sig_post[t] = sig
+        sig_pred[t] = pred
+    return evaluate_stacked("dense", A_eff, bias, s_left), sig_post, sig_pred
+
+
+def _sequential_filter_diag(A, b, emissions, s_left, lam):
+    """Oracle: the elementwise form of ``_sequential_filter_full``."""
+    T, D = b.shape
+    sig = np.zeros(D)
+    A_eff = np.empty((T, D))
+    bias = np.empty((T, D))
+    sig_post = np.empty((T, D))
+    sig_pred = np.empty((T, D))
+    for t in range(T):
+        pred = A[t] * sig * A[t] + 1.0
+        gamma = 1.0 / (lam * pred + 1.0)
+        k = 1.0 - gamma
+        A_eff[t] = gamma * A[t]
+        bias[t] = gamma * b[t] + k * emissions[t]
+        sig = gamma * pred * gamma + k * k / lam if lam > 0.0 else pred
+        sig_post[t] = sig
+        sig_pred[t] = pred
+    return evaluate_stacked("diagonal", A_eff, bias, s_left), sig_post, sig_pred
+
+
+def _sequential_rts(lane, A, b, means, sig_post, sig_pred):
+    """Oracle: the step-by-step RTS backward pass."""
+    out = means.copy()
+    for t in range(len(means) - 2, -1, -1):
+        if lane == "dense":
+            gain = sig_post[t] @ A[t + 1].T @ np.linalg.inv(sig_pred[t + 1])
+            out[t] = means[t] + gain @ (out[t + 1] - (A[t + 1] @ means[t] + b[t + 1]))
+        else:
+            gain = sig_post[t] * A[t + 1] / sig_pred[t + 1]
+            out[t] = means[t] + gain * (out[t + 1] - (A[t + 1] * means[t] + b[t + 1]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lorenz96_linearization(T, lane):
+    """(A, b, emissions, s0) of Lorenz-96 linearized about a perturbed rollout."""
+    sys_ = P.models.build("lorenz96", T, seed=0)
+    guess = _noisy_guess(sys_, seed=T).states
+    prev = np.vstack([sys_.initial_state[None, :], guess[:-1]])
+    ts = np.arange(1, T + 1)
+    if lane == "dense":
+        A = sys_.jacobian_batch(ts, prev)
+        b = sys_.step_batch(ts, prev) - np.einsum("tij,tj->ti", A, prev)
+    else:
+        A = sys_.diag_jacobian_batch(ts, prev)
+        b = sys_.step_batch(ts, prev) - A * prev
+    return A, b, guess, sys_.initial_state
+
+
+def _step_relative_error(got, want):
+    """Largest over t of max|got_t - want_t| / max|want_t|."""
+    T = len(want)
+    err = np.abs(got - want).reshape(T, -1).max(axis=1)
+    return float(np.max(err / np.abs(want).reshape(T, -1).max(axis=1)))
+
+
+class TestScanEqualsSequentialOracle:
+    @pytest.mark.parametrize("lane", ["dense", "diagonal"])
+    @pytest.mark.parametrize("lam", [0.0, 1e-12, 0.01, 1.0, 1e12])
+    @pytest.mark.parametrize("T", [16, 128, 400, 1000])
+    def test_filter_and_smoother(self, T, lam, lane):
+        """The tree scan over filtering elements gives the sequential
+        recursion's means and covariances, and the backward-scan smoother the
+        sequential RTS pass on the same filter output, to 1e-10 relative at
+        every step. (At lam = 1e-12 and T = 1000 the RTS pass amplifies the
+        filters' 1e-13 differences past 1e-4, so each smoother gets one input.)"""
+        A, b, emissions, s0 = _lorenz96_linearization(T, lane)
+        oracle = _sequential_filter_full if lane == "dense" else _sequential_filter_diag
+        want = oracle(A, b, emissions, s0, lam)
+        got = _forward(lane, A, b, emissions, s0, lam)
+        for g, w in zip(got, want):
+            assert _step_relative_error(g, w) <= 1e-10
+        smoothed = _smooth(lane, A, b, *got)
+        assert _step_relative_error(smoothed, _sequential_rts(lane, A, b, *got)) <= 1e-10
 
 
 class TestConfig:
@@ -128,16 +230,16 @@ class TestKalmanStep:
         _, beliefs_a = kalman_step(sys_, guess, TrustRegionConfig(lam=1.3), return_beliefs=True)
         # permute emissions but keep the linearization point identical by
         # permuting only the emission targets, not the expansion trajectory
-        from parssm.trustregion import _forward_full
+        from parssm.trustregion import _forward
 
         ts = np.arange(1, 13)
         prev = guess.prev_states()
         A = sys_.jacobian_batch(ts, prev)
         fvals = sys_.step_batch(ts, prev)
         b = fvals - np.einsum("tij,tj->ti", A, prev)
-        _, sig_a, _, _, _ = _forward_full(A, b, guess.states, sys_.initial_state, 1.3)
+        _, sig_a, _ = _forward("dense", A, b, guess.states, sys_.initial_state, 1.3)
         shuffled = guess.states[::-1].copy()
-        _, sig_b, _, _, _ = _forward_full(A, b, shuffled, sys_.initial_state, 1.3)
+        _, sig_b, _ = _forward("dense", A, b, shuffled, sys_.initial_state, 1.3)
         np.testing.assert_array_equal(sig_a, sig_b)
         np.testing.assert_array_equal(np.stack([bel.cov for bel in beliefs_a]), sig_a)
 
@@ -153,6 +255,25 @@ class TestKalmanStep:
         full = kalman_step(sys_, guess, TrustRegionConfig(lam=0.9, jacobian="full"))
         diag = kalman_step(sys_, guess, TrustRegionConfig(lam=0.9, jacobian="diagonal"))
         assert P.max_abs_diff(full, diag) <= 1e-12
+
+    @pytest.mark.parametrize("jacobian", ["full", "diagonal"])
+    def test_failure_reports_first_bad_step(self, jacobian):
+        """A 1e200 I Jacobian at step 6 breaks the covariance pass there, and
+        the failure names t = 6, as the sequential recursion did."""
+        from parssm.models import FunctionSystem
+
+        W = np.array([[0.5, -0.3, 0.2], [0.1, 0.4, -0.6], [-0.2, 0.3, 0.7]])
+
+        def jac(t, s):
+            return 1e200 * np.eye(3) if t == 6 else (1.0 - np.tanh(W @ s) ** 2)[:, None] * W
+
+        sys_ = FunctionSystem(dim=3, horizon=16, initial_state=np.ones(3),
+                              step_fn=lambda t, s: np.tanh(W @ s), jac_fn=jac,
+                              diag_fn=lambda t, s: np.diag(jac(t, s)).copy())
+        guess = P.rollout_sequential(sys_)
+        with np.errstate(all="ignore"), pytest.raises(P.NumericalFailure) as err:
+            kalman_step(sys_, guess, TrustRegionConfig(lam=1.0, jacobian=jacobian))
+        assert err.value.t == 6
 
     def test_beliefs_validate(self):
         with pytest.raises(P.NumericalFailure):
