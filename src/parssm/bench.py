@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics, models
-from .core import ContractError, Trajectory, max_abs_diff, merit, rollout_sequential
+from .core import ContractError, max_abs_diff, merit, rollout_sequential
 from .fixedpoint import Damping, SolverConfig, SolverMethod, fixed_point_solve
 from .trustregion import TrustRegionConfig, kalman_solve
 
@@ -212,9 +212,9 @@ def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
     try:
         sys_ = models.build(cfg.model_kind, T, **params)
         record.D = sys_.dim
-        if key not in oracle_cache:
-            oracle_cache[key] = rollout_sequential(sys_)
-        oracle: Trajectory = oracle_cache[key]
+        oracle = oracle_cache[key]
+        if isinstance(oracle, Exception):
+            raise oracle.with_traceback(None)  # shared by every run at this point
         solver_cfg = SolverConfig(
             tol=cfg.tol, max_iters=cfg.max_iters, init=cfg.init, seed=seed,
             window=cfg.window, damping=entry.damping,
@@ -264,8 +264,9 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     Runs execute in a bounded thread pool (width from the config or the
     PARSSM_WORKERS environment variable). Oracles are rolled out serially up
-    front so pool workers only read the cache; rows carry full coordinates,
-    so scheduling order never matters.
+    front so pool workers only read the cache; a failed rollout is cached as
+    its exception and reported by every run of that point. Rows carry full
+    coordinates, so scheduling order never matters.
     """
     workers = cfg.workers or default_workers()
     points = list(_sweep_points(cfg))
@@ -276,8 +277,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
             if key not in oracle_cache:
                 try:
                     oracle_cache[key] = rollout_sequential(models.build(cfg.model_kind, T, **params))
-                except Exception:
-                    pass  # the run itself records the failure as a row
+                except Exception as e:  # each run of this point reports it as its row error
+                    oracle_cache[key] = e
     jobs = [(entry, point, seed) for point in points for seed in cfg.seeds
             for entry in cfg.methods]
     if workers > 1:

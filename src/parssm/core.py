@@ -86,18 +86,20 @@ class Trajectory:
 class DynamicsSystem(ABC):
     """Interface for a discrete-time system s_{t+1} = f_t(s_t), t = 1..T.
 
-    ``step`` and ``jacobian`` must be pure, deterministic functions of (t, s):
-    any stochastic ingredient (noise, data, weights) is drawn once at
-    construction from an explicit 64-bit seed and curried into the per-step
-    maps. Time indices are 1-based; ``step(1, s0)`` produces s_1.
+    Batch-first: a row i of a batch pairs the 1-based time index ts[i] with
+    the state S[i], and every method is a pure, deterministic function of
+    those pairs. Any stochastic ingredient (noise, data, weights) is drawn
+    once at construction from an explicit 64-bit seed and curried into the
+    per-step maps. ``step(1, s0)`` produces s_1.
 
-    Subclasses must set ``dim``, ``horizon``, ``initial_state`` and implement
-    ``step``. ``jacobian`` defaults to a central finite-difference oracle,
-    ``diag_jacobian`` to a single-probe Hutchinson estimate (seeded per t), and
-    ``jvp`` to a central difference; override any of them with analytic forms.
-    Batched variants default to loops and may be overridden with vectorized
-    implementations (then define the scalar form through the batch so both
-    paths stay bitwise consistent).
+    Subclasses set ``dim``, ``horizon`` and ``initial_state`` and implement
+    ``step_batch``. ``jacobian_batch`` defaults to central finite
+    differences, ``diag_jacobian_batch`` to a Hutchinson estimate with
+    ``diag_samples`` probes per row seeded ``(diag_seed, t)``, and
+    ``jvp_batch`` to a central difference; override any of them with
+    analytic forms. The single-row ``step``, ``jacobian``, ``diag_jacobian``
+    and ``jvp`` are the batch forms applied to one row, so both paths share
+    one code path.
     """
 
     dim: int
@@ -107,47 +109,44 @@ class DynamicsSystem(ABC):
     diag_seed: int = 0
 
     @abstractmethod
-    def step(self, t: int, s: np.ndarray) -> np.ndarray:
-        """Apply f_t to a state, for t in 1..T."""
-
-    def jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
-        from . import jacutils
-
-        return jacutils.fd_jacobian(self, t, s)
-
-    def jvp(self, t: int, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-        from . import jacutils
-
-        return jacutils.fd_jvp(self, t, s, v)
-
-    def diag_jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
-        from . import jacutils
-
-        return jacutils.hutchinson_diag_values(
-            self, t, s, n=self.diag_samples, seed=(self.diag_seed, t)
-        )
-
-    # -- batched variants; ts is an array of 1-based time indices, S is (n, D)
-
     def step_batch(self, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
-        return np.stack([self.step(int(t), s) for t, s in zip(ts, S)])
+        """Apply f_{ts[i]} to each row S[i] of an (n, D) batch."""
 
     def jacobian_batch(self, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
-        if type(self).jacobian is DynamicsSystem.jacobian:
-            from . import jacutils
+        """(n, D, D) Jacobians of f_t at each row."""
+        from . import jacutils
 
-            return jacutils.fd_jacobian_batch(self, np.asarray(ts), np.asarray(S), strict=False)
-        return np.stack([self.jacobian(int(t), s) for t, s in zip(ts, S)])
+        return jacutils.fd_jacobian_batch(self, np.asarray(ts), np.asarray(S))
 
     def diag_jacobian_batch(self, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
-        if (type(self).diag_jacobian is DynamicsSystem.diag_jacobian
-                and type(self).jvp is DynamicsSystem.jvp):
-            from . import jacutils
+        """(n, D) Jacobian diagonals of f_t at each row."""
+        from . import jacutils
 
-            return jacutils.hutchinson_diag_batch(
-                self, np.asarray(ts), np.asarray(S), n=self.diag_samples,
-                seed_base=self.diag_seed)
-        return np.stack([self.diag_jacobian(int(t), s) for t, s in zip(ts, S)])
+        return jacutils.hutchinson_diag_batch(
+            self, np.asarray(ts), np.asarray(S), n=self.diag_samples,
+            seed_base=self.diag_seed)
+
+    def jvp_batch(self, ts: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """(n, D) Jacobian-vector products A_t(S[i]) V[i]."""
+        from . import jacutils
+
+        V = np.asarray(V, dtype=np.float64)
+        return jacutils._central_diff(self, ts, np.asarray(S, dtype=np.float64), V[:, None, :])[:, 0]
+
+    # -- single-row forms: the batch forms on one row
+
+    def step(self, t: int, s: np.ndarray) -> np.ndarray:
+        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
+
+    def jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
+        return self.jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
+
+    def diag_jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
+        return self.diag_jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
+
+    def jvp(self, t: int, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.jvp_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :],
+                              np.asarray(v, dtype=np.float64)[None, :])[0]
 
     def _check_traj(self, traj: Trajectory):
         if traj.dim != self.dim or traj.horizon != self.horizon:

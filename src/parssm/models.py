@@ -1,10 +1,11 @@
-"""Test-system zoo: each model implements DynamicsSystem with analytic
-Jacobians where tractable.
+"""Test-system zoo: each model implements DynamicsSystem's vectorized
+``step_batch``, with analytic ``jacobian_batch``/``diag_jacobian_batch``
+where tractable; the rest falls to the base class's finite-difference and
+Hutchinson defaults, and the single-row forms come from the base class.
 
 Every stochastic ingredient (weights, noise, inputs) is drawn once at
 construction from an explicit seed and curried into the step maps, so all
-per-step functions are pure in (t, s). Batched variants are vectorized and
-the scalar ``step`` is routed through them so both paths share one code path.
+per-step functions are pure in (t, s).
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ import numpy as np
 from .core import ContractError, DynamicsSystem, as_state
 
 
+def _map_rows(fn, ts, *rows):
+    """Apply a per-row callable fn(t, *row) over the rows of a batch."""
+    return np.stack([np.asarray(fn(int(t), *r), dtype=np.float64) for t, *r in zip(ts, *rows)])
+
+
 class FunctionSystem(DynamicsSystem):
-    """Ad-hoc system from callables; handy for curried or synthetic dynamics."""
+    """Ad-hoc system from per-row callables; handy for curried or synthetic
+    dynamics. Each callable takes (t, s) (``jvp_fn`` takes (t, s, v)) and is
+    mapped over the rows of every batch."""
 
     def __init__(self, dim, horizon, initial_state, step_fn, jac_fn=None,
-                 diag_fn=None, jvp_fn=None, step_batch_fn=None):
+                 diag_fn=None, jvp_fn=None):
         self.dim = int(dim)
         self.horizon = int(horizon)
         self.initial_state = as_state(initial_state, self.dim)
@@ -26,34 +34,26 @@ class FunctionSystem(DynamicsSystem):
         self._jac_fn = jac_fn
         self._diag_fn = diag_fn
         self._jvp_fn = jvp_fn
-        self._step_batch_fn = step_batch_fn
-
-    def step(self, t, s):
-        return np.asarray(self._step_fn(t, s), dtype=np.float64)
 
     def step_batch(self, ts, S):
-        if self._step_batch_fn is not None:
-            return np.asarray(self._step_batch_fn(ts, S), dtype=np.float64)
-        return super().step_batch(ts, S)
+        return _map_rows(self._step_fn, ts, S)
 
-    def jacobian(self, t, s):
+    def jacobian_batch(self, ts, S):
         if self._jac_fn is not None:
-            return np.asarray(self._jac_fn(t, s), dtype=np.float64)
-        from . import jacutils
+            return _map_rows(self._jac_fn, ts, S)
+        return super().jacobian_batch(ts, S)
 
-        return jacutils.fd_jacobian(self, t, s)
-
-    def diag_jacobian(self, t, s):
+    def diag_jacobian_batch(self, ts, S):
         if self._diag_fn is not None:
-            return np.asarray(self._diag_fn(t, s), dtype=np.float64)
+            return _map_rows(self._diag_fn, ts, S)
         if self._jac_fn is not None:
-            return np.diag(self.jacobian(t, s))
-        return super().diag_jacobian(t, s)
+            return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2).copy()
+        return super().diag_jacobian_batch(ts, S)
 
-    def jvp(self, t, s, v):
+    def jvp_batch(self, ts, S, V):
         if self._jvp_fn is not None:
-            return np.asarray(self._jvp_fn(t, s, v), dtype=np.float64)
-        return super().jvp(t, s, v)
+            return _map_rows(self._jvp_fn, ts, S, V)
+        return super().jvp_batch(ts, S, V)
 
 
 class ScalarAffine(DynamicsSystem):
@@ -73,27 +73,15 @@ class ScalarAffine(DynamicsSystem):
             if self.inputs.shape[0] != self.horizon:
                 raise ContractError("inputs must have length T")
 
-    def step(self, t, s):
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
-
     def step_batch(self, ts, S):
         with np.errstate(all="ignore"):
             return self.alpha * S + self.inputs[np.asarray(ts) - 1][:, None]
 
-    def jacobian(self, t, s):
-        return np.array([[self.alpha]])
-
     def jacobian_batch(self, ts, S):
         return np.broadcast_to(np.array([[self.alpha]]), (len(ts), 1, 1)).copy()
 
-    def diag_jacobian(self, t, s):
-        return np.array([self.alpha])
-
     def diag_jacobian_batch(self, ts, S):
         return np.full((len(ts), 1), self.alpha)
-
-    def jvp(self, t, s, v):
-        return self.alpha * np.asarray(v, dtype=np.float64)
 
 
 class MeanFieldRNN(DynamicsSystem):
@@ -119,26 +107,17 @@ class MeanFieldRNN(DynamicsSystem):
         t = np.arange(1, self.horizon + 1)
         self.inputs = input_amplitude * np.sin(2.0 * np.pi * t / self.horizon)
 
-    def step(self, t, s):
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
-
     def step_batch(self, ts, S):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.tanh(S) @ self.W.T + self.inputs[np.asarray(ts) - 1][:, None]
-
-    def jacobian(self, t, s):
-        return self.W * (1.0 - np.tanh(np.asarray(s, dtype=np.float64)) ** 2)[None, :]
 
     def jacobian_batch(self, ts, S):
         with np.errstate(over="ignore", invalid="ignore"):
             gain = 1.0 - np.tanh(S) ** 2
         return self.W[None, :, :] * gain[:, None, :]
 
-    def diag_jacobian(self, t, s):
-        return np.zeros(self.dim)  # W_ii = 0 exactly
-
     def diag_jacobian_batch(self, ts, S):
-        return np.zeros((len(ts), self.dim))
+        return np.zeros((len(ts), self.dim))  # W_ii = 0 exactly
 
 
 def _sigmoid(x):
@@ -177,15 +156,9 @@ class Gru(DynamicsSystem):
             Htil = np.tanh((R * H) @ self.Wh_h.T + X @ self.Wh_x.T)
         return Z, R, Htil
 
-    def step(self, t, s):
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
-
     def step_batch(self, ts, S):
         Z, _, Htil = self._gates(ts, S)
         return (1.0 - Z) * S + Z * Htil
-
-    def jacobian(self, t, s):
-        return self.jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
 
     def jacobian_batch(self, ts, S):
         n, d = S.shape
@@ -201,9 +174,6 @@ class Gru(DynamicsSystem):
             + (Htil - S)[:, :, None] * dz
             + Z[:, :, None] * dhtil
         )
-
-    def diag_jacobian(self, t, s):
-        return self.diag_jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
 
     def diag_jacobian_batch(self, ts, S):
         Z, R, Htil = self._gates(ts, S)
@@ -238,9 +208,6 @@ class Lorenz96(DynamicsSystem):
 
     def _field(self, X):
         return (np.roll(X, -1, axis=-1) - np.roll(X, 2, axis=-1)) * np.roll(X, 1, axis=-1) - X + self.F
-
-    def step(self, t, s):
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
 
     def step_batch(self, ts, S):
         dt = self.dt
@@ -313,23 +280,14 @@ class LangevinTwoWell(DynamicsSystem):
         spread = -np.einsum("nc,nci,ncj->nij", w, u, u)
         return base + spread + g[:, :, None] * g[:, None, :]
 
-    def step(self, t, s):
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
-
     def step_batch(self, ts, S):
         with np.errstate(all="ignore"):
             drift = S - self.eps * self.grad_potential_batch(S)
         return drift + np.sqrt(2.0 * self.eps) * self.noise[np.asarray(ts) - 1]
 
-    def jacobian(self, t, s):
-        return self.jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
-
     def jacobian_batch(self, ts, S):
         with np.errstate(all="ignore"):
             return np.eye(2)[None, :, :] - self.eps * self.hess_potential_batch(S)
-
-    def diag_jacobian(self, t, s):
-        return np.diag(self.jacobian(t, s)).copy()
 
     def diag_jacobian_batch(self, ts, S):
         return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2).copy()
@@ -352,27 +310,15 @@ class S5WordProblem(DynamicsSystem):
     def permutation_matrix(self, t):
         return np.eye(5)[self.perms[t - 1]]
 
-    def step(self, t, s):
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
-
     def step_batch(self, ts, S):
         idx = self.perms[np.asarray(ts) - 1]
         return np.take_along_axis(S, idx, axis=1)
 
-    def jacobian(self, t, s):
-        return self.permutation_matrix(t)
-
     def jacobian_batch(self, ts, S):
         return np.eye(5)[self.perms[np.asarray(ts) - 1]]
 
-    def diag_jacobian(self, t, s):
-        return (self.perms[t - 1] == np.arange(5)).astype(np.float64)
-
     def diag_jacobian_batch(self, ts, S):
         return (self.perms[np.asarray(ts) - 1] == np.arange(5)[None, :]).astype(np.float64)
-
-    def jvp(self, t, s, v):
-        return self.permutation_matrix(t) @ np.asarray(v, dtype=np.float64)
 
 
 class LogisticMap(DynamicsSystem):
@@ -386,21 +332,12 @@ class LogisticMap(DynamicsSystem):
         self.horizon = int(T)
         self.initial_state = np.array([float(s0)])
 
-    def step(self, t, s):
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
-
     def step_batch(self, ts, S):
         with np.errstate(all="ignore"):
             return self.r * S * (1.0 - S)
 
-    def jacobian(self, t, s):
-        return np.array([[self.r * (1.0 - 2.0 * float(s[0]))]])
-
     def jacobian_batch(self, ts, S):
         return (self.r * (1.0 - 2.0 * S))[:, :, None]
-
-    def diag_jacobian(self, t, s):
-        return np.array([self.r * (1.0 - 2.0 * float(s[0]))])
 
     def diag_jacobian_batch(self, ts, S):
         return self.r * (1.0 - 2.0 * S)

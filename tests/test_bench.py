@@ -102,6 +102,20 @@ class TestRunExperiment:
         assert len(bad) == 8 and len(good) == 8
         assert all(not r.converged for r in bad)
 
+    def test_failed_oracle_rollout_is_the_row_error(self, tmp_path):
+        """A model that builds but whose rollout fails reports that failure as
+        the row error of every run at its point."""
+        doc = _tiny_config(tmp_path, model={"kind": "affine", "T": 8, "alpha": 0.5},
+                           sweep={"s0": [1.0, float("nan")]}, methods=[{"method": "newton"}],
+                           seeds=[0])
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        by_s0 = {json.loads(r.model_params)["s0"]: r for r in records}
+        good = by_s0[1.0]
+        bad = next(r for s0, r in by_s0.items() if s0 != 1.0)
+        assert good.error == "" and good.converged
+        assert bad.error == "ContractError: initial state must be finite"
+        assert bad.converged is False
+
     def test_diagnostic_failure_is_recorded(self, tmp_path):
         """alpha = 0 makes the Jacobian chain vanish, so the exponent estimate
         fails; the solve columns still stand and the failure is named."""

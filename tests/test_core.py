@@ -165,13 +165,98 @@ class TestCurrying:
     def test_batch_and_scalar_step_agree(self):
         """Batched and single-row paths agree to the last few ulps (BLAS may
         pick different kernels per shape, so exact bit equality is not
-        guaranteed; the residual-at-rollout invariant covers what matters)."""
-        for kind, params in [("gru", dict(D=4)), ("rnn", dict(D=4, g=1.0)),
-                             ("lorenz96", {}), ("twowell", {})]:
+        guaranteed; the residual-at-rollout invariant covers what matters).
+        Covers step, jacobian and diag_jacobian over every zoo kind."""
+        for kind, params in [("affine", dict(alpha=0.7)), ("gru", dict(D=4)),
+                             ("rnn", dict(D=4, g=1.0)), ("lorenz96", {}), ("twowell", {}),
+                             ("s5", {}), ("logistic", dict(r=3.7))]:
             sys_ = P.models.build(kind, 12, seed=2, **params)
             rng = np.random.default_rng(9)
             S = rng.standard_normal((12, sys_.dim))
             ts = np.arange(1, 13)
-            batch = sys_.step_batch(ts, S)
-            rows = np.stack([sys_.step(int(t), s) for t, s in zip(ts, S)])
-            np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=1e-13)
+            for single, batched in [(sys_.step, sys_.step_batch),
+                                    (sys_.jacobian, sys_.jacobian_batch),
+                                    (sys_.diag_jacobian, sys_.diag_jacobian_batch)]:
+                batch = batched(ts, S)
+                rows = np.stack([single(int(t), s) for t, s in zip(ts, S)])
+                np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=1e-13,
+                                           err_msg=f"{kind}.{single.__name__}")
+
+
+class TanhMap(P.DynamicsSystem):
+    """s_{t+1} = tanh(W s_t + b_t), defining nothing but step_batch."""
+
+    diag_seed = 17
+
+    def __init__(self, D=4, T=64, seed=0):
+        rng = np.random.default_rng(seed)
+        self.dim, self.horizon = D, T
+        self.W = 0.5 * rng.standard_normal((D, D)) / np.sqrt(D)
+        self.b = 0.1 * rng.standard_normal((T, D))
+        self.initial_state = rng.standard_normal(D)
+
+    def step_batch(self, ts, S):
+        return np.tanh(S @ self.W.T + self.b[np.asarray(ts) - 1])
+
+
+class TestBatchFirstContract:
+    """A subclass that implements only step_batch gets every other form."""
+
+    def test_single_row_jacobian_is_the_fd_oracle(self):
+        from parssm.jacutils import fd_jacobian
+
+        sys_ = TanhMap()
+        rng = np.random.default_rng(1)
+        for t in (1, 7, 64):
+            s = rng.standard_normal(sys_.dim)
+            np.testing.assert_array_equal(sys_.jacobian(t, s), fd_jacobian(sys_, t, s))
+            np.testing.assert_array_equal(sys_.step(t, s), np.tanh(sys_.W @ s + sys_.b[t - 1]))
+
+    def test_diag_default_is_hutchinson_seeded_by_diag_seed(self):
+        from parssm.jacutils import hutchinson_diag_batch
+
+        sys_ = TanhMap()
+        ts = np.arange(1, 65)
+        S = np.random.default_rng(2).standard_normal((64, sys_.dim))
+        np.testing.assert_array_equal(
+            sys_.diag_jacobian_batch(ts, S),
+            hutchinson_diag_batch(sys_, ts, S, n=sys_.diag_samples, seed_base=sys_.diag_seed))
+
+    @pytest.mark.parametrize("method", [P.NEWTON, P.QUASI_DIAGONAL])
+    def test_solvers_converge_to_rollout(self, method):
+        sys_ = TanhMap()
+        oracle = P.rollout_sequential(sys_)
+        rep = P.fixed_point_solve(sys_, P.SolverConfig(tol=1e-10), method)
+        assert rep.converged
+        assert P.max_abs_diff(rep.trajectory, oracle) <= 1e-8
+
+    def test_defaults_and_rollout_resolve_at_call_time(self, monkeypatch):
+        """Tracing wraps jacutils' batch functions as module attributes and a
+        system's step as an instance attribute; the defaults and the rollout
+        must look them up per call, not bind them at import."""
+        from parssm import jacutils
+
+        calls = []
+
+        def spy(name):
+            real = getattr(jacutils, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("fd_jacobian_batch", "hutchinson_diag_batch"):
+            monkeypatch.setattr(jacutils, name, spy(name))
+        sys_ = P.models.build("lorenz96", 8, seed=0)
+        ts = np.arange(1, 9)
+        S = np.random.default_rng(3).standard_normal((8, sys_.dim))
+        sys_.jacobian_batch(ts, S)
+        sys_.diag_jacobian_batch(ts, S)
+        assert calls == ["fd_jacobian_batch", "hutchinson_diag_batch"]
+
+        steps = []
+        real_step = sys_.step
+        sys_.step = lambda t, s: steps.append(t) or real_step(t, s)
+        P.rollout_sequential(sys_)
+        assert steps == list(range(1, 9))

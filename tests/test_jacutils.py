@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import parssm as P
-from parssm.jacutils import (DiagEstimate, diag_fd_jacobian, fd_jacobian,
-                             hutchinson_diag, hutchinson_diag_batch,
-                             hutchinson_diag_values, jvp)
+from parssm.jacutils import (DiagEstimate, fd_jacobian, hutchinson_diag,
+                             hutchinson_diag_batch, jvp)
 from parssm.models import FunctionSystem
 
 
@@ -166,7 +165,7 @@ class TestHutchinsonBatch:
         ts = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 5, 1])
         S = np.random.default_rng(4).standard_normal((len(ts), sys_.dim)) + 8.0
         got = hutchinson_diag_batch(sys_, ts, S, n=samples, seed_base=5)
-        want = np.stack([hutchinson_diag_values(sys_, int(t), s, n=samples, seed=(5, int(t)))
+        want = np.stack([hutchinson_diag(sys_, int(t), s, n=samples, seed=(5, int(t))).values
                          for t, s in zip(ts, S)])
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(hutchinson_diag_batch(sys_, ts, S, n=samples, seed_base=5), got)
@@ -187,9 +186,3 @@ class TestDiagResolutionOrder:
                               step_fn=lambda t, s: dvec * s,
                               jvp_fn=lambda t, s, v: dvec * v)
         np.testing.assert_array_equal(sys_.diag_jacobian(1, np.ones(3)), dvec)
-
-    def test_fd_diag_is_available_for_tests(self):
-        sys_ = P.models.build("twowell", 8, seed=0)
-        s = np.array([0.3, -0.2])
-        np.testing.assert_allclose(diag_fd_jacobian(sys_, 1, s),
-                                   np.diag(sys_.jacobian(1, s)), atol=1e-6)
