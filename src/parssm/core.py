@@ -185,10 +185,26 @@ def merit(sys: DynamicsSystem, traj: Trajectory) -> float:
 
     Zero exactly at the sequential rollout and nowhere else.
     """
-    r = residual(sys, traj)
-    if not np.all(np.isfinite(r)):
-        return float("inf")
-    return 0.5 * float(np.dot(r.ravel(), r.ravel()))
+    return exact_rows_and_merit(residual(sys, traj))[1]
+
+
+def exact_rows_and_merit(r: np.ndarray) -> tuple[int, float]:
+    """(k, m) for a residual block r: k leading rows are exactly zero, and m
+    is half the squared Frobenius norm, summed over rows k on only.
+
+    Skipping the zero rows makes m bitwise independent of how many of them
+    precede the rest, so a block's merit equals the merit of any longer block
+    that extends it by exact rows. m is +inf when an entry is non-finite or
+    the sum of squares overflows.
+    """
+    moved = np.flatnonzero(np.any(r != 0.0, axis=1))
+    k = int(moved[0]) if moved.size else len(r)
+    rest = r[k:]
+    if not np.all(np.isfinite(rest)):
+        return k, float("inf")
+    flat = rest.ravel()
+    with np.errstate(over="ignore"):
+        return k, 0.5 * float(np.dot(flat, flat))
 
 
 def max_abs_diff(a, b) -> float:

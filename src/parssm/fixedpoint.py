@@ -15,7 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ContractError, DynamicsSystem, Trajectory, as_state, max_abs_diff, merit
+from .core import (ContractError, DynamicsSystem, Trajectory, as_state,
+                   exact_rows_and_merit, max_abs_diff)
+from .core import merit  # noqa: F401  (tracing tools patch fixedpoint.merit by name)
 from .pscan import ZERO, AffineOp, evaluate_stacked, lane_apply, lane_transitions
 
 
@@ -159,6 +161,12 @@ class SolveReport:
 
 OVERFLOW_GUARD = 1e100  # iterate entries beyond this are treated as overflowed
 
+# The frozen prefix grows in whole blocks of this many rows. numpy keeps freed
+# arrays under 1 KiB in caches keyed by exact byte size and never returns them,
+# so a front moving one row per pass would strand per-row arrays (n-byte masks)
+# at every length from T down: about 3 MB more peak memory at T=1000.
+FRONT_BLOCK = 16
+
 
 def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
     """Stacked transition lane and array for the given method and damping."""
@@ -186,21 +194,24 @@ def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
     return ("scalar", np.full(len(ts), a))
 
 
-def _linearize_stacked(sys, states_prev, ts, method, damping):
+def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None):
     """(lane, A, b) with op_t = (A_t, f_t(s_{t-1}) - A_t s_{t-1}).
 
-    Rows whose predecessor state has overflowed (non-finite step value or
-    magnitude beyond the overflow guard) are linearized at the reset value 0
-    instead, so the returned operators are the method transition at a point
-    the dynamics can actually evaluate.
+    ``fvals``, when given, holds f_t(s_{t-1}) at these rows already, and is
+    read but never written. Rows whose predecessor state has overflowed
+    (non-finite step value or magnitude beyond the overflow guard) are
+    linearized at the reset value 0 instead, with f evaluated afresh there,
+    so the returned operators are the method transition at a point the
+    dynamics can actually evaluate.
     """
     prev = np.asarray(states_prev, dtype=np.float64)
     with np.errstate(all="ignore"):
-        fvals = sys.step_batch(ts, prev)
+        fvals = sys.step_batch(ts, prev) if fvals is None else fvals
         bad = ~np.all(np.isfinite(fvals), axis=1)
         bad |= np.max(np.abs(prev), axis=1) > OVERFLOW_GUARD
         if bad.any():
             prev = np.where(bad[:, None], 0.0, prev)
+            fvals = fvals.copy()
             fvals[bad] = sys.step_batch(np.asarray(ts)[bad], np.zeros((int(bad.sum()), prev.shape[1])))
         lane, A = _method_transitions(sys, ts, prev, method, damping)
         if A is not None:
@@ -251,24 +262,49 @@ def initial_guess(sys: DynamicsSystem, cfg: SolverConfig) -> np.ndarray:
 def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveReport:
     """Generic driver shared by the scan solvers and the Kalman solver.
 
-    ``chunk_step(states_chunk, t_start, s_left) -> new_chunk`` produces the
-    next iterate of the active chunk, whose steps are t_start+1 .. t_start+Tc
-    and whose left boundary state is ``s_left``. Without a window the chunk is
-    the whole sequence. Non-finite iterate entries are reset to 0 before each
-    step (one reset event per iteration where that happens); with a window the
-    chunk advances left to right once its tail's successive difference meets
+    ``chunk_step(states_chunk, t_start, s_left, fvals) -> new_chunk`` produces
+    the next iterate of the active chunk, whose steps are t_start+1 ..
+    t_start+Tc and whose left boundary state is ``s_left``. ``fvals`` holds
+    f_t(s_{t-1}) at the chunk's current rows, or None when the chunk step must
+    evaluate f itself.
+
+    The causal front is the number of leading rows whose residual
+    s_t - f_t(s_{t-1}) is exactly zero. By induction from the fixed s_0 those
+    rows solve the recurrence, so they are final, and in exact arithmetic every
+    pass makes at least one more row exact. The loop freezes the front rounded
+    down to whole blocks of ``FRONT_BLOCK`` rows (all T rows once every one is
+    exact), and a pass works on the rows past the frozen prefix only: the chunk
+    is [front, T), or with a window [max(front, t_done), +window), where t_done
+    advances to the chunk's end once its tail's successive difference meets
     the tolerance.
 
-    A bitwise-stationary full-length iterate (successive difference exactly
-    zero) stops the loop as converged regardless of the metric: the iteration
-    map is deterministic, so nothing can change on any later pass. Chaotic
-    chains can floor the merit above any tolerance while still being exact
-    fixed points of the float map; this handles them soundly.
+    After the chunk step, f is evaluated once, on rows [front, T). Those values
+    give the merit (the frozen prefix adds 0), the new front, and the next
+    pass's ``fvals``. When neither the history nor the stopping metric needs
+    the merit, f is evaluated on the chunk's rows only, and the front advances
+    only from a chunk that starts at it. Non-finite iterate entries are reset
+    to 0 before a pass (one reset event per pass where that happens), and the
+    chunk step of that pass evaluates f afresh.
+
+    Once the front reaches T the next pass has no rows. It still counts as an
+    iteration, observes difference and merit 0, and does no work.
+
+    A pass whose chunk starts at the front, ends at T and comes back bitwise
+    unchanged (successive difference exactly zero) stops the loop as converged
+    regardless of the metric: the prefix is final and the iteration map is
+    deterministic, so nothing can change on any later pass. Chaotic chains can
+    floor the merit above any tolerance while still being exact fixed points
+    of the float map; this handles them soundly.
     """
     cfg = cfg.resolved(sys.horizon)
     T = sys.horizon
     tc = cfg.window or T
+    ts = np.arange(1, T + 1)
+    s0 = as_state(sys.initial_state, sys.dim)
     states = initial_guess(sys, cfg)
+    front = 0     # frozen prefix: leading rows with zero residual
+    fvals = None  # f_t(s_{t-1}) on rows f_lo+1 .. f_lo+len(fvals) of the current states
+    f_lo = 0
     t_done = 0
     resets = 0
     merit_hist: list = []
@@ -283,33 +319,43 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
         if bad.any():
             states[bad] = 0.0
             resets += 1
-        lo, hi = t_done, min(t_done + tc, T)
-        s_left = states[lo - 1] if lo > 0 else as_state(sys.initial_state, sys.dim)
-        old_tail = states[hi - 1].copy()
-        new_chunk = chunk_step(states[lo:hi], lo, s_left)
-        diff = max_abs_diff(new_chunk, states[lo:hi])
-        states[lo:hi] = new_chunk
+            fvals = None
         iters += 1
-        current_merit = None
-        if want_merit:
-            current_merit = merit(sys, Trajectory(sys.initial_state, states))
+        lo = max(front, t_done)
+        hi = min(lo + tc, T)
+        diff, current_merit, stationary = 0.0, 0.0, True  # the empty pass
+        if lo < T:
+            s_left = states[lo - 1] if lo > 0 else s0
+            old_tail = states[hi - 1].copy()
+            reuse = fvals is not None and f_lo <= lo and hi <= f_lo + len(fvals)
+            new_chunk = chunk_step(states[lo:hi], lo, s_left,
+                                   fvals[lo - f_lo:hi - f_lo] if reuse else None)
+            diff = max_abs_diff(new_chunk, states[lo:hi])
+            stationary = diff == 0.0 and lo == front and hi == T
+            states[lo:hi] = new_chunk
+            f_lo, f_hi = (front, T) if want_merit else (lo, hi)
+            prev = states[f_lo - 1:f_hi - 1] if f_lo > 0 else np.vstack([s0, states[:f_hi - 1]])
+            with np.errstate(all="ignore"):
+                fvals = sys.step_batch(ts[f_lo:f_hi], prev)
+                r = states[f_lo:f_hi] - fvals
+            exact, current_merit = exact_rows_and_merit(r)
+            if f_lo == front:  # rows exact from the front on extend it
+                front = T if front + exact == T else (front + exact) // FRONT_BLOCK * FRONT_BLOCK
         if cfg.record_history:
             diff_hist.append(diff)
             merit_hist.append(current_merit)
         if iterates is not None:
             iterates.append(states.copy())
+        if hi < T:
+            # middle chunk: advance once the tail stops moving
+            if max_abs_diff(new_chunk[-1:], old_tail[None, :]) <= cfg.tol:
+                t_done = hi
+            continue
         if cfg.metric == "merit":
             done = current_merit / T <= cfg.tol
         else:
             done = diff <= cfg.tol
-        done = done or (diff == 0.0 and lo == 0 and hi == T)
-        if hi < T:
-            # middle chunk: advance once the tail stops moving
-            tail_diff = max_abs_diff(new_chunk[-1:], old_tail[None, :])
-            if tail_diff <= cfg.tol:
-                t_done = hi
-            continue
-        if done:
+        if done or stationary:
             converged = True
             break
     elapsed = time.perf_counter() - start
@@ -333,10 +379,10 @@ def fixed_point_solve(sys: DynamicsSystem, cfg: SolverConfig,
     T iterations regardless of the initial guess or transition choice.
     """
 
-    def chunk_step(chunk, t0, s_left):
+    def chunk_step(chunk, t0, s_left, fvals):
         prev = np.vstack([s_left[None, :], chunk[:-1]])
         ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
-        lane, A, b = _linearize_stacked(sys, prev, ts, method, cfg.damping)
+        lane, A, b = _linearize_stacked(sys, prev, ts, method, cfg.damping, fvals)
         with np.errstate(all="ignore"):
             return evaluate_stacked(lane, A, b, s_left)
 

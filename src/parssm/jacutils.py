@@ -97,12 +97,13 @@ def _rademacher(rng, n, d):
     return rng.integers(0, 2, size=(n, d)).astype(np.float64) * 2.0 - 1.0
 
 
-@lru_cache(maxsize=4096)
-def _row_probes(seed_base, t: int, n: int, d: int) -> np.ndarray:
-    """Row t's (n, d) probes from default_rng((seed_base, t)); shared, so read-only."""
-    probes = _rademacher(np.random.default_rng((seed_base, t)), n, d)
-    probes.flags.writeable = False
-    return probes
+@lru_cache(maxsize=16)
+def _probe_table(seed_base, n: int, d: int, tmax: int) -> np.ndarray:
+    """(tmax, n, d) probes, row t-1 from default_rng((seed_base, t)); shared, so read-only."""
+    table = np.stack([_rademacher(np.random.default_rng((seed_base, t)), n, d)
+                      for t in range(1, tmax + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def _hutchinson(sys, ts: np.ndarray, S: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -141,11 +142,13 @@ def hutchinson_diag_batch(sys, ts: np.ndarray, S: np.ndarray, n: int = 1,
     """Non-strict Hutchinson estimates for a batch of (t, s) pairs.
 
     Probes for row t are drawn from default_rng((seed_base, t)), so row t
-    equals ``hutchinson_diag(..., seed=(seed_base, t))``, and drawn once per
-    (seed_base, t, n, d) for every later call. Used by the default
+    equals ``hutchinson_diag(..., seed=(seed_base, t))``. They are drawn once,
+    as one table over t = 1 .. max(horizon, max ts) per (seed_base, n, d),
+    and every later call gathers its rows from it. Used by the default
     ``diag_jacobian_batch``.
     """
+    ts = np.asarray(ts)
     S = np.asarray(S, dtype=np.float64)
     n, d = max(1, n), S.shape[1]
-    probes = np.stack([_row_probes(seed_base, int(t), n, d) for t in ts])
-    return _hutchinson(sys, ts, S, probes)
+    tmax = max(sys.horizon, int(ts.max(initial=0)))
+    return _hutchinson(sys, ts, S, _probe_table(seed_base, n, d, tmax)[ts - 1])

@@ -311,8 +311,8 @@ class S5WordProblem(DynamicsSystem):
         return np.eye(5)[self.perms[t - 1]]
 
     def step_batch(self, ts, S):
-        idx = self.perms[np.asarray(ts) - 1]
-        return np.take_along_axis(S, idx, axis=1)
+        S = np.asarray(S)
+        return S[np.arange(len(S))[:, None], self.perms[np.asarray(ts) - 1]]
 
     def jacobian_batch(self, ts, S):
         return np.eye(5)[self.perms[np.asarray(ts) - 1]]

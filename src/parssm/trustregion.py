@@ -189,11 +189,11 @@ def _smooth(lane, A, b, means, sig_post, sig_pred):
 
 
 def _kalman_chunk(sys, chunk, t0, s_left, cfg: TrustRegionConfig,
-                  collect_beliefs: bool = False):
+                  collect_beliefs: bool = False, fvals=None):
     prev = np.vstack([s_left[None, :], chunk[:-1]])
     ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
     method = QUASI_DIAGONAL if cfg.jacobian == "diagonal" else NEWTON
-    lane, A, b = _linearize_stacked(sys, prev, ts, method, NO_DAMPING)
+    lane, A, b = _linearize_stacked(sys, prev, ts, method, NO_DAMPING, fvals)
     emissions = np.where(np.isfinite(chunk), chunk, 0.0)
     means, sig_post, sig_pred = _forward(lane, A, b, emissions, s_left, cfg.lam)
     out = _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
@@ -244,8 +244,8 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
 
         solver = replace(solver, max_iters=sys.horizon + extra)
 
-    def chunk_step(chunk, t0, s_left):
-        return _kalman_chunk(sys, chunk, t0, s_left, cfg)
+    def chunk_step(chunk, t0, s_left, fvals):
+        return _kalman_chunk(sys, chunk, t0, s_left, cfg, fvals=fvals)
 
     return solve_loop(sys, solver, chunk_step)
 

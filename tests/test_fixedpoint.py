@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import parssm as P
-from parssm.fixedpoint import (JACOBI, NEWTON, PICARD, QUASI_DIAGONAL, Damping,
-                               SolverConfig, SolverMethod, fixed_point_solve,
+from parssm.fixedpoint import (FRONT_BLOCK, JACOBI, NEWTON, PICARD, QUASI_DIAGONAL,
+                               Damping, SolverConfig, SolverMethod, fixed_point_solve,
                                jacobi_init, linearize, prefix_lock_check,
                                scaled_identity)
 from parssm.pscan import evaluate_lds
@@ -216,3 +216,117 @@ class TestPrefixLocking:
         rep = fixed_point_solve(sys_, cfg, PICARD)
         assert rep.converged and rep.iterations <= 40
         assert P.max_abs_diff(rep.trajectory, P.rollout_sequential(sys_)) == 0.0
+
+
+def _spy_step_batch(sys_):
+    """Record the row count of every ``step_batch`` call on this instance."""
+    calls = []
+    inner = sys_.step_batch
+
+    def spy(ts, S):
+        calls.append(len(ts))
+        return inner(ts, S)
+
+    sys_.step_batch = spy
+    return calls
+
+
+class TestCausalFront:
+    """The exact prefix leaves the active set, and f is evaluated once per pass."""
+
+    @pytest.mark.parametrize("method", [JACOBI, PICARD, QUASI_DIAGONAL])
+    def test_suffix_merit_equals_full_merit(self, method):
+        for seed in range(3):
+            sys_ = P.models.build("s5", 200, seed=seed)
+            cfg = SolverConfig(tol=1e-18, metric="merit", record_iterates=True)
+            rep = fixed_point_solve(sys_, cfg, method)
+            assert rep.converged
+            assert len(rep.merit_history) == len(rep.iterates) == rep.iterations
+            for m, it in zip(rep.merit_history, rep.iterates):
+                assert m == P.merit(sys_, P.Trajectory(sys_.initial_state, it))
+
+    @pytest.mark.parametrize("method", [JACOBI, PICARD, QUASI_DIAGONAL, NEWTON])
+    def test_each_pass_evaluates_f_once_on_rows_past_the_front(self, method):
+        T = 120
+        sys_ = P.models.build("s5", T, seed=4)
+        oracle = P.rollout_sequential(sys_)
+        calls = _spy_step_batch(sys_)
+        cfg = SolverConfig(tol=1e-18, metric="merit", init="normal", seed=5,
+                           record_iterates=True)
+        rep = fixed_point_solve(sys_, cfg, method)
+        assert rep.converged
+        np.testing.assert_array_equal(rep.trajectory.states, oracle.states)
+        # on S5 the zero-residual prefix is the prefix equal to the rollout
+        fronts = prefix_lock_check(rep.iterates, oracle, tol=0.0)
+        frozen = [c if c == T else c - c % FRONT_BLOCK for c in fronts]
+        # pass 1 linearizes and takes the residual; every later pass only
+        # takes the residual, on the rows past the prefix frozen before it
+        assert calls == [T, T] + [T - f for f in frozen[:-1]]
+        for i, c in enumerate(fronts):
+            for later in rep.iterates[i + 1:]:
+                np.testing.assert_array_equal(later[:c], rep.iterates[i][:c])
+
+    @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL])
+    def test_empty_pass_counts_and_evaluates_nothing(self, method):
+        sys_ = P.models.build("affine", 16, alpha=0.5)
+        calls = _spy_step_batch(sys_)
+        rep = fixed_point_solve(sys_, SolverConfig(), method)
+        assert rep.converged and rep.iterations == 2
+        assert rep.diff_history[1] == 0.0 and rep.merit_history[1] == 0.0
+        assert calls == [16, 16, 16]  # the Jacobi guess, then pass 1; pass 2 has no rows
+
+    def test_reset_pass_evaluates_f_afresh(self, monkeypatch):
+        """Pass 1 and every pass after a reset linearize without reused
+        values; every other pass reuses f at exactly its current rows."""
+        import parssm.fixedpoint as fp
+
+        sys_ = P.models.build("lorenz96", 128, seed=1)
+        seen = []
+        inner = fp._linearize_stacked
+
+        def spy(system, prev, ts, method, damping, fvals=None):
+            if fvals is not None:
+                np.testing.assert_array_equal(fvals, system.step_batch(ts, prev))
+            seen.append(fvals is None)
+            return inner(system, prev, ts, method, damping, fvals)
+
+        monkeypatch.setattr(fp, "_linearize_stacked", spy)
+        cfg = SolverConfig(tol=1e-10, init="normal", seed=0, record_iterates=True)
+        rep = fixed_point_solve(sys_, cfg, NEWTON)
+        assert rep.converged and rep.resets > 0
+        after_reset = [not np.all(np.isfinite(it)) for it in rep.iterates[:-1]]
+        assert sum(after_reset) == rep.resets
+        assert seen == [True] + after_reset[:len(seen) - 1]
+
+    def test_reused_values_skip_rows_sent_to_reset(self):
+        from parssm.fixedpoint import _linearize_stacked
+
+        sys_ = P.models.build("lorenz96", 6, seed=0)
+        ts = np.arange(1, 7)
+        prev = np.ones((6, 5))
+        prev[2] = 1e200
+        fvals = sys_.step_batch(ts, prev)
+        fvals[2] = 7.0  # finite, so only the overflow guard can catch the row
+        given = fvals.copy()
+        _, A, b = _linearize_stacked(sys_, prev, ts, NEWTON, Damping.none(), fvals)
+        _, A_fresh, b_fresh = _linearize_stacked(sys_, prev, ts, NEWTON, Damping.none())
+        np.testing.assert_array_equal(A, A_fresh)
+        np.testing.assert_array_equal(b, b_fresh)
+        np.testing.assert_array_equal(fvals, given)  # the caller's array is not written
+
+    def test_windowed_solve_without_history_evaluates_f_on_its_chunk(self):
+        sys_ = P.models.build("gru", 200, D=4, seed=3)
+        calls = _spy_step_batch(sys_)
+        cfg = SolverConfig(tol=1e-10, window=20, record_history=False, max_iters=2000)
+        rep = fixed_point_solve(sys_, cfg, NEWTON)
+        assert rep.converged
+        assert calls[0] == 200 and max(calls[1:]) <= 20  # after the Jacobi guess
+
+    @pytest.mark.parametrize("method", [QUASI_DIAGONAL, PICARD, JACOBI, NEWTON])
+    def test_windowed_s5_matches_oracle(self, method):
+        sys_ = P.models.build("s5", 200, seed=1)
+        cfg = SolverConfig(tol=1e-18, metric="merit", window=32, init="normal", seed=1)
+        rep = fixed_point_solve(sys_, cfg, method)
+        assert rep.converged and rep.iterations <= 200
+        np.testing.assert_array_equal(rep.trajectory.states, P.rollout_sequential(sys_).states)
+
