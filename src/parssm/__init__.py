@@ -16,9 +16,8 @@ from .fixedpoint import (JACOBI, NEWTON, PICARD, QUASI_DIAGONAL, Damping,
 from .jacutils import DiagEstimate, fd_jacobian, hutchinson_diag, jvp
 from .pscan import (AffineOp, ComposeCounter, Transition, affine_compose,
                     evaluate_lds, parallel_scan)
-from .trustregion import (GaussianBelief, TrustRegionConfig, attenuation,
-                          kalman_solve, kalman_step, lm_step_dense,
-                          select_lambda)
+from .trustregion import (TrustRegionConfig, attenuation, kalman_solve,
+                          kalman_step, lm_step_dense)
 from .diagnostics import (LleEstimate, PlBounds, assemble_big_j,
                           asymptotic_rate, basin_radius, estimate_lle,
                           jacobian_mismatch, min_singular_value,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineOp", "ComposeCounter", "ContractError", "Damping", "DiagEstimate",
-    "DynamicsSystem", "GaussianBelief", "JACOBI", "LleEstimate", "NEWTON",
+    "DynamicsSystem", "JACOBI", "LleEstimate", "NEWTON",
     "NumericalFailure", "PICARD", "PlBounds", "QUASI_DIAGONAL", "SolveReport",
     "SolverConfig", "SolverMethod", "Trajectory", "Transition",
     "TrustRegionConfig", "affine_compose", "assemble_big_j", "asymptotic_rate",
@@ -38,5 +37,5 @@ __all__ = [
     "jacobian_mismatch", "jvp", "kalman_solve", "kalman_step", "linearize",
     "lm_step_dense", "max_abs_diff", "merit", "min_singular_value", "models",
     "parallel_scan", "picard_inverse_norm", "pl_bounds", "prefix_lock_check",
-    "residual", "rollout_sequential", "scaled_identity", "select_lambda",
+    "residual", "rollout_sequential", "scaled_identity",
 ]

@@ -16,8 +16,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import diagnostics, models
 from .core import ContractError, max_abs_diff, merit, rollout_sequential
 from .fixedpoint import Damping, SolverConfig, SolverMethod, fixed_point_solve
@@ -176,18 +174,9 @@ class RunRecord:
     diff_history: list | None = None
 
     def as_row(self) -> dict:
-        return {
-            "experiment": self.experiment, "model": self.model,
-            "model_params": self.model_params, "method": self.method,
-            "T": self.T, "D": self.D, "seed": self.seed, "lambda": self.lam,
-            "tolerance": self.tolerance, "converged": int(self.converged),
-            "iterations": self.iterations, "resets": self.resets,
-            "final_err": self.final_err, "final_diff": self.final_diff,
-            "final_merit": self.final_merit, "lle": self.lle,
-            "gamma": self.gamma, "mismatch": self.mismatch,
-            "pl_lower": self.pl_lower, "pl_upper": self.pl_upper,
-            "elapsed": self.elapsed, "error": self.error, "diag_error": self.diag_error,
-        }
+        row = {name: getattr(self, "lam" if name == "lambda" else name) for name in _RECORD_FIELDS}
+        row["converged"] = int(self.converged)
+        return row
 
 
 def _sweep_points(cfg: ExperimentConfig):
@@ -281,13 +270,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
                     oracle_cache[key] = e
     jobs = [(entry, point, seed) for point in points for seed in cfg.seeds
             for entry in cfg.methods]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda j: _run_one(cfg, j[0], j[1], j[2], oracle_cache), jobs))
-    else:
-        records = [_run_one(cfg, entry, point, seed, oracle_cache)
-                   for entry, point, seed in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        records = list(pool.map(lambda j: _run_one(cfg, *j, oracle_cache), jobs))
     records.sort(key=lambda r: (r.model_params, r.T, r.seed, r.method))
     return records
 

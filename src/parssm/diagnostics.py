@@ -224,7 +224,7 @@ def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
     The inverse-norm factor is 1 for zero transitions and the closed form
     above for identity transitions. Diagonal and scaled-identity transitions
     decouple coordinatewise into T x T bidiagonal blocks, so their inverse
-    norm needs only T <= 4096; the fully dense path keeps the T*D guard.
+    norm needs only T <= 4096. Newton's rate is 0.
     """
     mismatch = jacobian_mismatch(sys, traj_star, method)
     if method.kind == "newton":
@@ -234,16 +234,12 @@ def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
         inv_norm = 1.0
     elif method.kind == "picard":
         inv_norm = picard_inverse_norm(T)
-    elif method.kind in ("quasi", "scaled"):
+    else:  # "quasi" and "scaled", the only other kinds
         _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
         ts = np.arange(1, T + 1)
         lane, A = _method_transitions(sys, ts, traj_star.prev_states(), method, NO_DAMPING)
         diag = A if lane == "diagonal" else np.broadcast_to(A[:, None], (T, D))
         inv_norm = max(_bidiagonal_inverse_norm(diag[:, j]) for j in range(D))
-    else:
-        _check_dense_guard(T, D, "asymptotic_rate")
-        approx_j = assemble_approx_j(sys, traj_star, method)
-        inv_norm = 1.0 / min_singular_value(approx_j)
     return float(inv_norm * mismatch)
 
 
@@ -259,29 +255,3 @@ def basin_radius(mu: float, L: float) -> float:
     if L == 0.0:
         return float("inf")
     return 2.0 * mu / L
-
-
-def estimate_burn_in(sys: DynamicsSystem, traj: Trajectory, lle: float,
-                     max_window: int | None = None, max_starts: int = 64):
-    """Empirical burn-in constants (a, b) for the chain regularity condition.
-
-    Scans windowed Jacobian products and compares their norms against
-    e^(lle * k): a is the max of the ratios (clamped >= 1), b the min
-    (clamped <= 1). Heuristic only; no accuracy claim is made.
-    """
-    sys._check_traj(traj)
-    T, D = traj.horizon, traj.dim
-    K = max_window if max_window is not None else min(T - 1, 16)
-    K = max(1, min(K, T - 1)) if T > 1 else 0
-    ts = np.arange(1, T + 1)
-    jacs = sys.jacobian_batch(ts, traj.prev_states())
-    starts = np.unique(np.linspace(1, T - K, num=min(max_starts, max(1, T - K)), dtype=int)) if K else []
-    hi, lo = 1.0, 1.0
-    for t0 in starts:
-        prod = np.eye(D)
-        for k in range(1, K + 1):
-            prod = jacs[t0 + k - 1] @ prod
-            ratio = float(np.linalg.norm(prod, 2) * np.exp(-lle * k))
-            hi = max(hi, ratio)
-            lo = min(lo, ratio)
-    return hi, min(1.0, lo)

@@ -282,9 +282,10 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     give the merit (the frozen prefix adds 0), the new front, and the next
     pass's ``fvals``. When neither the history nor the stopping metric needs
     the merit, f is evaluated on the chunk's rows only, and the front advances
-    only from a chunk that starts at it. Non-finite iterate entries are reset
-    to 0 before a pass (one reset event per pass where that happens), and the
-    chunk step of that pass evaluates f afresh.
+    only from a chunk that starts at it, and a pass that advances the window
+    evaluates none: the next chunk starts past its rows. Non-finite iterate
+    entries are reset to 0 before a pass (one reset event per pass where that
+    happens), and the chunk step of that pass evaluates f afresh.
 
     Once the front reaches T the next pass has no rows. It still counts as an
     iteration, observes difference and merit 0, and does no work.
@@ -333,23 +334,25 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
             diff = max_abs_diff(new_chunk, states[lo:hi])
             stationary = diff == 0.0 and lo == front and hi == T
             states[lo:hi] = new_chunk
-            f_lo, f_hi = (front, T) if want_merit else (lo, hi)
-            prev = states[f_lo - 1:f_hi - 1] if f_lo > 0 else np.vstack([s0, states[:f_hi - 1]])
-            with np.errstate(all="ignore"):
-                fvals = sys.step_batch(ts[f_lo:f_hi], prev)
-                r = states[f_lo:f_hi] - fvals
-            exact, current_merit = exact_rows_and_merit(r)
-            if f_lo == front:  # rows exact from the front on extend it
-                front = T if front + exact == T else (front + exact) // FRONT_BLOCK * FRONT_BLOCK
+            if hi < T and max_abs_diff(new_chunk[-1:], old_tail[None, :]) <= cfg.tol:
+                t_done = hi  # middle chunk: advance once the tail stops moving
+            if t_done == hi and not want_merit:
+                fvals = None  # the next chunk starts at hi, past every row f would cover
+            else:
+                f_lo, f_hi = (front, T) if want_merit else (lo, hi)
+                prev = states[f_lo - 1:f_hi - 1] if f_lo > 0 else np.vstack([s0, states[:f_hi - 1]])
+                with np.errstate(all="ignore"):
+                    fvals = sys.step_batch(ts[f_lo:f_hi], prev)
+                    r = states[f_lo:f_hi] - fvals
+                exact, current_merit = exact_rows_and_merit(r)
+                if f_lo == front:  # rows exact from the front on extend it
+                    front = T if front + exact == T else (front + exact) // FRONT_BLOCK * FRONT_BLOCK
         if cfg.record_history:
             diff_hist.append(diff)
             merit_hist.append(current_merit)
         if iterates is not None:
             iterates.append(states.copy())
         if hi < T:
-            # middle chunk: advance once the tail stops moving
-            if max_abs_diff(new_chunk[-1:], old_tail[None, :]) <= cfg.tol:
-                t_done = hi
             continue
         if cfg.metric == "merit":
             done = current_merit / T <= cfg.tol

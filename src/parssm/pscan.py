@@ -1,13 +1,19 @@
 """Parallel associative scan over closed classes of affine maps x -> A x + b.
 
-The transition slot carries one of five representations. Composition promotes
-upward through the lattice
+The transition slot carries one of five representations. A whole sequence is
+scanned as stacked arrays in one lane, the least of
 
-    Zero / Identity / ScaledIdentity  <  Diagonal  <  Dense
+    zero / identity  <  scalar (Zero, Identity, ScaledIdentity)  <  diagonal  <  dense
 
-so per-element cost stays O(D) for the structured classes and O(D^3) only for
-Dense. Whole sequences are scanned as stacked arrays in one lane, and this
-module alone converts lanes to matrices, Transitions and products A_t x_t.
+that holds every element, so per-element cost stays O(D) for the structured
+classes and O(D^3) only for dense. This module alone converts lanes to
+matrices, Transitions and products A_t x_t, and the object API
+(``Transition``, ``affine_compose``, ``parallel_scan``) runs on the same lane
+code. Each prefix keeps the class of its own elements: Zero absorbs (a prefix
+is Zero once a Zero has entered it), Identity holds while every element so
+far is Identity, and otherwise the prefix is in the least lane holding the
+kinds seen so far. Scan and pairwise fold therefore agree on every class.
+
 The scan itself is a two-phase tree (up-sweep building power-of-two partial
 products, down-sweep filling in the remaining inclusive prefixes). Each level
 composes two strided slice views of the sequence, so nothing is padded,
@@ -29,8 +35,9 @@ IDENTITY = "identity"
 SCALED = "scaled"
 DIAGONAL = "diagonal"
 DENSE = "dense"
+SCALAR = "scalar"
 
-_RANK = {IDENTITY: 0, SCALED: 1, DIAGONAL: 2, DENSE: 3}
+_LANE = {ZERO: ZERO, IDENTITY: IDENTITY, SCALED: SCALAR, DIAGONAL: DIAGONAL, DENSE: DENSE}
 
 
 @dataclass(frozen=True)
@@ -71,40 +78,23 @@ class Transition:
     @property
     def dim(self) -> int | None:
         """Intrinsic dimension, or None for the dimension-free scalar kinds."""
-        if self.kind in (DIAGONAL, DENSE):
-            return self.value.shape[0]
-        return None
+        return None if np.ndim(self.value) == 0 else self.value.shape[0]
 
-    def scalar(self) -> float:
-        if self.kind == ZERO:
-            return 0.0
-        if self.kind == IDENTITY:
-            return 1.0
-        if self.kind == SCALED:
-            return self.value
-        raise ContractError(f"{self.kind} transition has no scalar form")
+    def _row(self):
+        """(lane, A) of the one-row lane stack holding this transition."""
+        return _LANE[self.kind], None if self.value is None else np.asarray(self.value)[None]
 
-    def diag_vector(self, dim: int) -> np.ndarray:
-        if self.kind == DIAGONAL:
-            return self.value
-        if self.kind == DENSE:
-            raise ContractError("dense transition has no diagonal form")
-        return np.full(dim, self.scalar())
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return lane_apply(*self._row(), x[None])[0]
 
     def matrix(self, dim: int) -> np.ndarray:
         """Materialize as a dense D x D matrix."""
-        if self.kind == DENSE:
-            return self.value
-        return np.diag(self.diag_vector(dim))
+        return lane_matrices(*self._row(), 1, dim)[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == ZERO:
-            return np.zeros_like(x)
-        if self.kind == IDENTITY:
-            return x
-        if self.kind in (SCALED, DIAGONAL):
-            return self.value * x
-        return self.value @ x
+    def diag_vector(self, dim: int) -> np.ndarray:
+        if self.kind == DENSE:
+            raise ContractError("dense transition has no diagonal form")
+        return self.apply(np.ones(dim))
 
 
 @dataclass(frozen=True)
@@ -128,34 +118,13 @@ class AffineOp:
         return self.A.apply(x) + self.b
 
 
-def compose_transitions(first: Transition, second: Transition) -> Transition:
-    """Transition of second o first, i.e. A_second A_first, in the join class."""
-    if first.kind == ZERO or second.kind == ZERO:
-        return Transition.zero()
-    rank = max(_RANK[first.kind], _RANK[second.kind])
-    if rank == 0:
-        return Transition.identity()
-    if rank == 1:
-        return Transition.scaled(second.scalar() * first.scalar())
-    dim = first.dim if first.dim is not None else second.dim
-    if rank == 2:
-        return Transition.diagonal(second.diag_vector(dim) * first.diag_vector(dim))
-    return Transition.dense(second.matrix(dim) @ first.matrix(dim))
-
-
 def affine_compose(first: AffineOp, second: AffineOp) -> AffineOp:
     """Compose two affine maps, ``second`` applied after ``first``.
 
-    Returns (A_second A_first, b_second + A_second b_first). The representation
-    is the join of the two variants; a Zero transition in the second slot
-    annihilates the product (result A = Zero, b = b_second).
+    Returns (A_second A_first, b_second + A_second b_first): the last prefix
+    of ``parallel_scan([first, second])``, in the class that scan gives it.
     """
-    if first.dim != second.dim:
-        raise ContractError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    return AffineOp(
-        compose_transitions(first.A, second.A),
-        second.b + second.A.apply(first.b),
-    )
+    return parallel_scan([first, second])[-1]
 
 
 class ComposeCounter:
@@ -182,8 +151,6 @@ class ComposeCounter:
 # b always has shape (T, D). The lane_* helpers are the only code that turns
 # a lane into matrices, Transitions or products A_t x_t.
 # ---------------------------------------------------------------------------
-
-SCALAR = "scalar"
 
 
 def lane_apply(lane: str, A, X: np.ndarray) -> np.ndarray:
@@ -293,54 +260,57 @@ def evaluate_stacked(lane: str, A: np.ndarray, b: np.ndarray, s0: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
+def _join(kinds) -> str:
+    """The least lane holding transitions of every kind in ``kinds``."""
+    lanes = {_LANE[k] for k in kinds}
+    if len(lanes) == 1:
+        return lanes.pop()
+    return DENSE if DENSE in lanes else DIAGONAL if DIAGONAL in lanes else SCALAR
+
+
 def _stack(ops):
     """(lane, A, b) of an op list, in the least lane holding every transition.
 
     The zero, identity and scalar lanes carry the per-step scalars as A.
     """
-    kinds = {op.A.kind for op in ops}
+    if len(ops) == 0:
+        raise ContractError("a scan needs at least one element")
     D = ops[0].dim
+    if any(op.dim != D for op in ops):
+        raise ContractError("all scan elements must share one state size")
+    lane = _join({op.A.kind for op in ops})
     b = np.stack([op.b for op in ops])
-    if DENSE in kinds:
-        return DENSE, np.stack([op.A.matrix(D) for op in ops]), b
-    if DIAGONAL in kinds:
-        return DIAGONAL, np.stack([op.A.diag_vector(D) for op in ops]), b
-    lane = ZERO if kinds == {ZERO} else IDENTITY if kinds == {IDENTITY} else SCALAR
-    return lane, np.array([op.A.scalar() for op in ops]), b
+    if lane == DENSE:
+        return lane, np.stack([op.A.matrix(D) for op in ops]), b
+    # a diagonal is the transition applied to ones; a scalar, to a single one
+    A = np.stack([op.A.diag_vector(D if lane == DIAGONAL else 1) for op in ops])
+    return lane, A if lane == DIAGONAL else A[:, 0], b
+
+
+def _narrow(lane: str, A, to: str):
+    """Stack ``A`` of ``lane`` re-expressed in the lane ``to`` below it, for
+    rows that already lie in that class (off-diagonals and spread are zero)."""
+    if lane == DENSE and to != DENSE:
+        lane, A = DIAGONAL, np.diagonal(A, axis1=1, axis2=2)
+    return A[:, 0] if lane == DIAGONAL and to != DIAGONAL else A
 
 
 def parallel_scan(ops, counter: ComposeCounter | None = None):
     """All inclusive prefixes: element t is ops_t o ... o ops_1.
 
-    Mixed sequences are promoted to the least representation class containing
-    every variant before scanning ({Dense} or {Diagonal u ScaledIdentity u
-    Identity u Zero}); scalar-kind sequences keep their exact variant
-    bookkeeping (all-identity prefixes stay Identity, a Zero annihilates).
+    The sequence is scanned in the least lane holding every element. Prefix t
+    is returned in the class of ops_1 .. ops_t: Zero once a Zero has entered
+    it, Identity while every element so far is Identity, and otherwise the
+    least lane holding the kinds seen so far.
     """
     ops = list(ops)
-    if len(ops) == 0:
-        raise ContractError("parallel scan needs at least one element")
-    D = ops[0].dim
-    for op in ops:
-        if op.dim != D:
-            raise ContractError("all scan elements must share one state size")
     lane, A, b = _stack(ops)
     pA, pb = scan_stacked(lane, A, b, counter=counter)
-    if lane != SCALAR:
-        return [AffineOp(A_t, b_t) for A_t, b_t in zip(lane_transitions(lane, pA, len(ops)), pb)]
-    out = []
-    saw_zero = False
-    all_identity = True
+    out, seen = [], set()
     for t, op in enumerate(ops):
-        saw_zero = saw_zero or op.A.kind == ZERO
-        all_identity = all_identity and op.A.kind == IDENTITY
-        if saw_zero:
-            A_t = Transition.zero()
-        elif all_identity:
-            A_t = Transition.identity()
-        else:
-            A_t = Transition.scaled(pA[t])
-        out.append(AffineOp(A_t, pb[t]))
+        seen.add(op.A.kind)
+        cls = ZERO if ZERO in seen else _join(seen)
+        out.append(AffineOp(lane_transitions(cls, _narrow(lane, pA[t:t + 1], cls), 1)[0], pb[t]))
     return out
 
 
@@ -351,11 +321,8 @@ def evaluate_lds(ops, s0) -> Trajectory:
     reassociation (relative infinity norm ~1e-10 at desk scale). Non-finite
     values propagate; callers detect them.
     """
-    ops = list(ops)
-    if len(ops) == 0:
-        raise ContractError("evaluate_lds needs at least one element")
-    s0 = as_state(s0, ops[0].dim)
-    lane, A, b = _stack(ops)
+    lane, A, b = _stack(list(ops))
+    s0 = as_state(s0, b.shape[1])
     with np.errstate(all="ignore"):
         states = evaluate_stacked(lane, A, b, s0)
     return Trajectory(s0, states)

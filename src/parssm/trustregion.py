@@ -17,35 +17,16 @@ path serves full (matrix) and diagonal (elementwise) Jacobians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
                    as_state, residual)
+from .diagnostics import assemble_big_j
 from .fixedpoint import (NEWTON, NO_DAMPING, QUASI_DIAGONAL, SolveReport, SolverConfig,
                          _linearize_stacked, solve_loop)
 from .pscan import DENSE, evaluate_stacked, lane_apply, tree_schedule
-
-
-@dataclass
-class GaussianBelief:
-    """Filtered marginal N(mean, cov) at one time step."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = as_state(self.mean)
-        self.cov = np.asarray(self.cov, dtype=np.float64)
-        d = self.mean.shape[0]
-        if self.cov.shape != (d, d):
-            raise ContractError("covariance shape does not match mean")
-        scale = max(1.0, float(np.max(np.abs(self.cov))))
-        if np.max(np.abs(self.cov - self.cov.T)) > 1e-10 * scale:
-            raise NumericalFailure("belief covariance is not symmetric")
-        if float(np.linalg.eigvalsh(self.cov).min()) < -1e-10 * scale:
-            raise NumericalFailure("belief covariance has a negative eigenvalue")
 
 
 @dataclass
@@ -188,24 +169,17 @@ def _smooth(lane, A, b, means, sig_post, sig_pred):
     return evaluate_stacked(lane, G[::-1], offset[::-1], np.zeros(b.shape[1]))[::-1]
 
 
-def _kalman_chunk(sys, chunk, t0, s_left, cfg: TrustRegionConfig,
-                  collect_beliefs: bool = False, fvals=None):
+def _kalman_chunk(sys, chunk, t0, s_left, cfg: TrustRegionConfig, fvals=None):
     prev = np.vstack([s_left[None, :], chunk[:-1]])
     ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
     method = QUASI_DIAGONAL if cfg.jacobian == "diagonal" else NEWTON
     lane, A, b = _linearize_stacked(sys, prev, ts, method, NO_DAMPING, fvals)
     emissions = np.where(np.isfinite(chunk), chunk, 0.0)
     means, sig_post, sig_pred = _forward(lane, A, b, emissions, s_left, cfg.lam)
-    out = _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
-    if collect_beliefs:
-        covs = list(sig_post) if lane == DENSE else [np.diag(s) for s in sig_post]
-        beliefs = [GaussianBelief(m, c) for m, c in zip(means, covs)]
-        return out, beliefs
-    return out
+    return _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
 
 
-def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig,
-                return_beliefs: bool = False):
+def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -> Trajectory:
     """One trust-region update of the whole trajectory.
 
     Builds the per-step Newton linearization about ``traj``, runs the Kalman
@@ -216,11 +190,7 @@ def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig,
     """
     sys._check_traj(traj)
     s0 = as_state(sys.initial_state, sys.dim)
-    result = _kalman_chunk(sys, traj.states, 0, s0, cfg, collect_beliefs=return_beliefs)
-    if return_beliefs:
-        out, beliefs = result
-        return Trajectory(s0, out), beliefs
-    return Trajectory(s0, result)
+    return Trajectory(s0, _kalman_chunk(sys, traj.states, 0, s0, cfg))
 
 
 def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
@@ -240,8 +210,6 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
             shrink = np.log1p(1.0 / cfg.lam)  # log((1 + lam)/lam)
             budget = np.log(1.0 / solver.tol) + np.log1p(sys.horizon)
             extra = int(np.ceil(budget / shrink)) + 8
-        from dataclasses import replace
-
         solver = replace(solver, max_iters=sys.horizon + extra)
 
     def chunk_step(chunk, t0, s_left, fvals):
@@ -256,31 +224,8 @@ def lm_step_dense(sys: DynamicsSystem, traj: Trajectory, lam: float) -> Trajecto
     Assembles the full block-bidiagonal residual Jacobian, so it is guarded
     to T*D <= 4096.
     """
-    from .diagnostics import assemble_big_j
-
     J = assemble_big_j(sys, traj)
     r = residual(sys, traj).ravel()
     n = J.shape[0]
     delta = np.linalg.solve(J.T @ J + lam * np.eye(n), J.T @ r)
     return Trajectory(sys.initial_state, traj.states - delta.reshape(traj.states.shape))
-
-
-def select_lambda(sys: DynamicsSystem, cfg: TrustRegionConfig, grid=None):
-    """Grid-search lam on a validation solve; smallest iteration count wins.
-
-    Default grid: 8 log-spaced points in [1e0, 1e7]. Returns (best_lam,
-    records) where records holds (lam, converged, iterations, final_diff).
-    """
-    if grid is None:
-        grid = np.logspace(0.0, 7.0, 8)
-    records = []
-    for lam in grid:
-        trial = TrustRegionConfig(lam=float(lam), mode=cfg.mode,
-                                  jacobian=cfg.jacobian, solver=cfg.solver)
-        report = kalman_solve(sys, trial)
-        records.append((float(lam), report.converged, report.iterations, report.final_diff))
-    def rank(rec):
-        lam, converged, iters, diff = rec
-        return (0 if converged else 1, iters, diff)
-    best = min(records, key=rank)
-    return best[0], records

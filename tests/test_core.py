@@ -260,3 +260,10 @@ class TestBatchFirstContract:
         sys_.step = lambda t, s: steps.append(t) or real_step(t, s)
         P.rollout_sequential(sys_)
         assert steps == list(range(1, 9))
+
+
+def test_exports_resolve_once():
+    """Every name in ``parssm.__all__`` resolves, and none is listed twice
+    (``import parssm`` alone never reads ``__all__``)."""
+    assert sorted(set(P.__all__)) == sorted(P.__all__)
+    assert [name for name in P.__all__ if not hasattr(P, name)] == []

@@ -292,12 +292,3 @@ class TestLipschitzInheritance:
             dJ = np.linalg.norm(dg.assemble_big_j(sys_, x) - dg.assemble_big_j(sys_, y), 2)
             ds = np.linalg.norm(x.states - y.states)
             assert dJ <= L * ds + 1e-10
-
-
-class TestBurnInEstimator:
-    def test_constant_chain_gives_unit_constants(self):
-        sys_ = P.models.build("affine", 32, alpha=0.5)
-        tr = P.rollout_sequential(sys_)
-        a, b = dg.estimate_burn_in(sys_, tr, np.log(0.5))
-        assert a == pytest.approx(1.0, abs=1e-9)
-        assert b == pytest.approx(1.0, abs=1e-9)

@@ -1,5 +1,7 @@
 """Fixed-point solver loop: linearization, convergence, damping, windowing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,39 @@ class TestCausalFront:
         rep = fixed_point_solve(sys_, cfg, NEWTON)
         assert rep.converged
         assert calls[0] == 200 and max(calls[1:]) <= 20  # after the Jacobi guess
+
+    @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL, PICARD])
+    def test_window_advance_evaluates_no_residual(self, method, monkeypatch):
+        """Without history or the merit metric, a pass that advances the
+        window skips its residual: f runs on exactly (advances x window) rows
+        fewer than one linearization plus one residual per pass would take,
+        and the iterates equal those of the solve that records its history."""
+        import parssm.fixedpoint as fp
+
+        T, window = 1000, 50
+        sys_ = P.models.build("gru", T, D=4, seed=0)
+        calls = _spy_step_batch(sys_)
+        chunks = []  # (first row, rows, linearized without reused f) per pass
+        inner = fp._linearize_stacked
+
+        def spy(system, prev, ts, m, damping, fvals=None):
+            chunks.append((int(ts[0]) - 1, len(ts), fvals is None))
+            return inner(system, prev, ts, m, damping, fvals)
+
+        monkeypatch.setattr(fp, "_linearize_stacked", spy)
+        cfg = SolverConfig(tol=1e-8, window=window, record_history=False)
+        rep = fixed_point_solve(sys_, cfg, method)
+        assert rep.converged
+        starts = [lo for lo, _, _ in chunks]
+        advances = sum(b == a + window for a, b in zip(starts, starts[1:]))
+        assert advances == T // window - 1
+        every_pass = T + sum(n for _, n, fresh in chunks if fresh) + sum(n for _, n, _ in chunks)
+        assert sum(calls) == every_pass - advances * window  # T is the Jacobi guess
+        monkeypatch.undo()
+        ref = fixed_point_solve(P.models.build("gru", T, D=4, seed=0),
+                                replace(cfg, record_history=True), method)
+        assert rep.iterations == ref.iterations
+        np.testing.assert_array_equal(rep.trajectory.states, ref.trajectory.states)
 
     @pytest.mark.parametrize("method", [QUASI_DIAGONAL, PICARD, JACOBI, NEWTON])
     def test_windowed_s5_matches_oracle(self, method):

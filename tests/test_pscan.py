@@ -15,6 +15,16 @@ def _rand_dense(rng, d, scale=0.6):
     return AffineOp(Transition.dense(rng.standard_normal((d, d)) * scale), rng.standard_normal(d))
 
 
+def _transition(kind, rng, d):
+    if kind == "scaled":
+        return Transition.scaled(rng.uniform(-1.2, 1.2))
+    if kind == "diagonal":
+        return Transition.diagonal(rng.uniform(-1.2, 1.2, d))
+    if kind == "dense":
+        return Transition.dense(rng.standard_normal((d, d)) * 0.6)
+    return Transition(kind)
+
+
 def _fold(ops):
     acc = ops[0]
     out = [acc]
@@ -101,6 +111,30 @@ class TestParallelScan:
         ops = [AffineOp(Transition.identity(), np.zeros(2)) for _ in range(9)]
         for pre in parallel_scan(ops):
             assert pre.A.kind == "identity"
+
+    def test_prefix_class_is_that_of_its_own_elements(self):
+        """Identity while every element is Identity, Zero once a Zero has
+        entered, otherwise the least lane of the kinds seen so far."""
+        rng = np.random.default_rng(6)
+        kinds = ["identity", "scaled", "identity", "diagonal", "dense", "zero", "dense"]
+        ops = [AffineOp(_transition(k, rng, 3), rng.standard_normal(3)) for k in kinds]
+        assert [p.A.kind for p in parallel_scan(ops)] == \
+            ["identity", "scaled", "scaled", "diagonal", "dense", "zero", "zero"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["zero", "identity", "scaled", "diagonal", "dense"]),
+                    min_size=1, max_size=12),
+           st.integers(1, 4), st.integers(0, 10_000))
+    def test_scan_and_fold_agree(self, kinds, d, seed):
+        """Every prefix equals the affine_compose fold in kind, matrix and
+        offset (1e-10 relative), over sequences of all five kinds."""
+        rng = np.random.default_rng(seed)
+        ops = [AffineOp(_transition(k, rng, d), rng.standard_normal(d)) for k in kinds]
+        for got, ref in zip(parallel_scan(ops), _fold(ops)):
+            assert got.A.kind == ref.A.kind
+            scale = max(1.0, np.max(np.abs(ref.A.matrix(d))), np.max(np.abs(ref.b)))
+            assert np.max(np.abs(got.A.matrix(d) - ref.A.matrix(d))) <= 1e-10 * scale
+            assert np.max(np.abs(got.b - ref.b)) <= 1e-10 * scale
 
     def test_upsweep_table_walkthrough(self):
         """T=8: after the up-sweep, positions 2, 4, 8 hold the products
@@ -245,6 +279,14 @@ class TestEvaluateLds:
                for t in range(1, 61)]
         tr = evaluate_lds(ops, sys_.initial_state)
         np.testing.assert_array_equal(tr.states, P.rollout_sequential(sys_).states)
+
+    def test_mixed_state_sizes_are_a_contract_error(self):
+        ops = [AffineOp(Transition.dense(np.eye(2)), np.zeros(2)),
+               AffineOp(Transition.dense(np.eye(3)), np.zeros(3))]
+        with pytest.raises(P.ContractError):
+            evaluate_lds(ops, np.zeros(2))
+        with pytest.raises(P.ContractError):
+            parallel_scan(ops)
 
     def test_zero_transitions_are_a_map(self):
         rng = np.random.default_rng(13)

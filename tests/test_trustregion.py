@@ -8,9 +8,8 @@ import pytest
 import parssm as P
 from parssm.fixedpoint import NEWTON, SolverConfig, linearize
 from parssm.pscan import evaluate_lds, evaluate_stacked
-from parssm.trustregion import (GaussianBelief, TrustRegionConfig, _forward, _smooth,
-                                attenuation, kalman_solve, kalman_step, lm_step_dense,
-                                select_lambda)
+from parssm.trustregion import (TrustRegionConfig, _forward, _smooth, attenuation,
+                                kalman_solve, kalman_step, lm_step_dense)
 
 
 def _noisy_guess(sys_, scale=1.0, seed=0):
@@ -212,36 +211,37 @@ class TestKalmanStep:
         sys_ = P.models.build("rnn", 16, D=4, g=1.5, seed=6)
         guess = _noisy_guess(sys_, seed=6)
         lam = 2.0
-        _, beliefs = kalman_step(sys_, guess, TrustRegionConfig(lam=lam), return_beliefs=True)
         ts = np.arange(1, 17)
-        A = sys_.jacobian_batch(ts, guess.prev_states())
+        prev = guess.prev_states()
+        A = sys_.jacobian_batch(ts, prev)
+        b = sys_.step_batch(ts, prev) - np.einsum("tij,tj->ti", A, prev)
+        _, sig_post, _ = _forward("dense", A, b, guess.states, sys_.initial_state, lam)
         Sigma = np.zeros((4, 4))
         for t in range(16):
             gamma = attenuation(A[t], Sigma, 1.0 / lam)
             lhs = np.linalg.norm(gamma @ A[t], 2)
             assert lhs <= np.linalg.norm(A[t], 2) / (1.0 + lam) + 1e-10
-            Sigma = beliefs[t].cov
+            Sigma = sig_post[t]
 
     def test_covariance_pass_is_data_independent(self):
         """Permuting the emissions leaves every filtered covariance bitwise
         unchanged: the covariance recursion never touches the data."""
         sys_ = P.models.build("gru", 12, D=3, seed=7)
         guess = _noisy_guess(sys_, seed=7)
-        _, beliefs_a = kalman_step(sys_, guess, TrustRegionConfig(lam=1.3), return_beliefs=True)
         # permute emissions but keep the linearization point identical by
         # permuting only the emission targets, not the expansion trajectory
-        from parssm.trustregion import _forward
-
         ts = np.arange(1, 13)
         prev = guess.prev_states()
         A = sys_.jacobian_batch(ts, prev)
         fvals = sys_.step_batch(ts, prev)
         b = fvals - np.einsum("tij,tj->ti", A, prev)
-        _, sig_a, _ = _forward("dense", A, b, guess.states, sys_.initial_state, 1.3)
+        means_a, sig_a, _ = _forward("dense", A, b, guess.states, sys_.initial_state, 1.3)
         shuffled = guess.states[::-1].copy()
         _, sig_b, _ = _forward("dense", A, b, shuffled, sys_.initial_state, 1.3)
         np.testing.assert_array_equal(sig_a, sig_b)
-        np.testing.assert_array_equal(np.stack([bel.cov for bel in beliefs_a]), sig_a)
+        # the filter step is this forward pass
+        step = kalman_step(sys_, guess, TrustRegionConfig(lam=1.3))
+        np.testing.assert_array_equal(step.states, means_a)
 
     def test_diagonal_variant_matches_full_on_diagonal_system(self):
         from parssm.models import FunctionSystem
@@ -274,12 +274,6 @@ class TestKalmanStep:
         with np.errstate(all="ignore"), pytest.raises(P.NumericalFailure) as err:
             kalman_step(sys_, guess, TrustRegionConfig(lam=1.0, jacobian=jacobian))
         assert err.value.t == 6
-
-    def test_beliefs_validate(self):
-        with pytest.raises(P.NumericalFailure):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 0.5], [-0.5, 1.0]]))
-        with pytest.raises(P.NumericalFailure):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestKalmanSolve:
@@ -316,14 +310,6 @@ class TestKalmanSolve:
         slow = kalman_solve(sys_, TrustRegionConfig(lam=100.0, solver=base))
         assert fast.converged
         assert slow.iterations > 5 * fast.iterations
-
-    def test_select_lambda_grid(self):
-        sys_ = P.models.build("gru", 48, D=3, seed=10)
-        cfg = TrustRegionConfig(lam=1.0, solver=SolverConfig(
-            tol=1e-8, init="normal", seed=0, max_iters=800, record_history=False))
-        best, records = select_lambda(sys_, cfg, grid=[0.1, 10.0, 1000.0])
-        assert len(records) == 3
-        assert best == min(records, key=lambda r: (not r[1], r[2], r[3]))[0]
 
 
 class TestLmStepDense:
