@@ -14,11 +14,11 @@ import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from . import diagnostics, models
 from .core import ContractError, max_abs_diff, merit, rollout_sequential
-from .fixedpoint import Damping, SolverConfig, SolverMethod, fixed_point_solve
+from .fixedpoint import Damping, SolveReport, SolverConfig, SolverMethod, fixed_point_solve
 from .trustregion import TrustRegionConfig, kalman_solve
 
 SCHEMA_VERSION = 1
@@ -35,16 +35,13 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class MethodEntry:
-    """One solver column of the sweep: a fixed-point method or the Kalman
-    trust region (family "kalman" with its lam/mode/jacobian settings)."""
+    """One solver column of the sweep: a fixed-point method with its damping,
+    or the Kalman trust region with its ``TrustRegionConfig``."""
 
     label: str
-    family: str  # "fixed" | "kalman"
     method: SolverMethod | None = None
     damping: Damping = field(default_factory=Damping)
-    lam: float = 1.0
-    mode: str = "filter"
-    jacobian: str = "full"
+    kalman: TrustRegionConfig | None = None
 
     @staticmethod
     def from_dict(d: dict) -> "MethodEntry":
@@ -54,34 +51,46 @@ class MethodEntry:
         damping = Damping.parse(d["damping"]) if isinstance(d.get("damping"), str) else (
             Damping(**d["damping"]) if isinstance(d.get("damping"), dict) else Damping()
         )
+        given = [key for key in _KALMAN_KEYS if key in d]
         if name == "kalman":
-            label = d.get("label") or "kalman"
-            return MethodEntry(label=label, family="kalman", lam=float(d.get("lambda", 1.0)),
-                               mode=d.get("mode", "filter"), jacobian=d.get("jacobian", "full"),
-                               damping=damping)
+            kalman = TrustRegionConfig(**{_KALMAN_KEYS[key]: d[key] for key in given},
+                                       solver=SolverConfig(damping=damping))
+            return MethodEntry(label=d.get("label") or "kalman", kalman=kalman)
+        if given:
+            raise ContractError(f"method {name!r} takes no {', '.join(given)}: "
+                                "they set the kalman method")
         method = SolverMethod.parse(name)
         label = d.get("label") or (f"{name}+{damping.kind}" if damping.kind != "none" else name)
-        return MethodEntry(label=label, family="fixed", method=method, damping=damping)
+        return MethodEntry(label=label, method=method, damping=damping)
+
+    def solve(self, sys_, solver: SolverConfig) -> SolveReport:
+        """Run this entry's solver on ``sys_`` under the shared settings ``solver``."""
+        solver = replace(solver, damping=self.damping)
+        if self.kalman is not None:
+            return kalman_solve(sys_, replace(self.kalman, solver=solver))
+        return fixed_point_solve(sys_, solver, self.method)
 
 
+# method-entry keys of the kalman method, and the TrustRegionConfig fields they set
+_KALMAN_KEYS = {"lambda": "lam", "mode": "mode", "jacobian": "jacobian"}
+# config keys passed on to SolverConfig, and the fields they set
+_SOLVER_CONFIG_KEYS = {"tolerance": "tol", "max_iters": "max_iters", "init": "init",
+                       "metric": "metric", "window": "window", "record_history": "record_history"}
 # sweep keys routed to the solver rather than the model constructor
 _SOLVER_KEYS = {"T", "lambda"}
 
 
 @dataclass
 class ExperimentConfig:
+    """One sweep; ``solver`` holds the settings all its runs share."""
+
     name: str
     model_kind: str
     model_params: dict
     methods: list
     sweep: dict
     seeds: list
-    tol: float = 1e-4
-    max_iters: int | None = None
-    init: str = "jacobi"
-    metric: str = "diff"
-    window: int | None = None
-    record_history: bool = False
+    solver: SolverConfig = field(default_factory=lambda: SolverConfig(record_history=False))
     output: str | None = None
     workers: int | None = None
     default_T: int = 256
@@ -89,8 +98,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise ContractError("experiment needs a nonempty methods list")
-        if self.tol <= 0:
-            raise ContractError("tolerance must be positive")
         if not self.seeds:
             raise ContractError("experiment needs at least one seed")
         for key, values in self.sweep.items():
@@ -107,6 +114,7 @@ class ExperimentConfig:
             raise ContractError(f"unknown model kind {kind!r}")
         params = {k: v for k, v in model.items() if k not in ("kind", "T")}
         methods = [MethodEntry.from_dict(m) for m in doc.get("methods", [])]
+        solver = {k: doc[key] for key, k in _SOLVER_CONFIG_KEYS.items() if key in doc}
         return ExperimentConfig(
             name=doc.get("name", "experiment"),
             model_kind=kind,
@@ -114,12 +122,7 @@ class ExperimentConfig:
             methods=methods,
             sweep=doc.get("sweep", {}),
             seeds=list(doc.get("seeds", [0])),
-            tol=float(doc.get("tolerance", 1e-4)),
-            max_iters=doc.get("max_iters"),
-            init=doc.get("init", "jacobi"),
-            metric=doc.get("metric", "diff"),
-            window=doc.get("window"),
-            record_history=bool(doc.get("record_history", False)),
+            solver=SolverConfig(**{"record_history": False, **solver}),
             output=doc.get("output"),
             workers=doc.get("workers"),
             default_T=int(model.get("T", 256)),
@@ -133,14 +136,6 @@ class ExperimentConfig:
             except json.JSONDecodeError as e:
                 raise ContractError(f"config is not valid JSON: {e}") from None
         return ExperimentConfig.from_dict(doc)
-
-
-_RECORD_FIELDS = [
-    "experiment", "model", "model_params", "method", "T", "D", "seed", "lambda",
-    "tolerance", "converged", "iterations", "resets", "final_err", "final_diff",
-    "final_merit", "lle", "gamma", "mismatch", "pl_lower", "pl_upper",
-    "elapsed", "error", "diag_error",
-]
 
 
 @dataclass
@@ -179,6 +174,11 @@ class RunRecord:
         return row
 
 
+# the CSV columns, in order: every scalar field, with lam written as lambda
+_RECORD_FIELDS = ["lambda" if f.name == "lam" else f.name for f in fields(RunRecord)
+                  if not f.name.endswith("_history")]
+
+
 def _sweep_points(cfg: ExperimentConfig):
     keys = sorted(cfg.sweep.keys())
     if not keys:
@@ -191,29 +191,21 @@ def _sweep_points(cfg: ExperimentConfig):
 def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
              oracle_cache: dict) -> RunRecord:
     T, params, key = _point_key(cfg, point, seed)
-    lam = float(point.get("lambda", entry.lam))
     record = RunRecord(
         experiment=cfg.name, model=cfg.model_kind,
         model_params=json.dumps(params, sort_keys=True), method=entry.label,
-        T=T, D=0, seed=seed, lam=lam if entry.family == "kalman" else float("nan"),
-        tolerance=cfg.tol,
+        T=T, D=0, seed=seed, lam=float("nan"), tolerance=cfg.solver.tol,
     )
     try:
+        if entry.kalman is not None:  # a lambda sweep axis sets the entry's lam
+            record.lam = float(point.get("lambda", entry.kalman.lam))
+            entry = replace(entry, kalman=replace(entry.kalman, lam=record.lam))
         sys_ = models.build(cfg.model_kind, T, **params)
         record.D = sys_.dim
         oracle = oracle_cache[key]
         if isinstance(oracle, Exception):
             raise oracle.with_traceback(None)  # shared by every run at this point
-        solver_cfg = SolverConfig(
-            tol=cfg.tol, max_iters=cfg.max_iters, init=cfg.init, seed=seed,
-            window=cfg.window, damping=entry.damping,
-            record_history=cfg.record_history, metric=cfg.metric,
-        )
-        if entry.family == "kalman":
-            report = kalman_solve(sys_, TrustRegionConfig(
-                lam=lam, mode=entry.mode, jacobian=entry.jacobian, solver=solver_cfg))
-        else:
-            report = fixed_point_solve(sys_, solver_cfg, entry.method)
+        report = entry.solve(sys_, replace(cfg.solver, seed=seed))
         record.converged = report.converged
         record.iterations = report.iterations
         record.resets = report.resets
@@ -221,7 +213,7 @@ def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
         record.final_diff = report.final_diff
         record.final_err = max_abs_diff(report.trajectory, oracle)
         record.final_merit = merit(sys_, report.trajectory)
-        if cfg.record_history:
+        if cfg.solver.record_history:
             record.merit_history = report.merit_history
             record.diff_history = report.diff_history
         try:
@@ -229,7 +221,7 @@ def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
             record.lle = est.lam
             bounds = diagnostics.pl_bounds(est.lam, T=T, D=sys_.dim)
             record.pl_lower, record.pl_upper = bounds.lower, bounds.upper
-            if entry.family == "fixed" and T * sys_.dim <= diagnostics.DENSE_GUARD:
+            if entry.kalman is None and T * sys_.dim <= diagnostics.DENSE_GUARD:
                 record.mismatch = diagnostics.jacobian_mismatch(sys_, oracle, entry.method)
                 record.gamma = diagnostics.asymptotic_rate(sys_, oracle, entry.method)
         except Exception as e:  # diagnostics are best effort; the solve row stands
@@ -308,7 +300,7 @@ def run_and_write(cfg: ExperimentConfig, output: str | None = None) -> tuple:
         raise ContractError("no output path given (config 'output' or --output)")
     write_csv(records, out)
     sidecar = None
-    if cfg.record_history:
+    if cfg.solver.record_history:
         sidecar = out + ".histories.json"
         write_sidecar(records, sidecar)
     return records, out, sidecar

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import bench, diagnostics, models
 from .core import ContractError, Trajectory, max_abs_diff, merit, rollout_sequential
-from .fixedpoint import Damping, SolverConfig, SolverMethod, fixed_point_solve
+from .fixedpoint import SolverConfig, SolverMethod
 from .pscan import AffineOp, Transition, affine_compose, parallel_scan
-from .trustregion import TrustRegionConfig, kalman_solve, kalman_step, lm_step_dense
+from .trustregion import TrustRegionConfig, kalman_step, lm_step_dense
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,37 +48,30 @@ def _build_model(args):
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
+    """Solver flags; one left unset takes the library's default."""
     p.add_argument("--method", default="newton",
                    help="newton | quasi | picard | jacobi | scaled:<a> | kalman")
-    p.add_argument("--damping", default="none", help="none | scale:<k> | clip:<lo>:<hi>")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--init", default="jacobi", choices=("jacobi", "zeros", "normal"))
-    p.add_argument("--metric", default="diff", choices=("diff", "merit"))
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p.add_argument("--damping", help="none | scale:<k> | clip:<lo>:<hi> (fixed-point methods)")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--init", choices=("jacobi", "zeros", "normal"))
+    p.add_argument("--metric", choices=("diff", "merit"))
+    p.add_argument("--window", type=int)
+    p.add_argument("--lambda", dest="lam", type=float,
                    help="trust-region precision (kalman method only)")
-    p.add_argument("--mode", default="filter", choices=("filter", "smoother"))
-    p.add_argument("--jac", default="full", choices=("full", "diagonal"),
+    p.add_argument("--mode", choices=("filter", "smoother"), help="kalman method only")
+    p.add_argument("--jac", choices=("full", "diagonal"),
                    help="jacobian variant for the kalman method")
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        tol=args.tol, max_iters=args.max_iters, init=args.init, seed=args.seed,
-        window=args.window, damping=Damping.parse(args.damping),
-        metric=args.metric,
-    )
 
 
 def _cmd_solve(args) -> int:
     sys_ = _build_model(args)
-    cfg = _solver_config(args)
-    if args.method == "kalman":
-        report = kalman_solve(sys_, TrustRegionConfig(
-            lam=args.lam, mode=args.mode, jacobian=args.jac, solver=cfg))
-    else:
-        report = fixed_point_solve(sys_, cfg, SolverMethod.parse(args.method))
+    entry = bench.MethodEntry.from_dict({key: v for key, v in (
+        ("method", args.method), ("damping", args.damping), ("lambda", args.lam),
+        ("mode", args.mode), ("jacobian", args.jac)) if v is not None})
+    given = {k: getattr(args, k) for k in ("tol", "max_iters", "init", "metric", "window")
+             if getattr(args, k) is not None}
+    report = entry.solve(sys_, SolverConfig(seed=args.seed, **given))
     oracle = rollout_sequential(sys_)
     err = max_abs_diff(report.trajectory, oracle)
     payload = {

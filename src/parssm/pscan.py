@@ -177,13 +177,14 @@ def lane_matrices(lane: str, A, T: int, D: int) -> np.ndarray:
 
 
 def lane_transitions(lane: str, A, T: int) -> list:
-    """The lane's transitions as T ``Transition`` objects."""
+    """The lane's transitions as T ``Transition`` objects. The rows are computed,
+    so they skip the constructors' input checks: an overflow stays non-finite."""
     if lane == ZERO:
         return [Transition.zero()] * T
     if lane == IDENTITY:
         return [Transition.identity()] * T
-    make = {SCALAR: Transition.scaled, DIAGONAL: Transition.diagonal, DENSE: Transition.dense}[lane]
-    return [make(a) for a in A]
+    kind = {SCALAR: SCALED, DIAGONAL: DIAGONAL, DENSE: DENSE}[lane]
+    return [Transition(kind, float(a) if lane == SCALAR else a) for a in A]
 
 
 def _compose_into(lane: str, A, b, hi: slice, lo: slice):

@@ -53,6 +53,8 @@ class TrustRegionConfig:
             raise ContractError(f"unknown jacobian variant {self.jacobian!r}")
         if self.lam == 0.0 and self.mode != "smoother":
             raise ContractError("lam = 0 is permitted only in smoother-oracle comparisons")
+        if self.solver.damping.kind != "none":
+            raise ContractError("the trust region takes no damping: lam sets its step")
 
 
 def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:

@@ -2,12 +2,33 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import parssm as P
-from parssm import bench
+from parssm import bench, cli
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+COLUMNS = [
+    "experiment", "model", "model_params", "method", "T", "D", "seed", "lambda",
+    "tolerance", "converged", "iterations", "resets", "final_err", "final_diff",
+    "final_merit", "lle", "gamma", "mismatch", "pl_lower", "pl_upper",
+    "elapsed", "error", "diag_error",
+]
+
+# settings no run could use, each of which fails the config at load
+BAD_SETTINGS = [
+    {"init": "bogus"}, {"metric": "bogus"}, {"max_iters": 0}, {"tolerance": -1},
+    {"methods": [{"method": "kalman", "mode": "bogus"}]},
+    {"methods": [{"method": "kalman", "jacobian": "bogus"}]},
+    {"methods": [{"method": "kalman", "lambda": 0}]},
+    {"methods": [{"method": "kalman", "damping": "scale:0.9"}]},
+    {"methods": [{"method": "newton", "lambda": 1}]},
+    {"methods": [{"method": "quasi", "mode": "filter"}]},
+    {"methods": [{"method": "picard", "jacobian": "full"}]},
+]
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -57,6 +78,31 @@ class TestConfigParsing:
     def test_empty_sweep_axis_rejected(self, tmp_path):
         with pytest.raises(P.ContractError):
             bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, sweep={"T": []}))
+
+    @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=lambda d: json.dumps(d))
+    def test_bad_setting_fails_at_load(self, tmp_path, bad):
+        with pytest.raises(P.ContractError):
+            bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
+
+    def test_bad_setting_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_tiny_config(tmp_path, init="bogus")))
+        assert cli.main(["bench", "--config", str(p)]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_solver_keys_take_library_defaults(self, tmp_path):
+        """Unset solver keys take SolverConfig's defaults, except that the
+        sweep records no histories."""
+        doc = _tiny_config(tmp_path)
+        del doc["tolerance"]
+        cfg = bench.ExperimentConfig.from_dict(doc)
+        assert cfg.solver == P.SolverConfig(record_history=False)
+        kalman = cfg.methods[-1].kalman
+        assert (kalman.lam, kalman.mode, kalman.jacobian) == (0.5, "filter", "full")
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        bench.ExperimentConfig.from_json(str(path))
 
 
 class TestRunExperiment:
@@ -129,6 +175,18 @@ class TestRunExperiment:
         assert np.isnan(bad.lle) and np.isnan(bad.gamma)
         assert good.diag_error == "" and np.isfinite(good.lle)
 
+    def test_lambda_axis_checked_per_row(self, tmp_path):
+        """A lambda axis sets each Kalman row's lam and leaves fixed-point rows
+        alone; a value the filter rejects fails only its own rows."""
+        doc = _tiny_config(tmp_path, methods=[{"method": "newton"}, {"method": "kalman"}],
+                           sweep={"lambda": [0.0, 0.5]}, seeds=[0])
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        kalman = {r.lam: r for r in records if r.method == "kalman"}
+        newton = [r for r in records if r.method == "newton"]
+        assert kalman[0.0].error.startswith("ContractError: lam = 0")
+        assert kalman[0.5].error == "" and kalman[0.5].converged
+        assert len(newton) == 2 and all(r.error == "" and np.isnan(r.lam) for r in newton)
+
     def test_model_param_sweep_reaches_constructor(self, tmp_path):
         doc = _tiny_config(tmp_path, model={"kind": "rnn", "D": 4, "T": 16},
                            sweep={"g": [0.5, 1.5]}, methods=[{"method": "newton"}])
@@ -143,9 +201,9 @@ class TestOutputs:
         cfg = bench.ExperimentConfig.from_dict(doc)
         records, out, sidecar = bench.run_and_write(cfg)
         with open(out, newline="") as f:
-            rows = list(csv.DictReader(f))
+            header, *rows = list(csv.reader(f))
+        assert header == COLUMNS
         assert len(rows) == len(records)
-        assert set(bench._RECORD_FIELDS) == set(rows[0].keys())
         assert sidecar is None  # histories off by default
 
     def test_sidecar_with_histories(self, tmp_path):
@@ -165,3 +223,20 @@ class TestOutputs:
         with open(out, newline="") as f:
             rows = list(csv.DictReader(f))
         assert json.loads(rows[0]["model_params"]) == json.loads(records[0].model_params)
+
+
+class TestCliAgreement:
+    @pytest.mark.parametrize("flags,entry", [
+        (["--method", "newton"], {"method": "newton"}),
+        (["--method", "kalman", "--lambda", "0.5"], {"method": "kalman", "lambda": 0.5}),
+    ])
+    def test_solve_matches_one_row_sweep(self, tmp_path, capsys, flags, entry):
+        """`parssm solve` and a one-row sweep with the same model, seed and
+        settings run the same solve."""
+        assert cli.main(["solve", "--model", "gru", "--D", "3", "-T", "24", "--seed", "1",
+                         "--tol", "1e-8", "--init", "normal", "--json", *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        doc = _tiny_config(tmp_path, methods=[entry], sweep={}, seeds=[1], init="normal")
+        [row] = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        assert row.error == ""
+        assert (row.iterations, row.converged) == (payload["iterations"], payload["converged"])

@@ -1,10 +1,22 @@
 """CLI surface: subcommands, exit codes, machine-readable output."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from parssm.cli import main
+from parssm.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """The ``parssm ...`` lines of the README's CLI section."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("parssm ")]
 
 
 class TestSolve:
@@ -104,7 +116,22 @@ class TestExitCodes:
     def test_bad_flag_value_is_2(self, capsys):
         assert main(["solve", "--model", "rnn", "--D", "4", "--g", "-2.0", "-T", "8"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--mode", "filter"],
+                                       ["--jac", "full"], ["--damping", "scale:0.5"]])
+    def test_setting_the_method_ignores_is_2(self, flags, capsys):
+        """Kalman flags on a fixed-point method, and damping on the Kalman
+        method, are rejected rather than ignored."""
+        method = "kalman" if flags[0] == "--damping" else "picard"
+        assert main(["solve", "--model", "affine", "--alpha", "0.5", "-T", "8",
+                     "--method", method, *flags]) == 2
+
     def test_runtime_failure_is_3(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "missing.json")]) == 3
         err = capsys.readouterr().err
         assert json.loads(err)["type"]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    """Every command the README documents parses; none is run."""
+    build_parser().parse_args(shlex.split(line)[1:])

@@ -204,6 +204,18 @@ class TestParallelScan:
         with pytest.raises(P.ContractError):
             parallel_scan([])
 
+    @pytest.mark.parametrize("make", [lambda: Transition.dense(2.0 * np.eye(2)),
+                                      lambda: Transition.diagonal(2.0 * np.ones(2))])
+    def test_overflowed_prefix_propagates(self, make):
+        """2^1100 overflows: the last prefix comes back non-finite in either
+        lane (NaN on the dense lane, where inf * 0 enters the product)."""
+        ops = [AffineOp(make(), np.zeros(2)) for _ in range(1100)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            last = parallel_scan(ops)[-1]
+        assert not np.all(np.isfinite(last.A.value))
+        with pytest.raises(P.ContractError):
+            Transition.dense([[np.inf]])
+
     def test_scan_runs_on_one_worker(self):
         with pytest.raises(P.ContractError):
             scan_stacked("scalar", np.ones(4), np.zeros((4, 2)), workers=2)

@@ -126,6 +126,11 @@ class TestConfig:
         with pytest.raises(P.ContractError):
             TrustRegionConfig(lam=-1.0)
 
+    def test_damping_rejected(self):
+        """The trust region never reads the damping; lam sets its step."""
+        with pytest.raises(P.ContractError):
+            TrustRegionConfig(solver=SolverConfig(damping=P.Damping.scale(0.9)))
+
 
 class TestAttenuation:
     def test_zero_inputs(self):
