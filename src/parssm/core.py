@@ -7,6 +7,7 @@ Everything downstream (parallel solvers, diagnostics) is validated against
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -28,6 +29,12 @@ class NumericalFailure(RuntimeError):
             message = f"{message} (at time index t={t})"
         super().__init__(message)
         self.t = t
+
+
+def require_real(name: str, value) -> None:
+    """Raise ContractError unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractError(f"{name} must be a real number, got {value!r}")
 
 
 def as_state(x, dim: int | None = None) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ContractError, DynamicsSystem, Trajectory, as_state,
-                   exact_rows_and_merit, max_abs_diff)
+                   exact_rows_and_merit, max_abs_diff, require_real)
 from .core import merit  # noqa: F401  (tracing tools patch fixedpoint.merit by name)
 from .pscan import ZERO, AffineOp, evaluate_stacked, lane_apply, lane_transitions
 
@@ -126,10 +126,13 @@ class SolverConfig:
     metric: str = "diff"  # "diff" | "merit"
 
     def __post_init__(self):
+        require_real("tolerance", self.tol)
         if self.tol <= 0:
             raise ContractError("tolerance must be positive")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ContractError("max_iters must be >= 1")
+        if self.max_iters is not None:
+            require_real("max_iters", self.max_iters)
+            if self.max_iters < 1:
+                raise ContractError("max_iters must be >= 1")
         if self.init not in ("jacobi", "zeros", "normal"):
             raise ContractError(f"unknown init {self.init!r}")
         if self.metric not in ("diff", "merit"):
@@ -152,11 +155,8 @@ class SolveReport:
     diff_history: list
     resets: int
     elapsed: float
+    final_diff: float  # the last pass's successive difference, recorded or not
     iterates: list | None = None
-
-    @property
-    def final_diff(self) -> float:
-        return self.diff_history[-1] if self.diff_history else float("nan")
 
 
 OVERFLOW_GUARD = 1e100  # iterate entries beyond this are treated as overflowed
@@ -370,6 +370,7 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
         diff_history=diff_hist,
         resets=resets,
         elapsed=elapsed,
+        final_diff=diff,
         iterates=iterates,
     )
 

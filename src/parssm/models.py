@@ -192,6 +192,11 @@ class Lorenz96(DynamicsSystem):
     dx_k/dt = (x_{k+1} - x_{k-2}) x_{k-1} - x_k + F. With F = 8 the flow is
     chaotic. The Jacobian is left to the finite-difference default; the
     sequential rollout of this fixed-step discretization is the only oracle.
+
+    The field reads its three neighbours from one gather along the ring:
+    column j of ``X[..., ring]`` is x_{(j-2) mod D}, so three slices of it
+    are x_{k+1}, x_{k-2} and x_{k-1}, the operands three ``np.roll`` calls
+    would give, in the same float operations.
     """
 
     def __init__(self, D=5, F=8.0, dt=0.01, T=1000, seed=0):
@@ -205,9 +210,12 @@ class Lorenz96(DynamicsSystem):
         self.dt = float(dt)
         rng = np.random.default_rng(seed)
         self.initial_state = self.F + rng.standard_normal(self.dim)
+        self._ring = np.arange(-2, self.dim + 1) % self.dim  # D-2, D-1, 0, ..., D-1, 0
 
     def _field(self, X):
-        return (np.roll(X, -1, axis=-1) - np.roll(X, 2, axis=-1)) * np.roll(X, 1, axis=-1) - X + self.F
+        D = self.dim
+        P = X[..., self._ring]
+        return (P[..., 3:] - P[..., :D]) * P[..., 1:D + 1] - X + self.F
 
     def step_batch(self, ts, S):
         dt = self.dt

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
-                   as_state, residual)
+                   as_state, require_real, residual)
 from .diagnostics import assemble_big_j
 from .fixedpoint import (NEWTON, NO_DAMPING, QUASI_DIAGONAL, SolveReport, SolverConfig,
                          _linearize_stacked, solve_loop)
@@ -45,6 +45,7 @@ class TrustRegionConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        require_real("lam", self.lam)
         if self.lam < 0:
             raise ContractError("lam must be >= 0")
         if self.mode not in ("filter", "smoother"):
@@ -118,7 +119,14 @@ def _raise_at_first(bad, message):
 
 def _check_covariances(lane, sig):
     """Raise NumericalFailure at the first step with a non-finite or asymmetric
-    covariance, else at the first indefinite (full) or negative (diagonal) one."""
+    covariance, else at the first indefinite (full) or negative (diagonal) one.
+
+    A full stack is first offered to one batched Cholesky factorization, which
+    certifies the common case: when it succeeds every covariance is positive
+    definite, so none can fail the eigenvalue test. Only when it fails does
+    ``eigvalsh`` decide, with the smallest eigenvalue against -1e-8 * scale,
+    whether any step is indefinite, and locate the first.
+    """
     T = len(sig)
     flat = sig.reshape(T, -1)
     broken = ~np.all(np.isfinite(flat), axis=1)
@@ -128,8 +136,12 @@ def _check_covariances(lane, sig):
     scale = np.maximum(1.0, np.abs(flat).max(axis=1))
     asym = np.abs(sig - np.swapaxes(sig, 1, 2)).reshape(T, -1).max(axis=1)
     _raise_at_first(broken | (asym > 1e-8 * scale), "covariance update lost symmetry")
-    min_eigs = np.linalg.eigvalsh(0.5 * (sig + np.swapaxes(sig, 1, 2)))[:, 0]
-    _raise_at_first(min_eigs < -1e-8 * scale, "covariance update went indefinite")
+    sym = 0.5 * (sig + np.swapaxes(sig, 1, 2))
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        min_eigs = np.linalg.eigvalsh(sym)[:, 0]
+        _raise_at_first(min_eigs < -1e-8 * scale, "covariance update went indefinite")
 
 
 def _forward(lane, A, b, emissions, s_left, lam):

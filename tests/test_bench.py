@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ BAD_SETTINGS = [
     {"methods": [{"method": "newton", "lambda": 1}]},
     {"methods": [{"method": "quasi", "mode": "filter"}]},
     {"methods": [{"method": "picard", "jacobian": "full"}]},
+    {"tolerance": "1e-8"}, {"max_iters": "100"},
+    {"methods": [{"method": "kalman", "lambda": "0.5"}]},
 ]
 
 
@@ -89,6 +92,15 @@ class TestConfigParsing:
         p.write_text(json.dumps(_tiny_config(tmp_path, init="bogus")))
         assert cli.main(["bench", "--config", str(p)]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("quoted", [
+        {"tolerance": "1e-8"}, {"methods": [{"method": "kalman", "lambda": "0.5"}]},
+    ], ids=json.dumps)
+    def test_quoted_number_exits_2(self, tmp_path, quoted):
+        """A quoted number is a usage error (exit 2), not a runtime one (3)."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_tiny_config(tmp_path, **quoted)))
+        assert cli.main(["bench", "--config", str(p)]) == 2
 
     def test_solver_keys_take_library_defaults(self, tmp_path):
         """Unset solver keys take SolverConfig's defaults, except that the
@@ -186,6 +198,17 @@ class TestRunExperiment:
         assert kalman[0.0].error.startswith("ContractError: lam = 0")
         assert kalman[0.5].error == "" and kalman[0.5].converged
         assert len(newton) == 2 and all(r.error == "" and np.isnan(r.lam) for r in newton)
+
+    def test_final_diff_without_history(self, tmp_path):
+        """A sweep records no histories, yet each row carries the last pass's
+        successive difference: the value the history of the same solve ends with."""
+        doc = _tiny_config(tmp_path, methods=[{"method": "newton"}], sweep={}, seeds=[0])
+        cfg = bench.ExperimentConfig.from_dict(doc)
+        [row] = bench.run_experiment(cfg)
+        sys_ = P.models.build("gru", 24, D=3, seed=0)
+        report = P.fixed_point_solve(sys_, replace(cfg.solver, record_history=True), P.NEWTON)
+        assert row.iterations == report.iterations
+        assert np.isfinite(row.final_diff) and row.final_diff == report.diff_history[-1]
 
     def test_model_param_sweep_reaches_constructor(self, tmp_path):
         doc = _tiny_config(tmp_path, model={"kind": "rnn", "D": 4, "T": 16},

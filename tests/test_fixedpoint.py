@@ -29,6 +29,11 @@ class TestMethodAndDampingTypes:
             Damping.clip(0.5, 1.0)  # needs lo <= 0
         assert Damping.parse("clip:-0.8:0.8").hi == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("kwargs", [dict(tol="1e-8"), dict(tol=True), dict(max_iters="100")])
+    def test_settings_must_be_numbers(self, kwargs):
+        with pytest.raises(P.ContractError, match="must be a real number"):
+            SolverConfig(**kwargs)
+
 
 class TestLinearize:
     def test_newton_exact_on_linear_dynamics(self):

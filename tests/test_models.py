@@ -1,5 +1,7 @@
 """Model zoo contracts: parameter validation, Jacobians, model-specific facts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,37 @@ class TestGru:
         assert P.merit(m, warm) < P.merit(m, zeros)
 
 
+def _rolled_field(X, F):
+    """Lorenz-96 field written with three np.roll calls (oracle for the gather)."""
+    return (np.roll(X, -1, axis=-1) - np.roll(X, 2, axis=-1)) * np.roll(X, 1, axis=-1) - X + F
+
+
+def _rolled_rk4(X, F, dt):
+    k1 = _rolled_field(X, F)
+    k2 = _rolled_field(X + 0.5 * dt * k1, F)
+    k3 = _rolled_field(X + 0.5 * dt * k2, F)
+    k4 = _rolled_field(X + dt * k3, F)
+    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestLorenz96:
+    @pytest.mark.parametrize("D", [4, 5, 8, 40])
+    @pytest.mark.parametrize("rows", [1, 7, 640])
+    def test_ring_gather_equals_rolls_bitwise(self, D, rows):
+        """The field and the RK4 step equal the np.roll formula bit for bit."""
+        m = models.build("lorenz96", rows, D=D, seed=D)
+        X = 8.0 + 3.0 * np.random.default_rng(rows).standard_normal((rows, D))
+        assert np.array_equal(m._field(X), _rolled_field(X, m.F))
+        assert np.array_equal(m._field(X[0]), _rolled_field(X[0], m.F))
+        ts = np.arange(1, rows + 1)
+        assert np.array_equal(m.step_batch(ts, X), _rolled_rk4(X, m.F, m.dt))
+
+    def test_rollout_digest(self):
+        """The T=256 seed-0 rollout keeps the digest of the np.roll field."""
+        m = models.build("lorenz96", 256, seed=0)
+        states = P.rollout_sequential(m).states
+        assert hashlib.sha1(states.tobytes()).hexdigest() == "30ae7dcff57aa9d54a55c580eae01cb58158f7f6"
+
     def test_is_rk4_of_cyclic_field(self):
         """One step equals a hand-rolled RK4 stage of the cyclic field."""
         m = models.build("lorenz96", 4, D=5, F=8.0, dt=0.01, seed=1)

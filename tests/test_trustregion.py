@@ -8,8 +8,8 @@ import pytest
 import parssm as P
 from parssm.fixedpoint import NEWTON, SolverConfig, linearize
 from parssm.pscan import evaluate_lds, evaluate_stacked
-from parssm.trustregion import (TrustRegionConfig, _forward, _smooth, attenuation,
-                                kalman_solve, kalman_step, lm_step_dense)
+from parssm.trustregion import (TrustRegionConfig, _check_covariances, _forward, _smooth,
+                                attenuation, kalman_solve, kalman_step, lm_step_dense)
 
 
 def _noisy_guess(sys_, scale=1.0, seed=0):
@@ -125,6 +125,10 @@ class TestConfig:
             TrustRegionConfig(lam=0.0, mode="filter")
         with pytest.raises(P.ContractError):
             TrustRegionConfig(lam=-1.0)
+
+    def test_lam_must_be_a_number(self):
+        with pytest.raises(P.ContractError, match="must be a real number"):
+            TrustRegionConfig(lam="0.5")
 
     def test_damping_rejected(self):
         """The trust region never reads the damping; lam sets its step."""
@@ -279,6 +283,53 @@ class TestKalmanStep:
         with np.errstate(all="ignore"), pytest.raises(P.NumericalFailure) as err:
             kalman_step(sys_, guess, TrustRegionConfig(lam=1.0, jacobian=jacobian))
         assert err.value.t == 6
+
+
+def _covariance_stack(steps=(), T=12, D=5):
+    """T positive definite D x D covariances, with each (t, M) of ``steps``
+    putting M at step t (row t - 1)."""
+    M = np.random.default_rng(0).standard_normal((T, D, D))
+    sig = np.einsum("tij,tkj->tik", M, M) + np.eye(D)
+    for t, mat in steps:
+        sig[t - 1] = mat
+    return sig
+
+
+INDEFINITE = np.diag([1.0, 1.0, -1.0, 1.0, 1.0])
+
+
+class TestCovarianceCheck:
+    def test_indefinite_step_is_located(self):
+        sig = _covariance_stack([(6, INDEFINITE)])
+        with pytest.raises(P.NumericalFailure, match="covariance update went indefinite") as err:
+            _check_covariances("dense", sig)
+        assert err.value.t == 6
+
+    def test_first_of_two_indefinite_steps(self):
+        with pytest.raises(P.NumericalFailure) as err:
+            _check_covariances("dense", _covariance_stack([(9, INDEFINITE), (4, -INDEFINITE)]))
+        assert err.value.t == 4
+
+    @pytest.mark.parametrize("smallest", [0.0, -1e-12])
+    def test_semidefinite_within_tolerance_passes(self, smallest):
+        """A Cholesky failure alone is no verdict: eigenvalues at or just
+        under zero, within -1e-8 * scale, still pass."""
+        _check_covariances("dense", _covariance_stack([(6, np.diag([1.0, 1.0, smallest, 1.0, 1.0]))]))
+
+    def test_eigvalsh_runs_only_when_cholesky_fails(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        _check_covariances("dense", _covariance_stack())
+        assert calls == []
+        with pytest.raises(P.NumericalFailure):
+            _check_covariances("dense", _covariance_stack([(6, INDEFINITE)]))
+        assert calls == [12]
 
 
 class TestKalmanSolve:
