@@ -12,8 +12,8 @@ from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
 from .fixedpoint import (JACOBI, NEWTON, PICARD, QUASI_DIAGONAL, Damping,
                          SolveReport, SolverConfig, SolverMethod,
                          fixed_point_solve, jacobi_init, linearize,
-                         prefix_lock_check, scaled_identity)
-from .jacutils import DiagEstimate, fd_jacobian, hutchinson_diag, jvp
+                         prefix_lock_check)
+from .jacutils import DiagEstimate, hutchinson_diag
 from .pscan import (AffineOp, ComposeCounter, Transition, affine_compose,
                     evaluate_lds, parallel_scan)
 from .trustregion import (TrustRegionConfig, attenuation, kalman_solve,
@@ -33,9 +33,9 @@ __all__ = [
     "SolverConfig", "SolverMethod", "Trajectory", "Transition",
     "TrustRegionConfig", "affine_compose", "assemble_big_j", "asymptotic_rate",
     "attenuation", "basin_radius", "estimate_lle", "evaluate_lds",
-    "fd_jacobian", "fixed_point_solve", "hutchinson_diag", "jacobi_init",
-    "jacobian_mismatch", "jvp", "kalman_solve", "kalman_step", "linearize",
+    "fixed_point_solve", "hutchinson_diag", "jacobi_init",
+    "jacobian_mismatch", "kalman_solve", "kalman_step", "linearize",
     "lm_step_dense", "max_abs_diff", "merit", "min_singular_value", "models",
     "parallel_scan", "picard_inverse_norm", "pl_bounds", "prefix_lock_check",
-    "residual", "rollout_sequential", "scaled_identity",
+    "residual", "rollout_sequential",
 ]

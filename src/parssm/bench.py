@@ -48,9 +48,10 @@ class MethodEntry:
         name = d.get("method")
         if not name:
             raise ContractError("method entry needs a 'method' field")
-        damping = Damping.parse(d["damping"]) if isinstance(d.get("damping"), str) else (
-            Damping(**d["damping"]) if isinstance(d.get("damping"), dict) else Damping()
-        )
+        damping = d.get("damping", "none")
+        if not isinstance(damping, str):
+            raise ContractError(f"damping must be a string such as 'scale:0.3', got {damping!r}")
+        damping = Damping.parse(damping)
         given = [key for key in _KALMAN_KEYS if key in d]
         if name == "kalman":
             kalman = TrustRegionConfig(**{_KALMAN_KEYS[key]: d[key] for key in given},

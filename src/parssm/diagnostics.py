@@ -14,9 +14,10 @@ import numpy as np
 
 from .core import ContractError, DynamicsSystem, NumericalFailure, Trajectory
 from .fixedpoint import NO_DAMPING, SolverMethod, _method_transitions
-from .pscan import lane_matrices
+from .pscan import IDENTITY, ZERO, lane_apply, lane_matrices
 
 DENSE_GUARD = 4096  # largest T*D the cubic-cost oracle paths accept
+LLE_BLOCK = 512  # Jacobians evaluated at once by estimate_lle, to bound memory
 
 
 def _check_dense_guard(T: int, D: int, what: str):
@@ -40,7 +41,7 @@ class LleEstimate:
 
 
 def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
-                 seed: int = 0, block: int = 512) -> LleEstimate:
+                 seed: int = 0) -> LleEstimate:
     """Average log stretch of the Jacobian chain along a trajectory.
 
     For each random unit vector u0: iterate u <- A_t u, accumulate log||u||
@@ -59,8 +60,8 @@ def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
     U /= np.linalg.norm(U, axis=0, keepdims=True)
     acc = np.zeros(probes)
     prev = traj.prev_states()
-    for start in range(0, T, block):
-        stop = min(start + block, T)
+    for start in range(0, T, LLE_BLOCK):
+        stop = min(start + LLE_BLOCK, T)
         ts = np.arange(start + 1, stop + 1)
         jacs = sys.jacobian_batch(ts, prev[start:stop])
         for j in jacs:
@@ -105,9 +106,7 @@ def assemble_approx_j(sys: DynamicsSystem, traj: Trajectory,
     sys._check_traj(traj)
     T, D = traj.horizon, traj.dim
     _check_dense_guard(T, D, "assemble_approx_j")
-    ts = np.arange(1, T + 1)
-    lane, A = _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
-    return assemble_blocks(lane_matrices(lane, A, T, D))
+    return assemble_blocks(lane_matrices(*_transitions_at(sys, traj, method), T, D))
 
 
 def min_singular_value(M: np.ndarray) -> float:
@@ -170,14 +169,18 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
                     b_burn=b_burn, T=int(T), D=int(D))
 
 
-def _transition_matrices(sys, traj, method):
-    """Dense A~_t and A_t at the trajectory's predecessor states, t = 1..T."""
+def _transitions_at(sys, traj, method):
+    """(lane, A) of the method's undamped A~_t at the trajectory, t = 1..T."""
+    ts = np.arange(1, traj.horizon + 1)
+    return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
+
+
+def _mismatch(sys, traj, lane, A) -> float:
+    """max over t >= 2 of ||A~_t - A_t||_2, with A~ the lane stack (lane, A)."""
     T, D = traj.horizon, traj.dim
-    ts = np.arange(1, T + 1)
-    prev = traj.prev_states()
-    A_true = sys.jacobian_batch(ts, prev)
-    lane, A = _method_transitions(sys, ts, prev, method, NO_DAMPING)
-    return lane_matrices(lane, A, T, D), A_true
+    true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
+    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
+    return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
 
 
 def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
@@ -190,11 +193,7 @@ def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
     """
     if method.kind == "newton":
         return 0.0
-    approx, true = _transition_matrices(sys, traj, method)
-    diffs = approx[1:] - true[1:]  # block t = 1 never enters the residual Jacobian
-    if diffs.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max())
+    return _mismatch(sys, traj, *_transitions_at(sys, traj, method))
 
 
 def picard_inverse_norm(T: int) -> float:
@@ -222,23 +221,22 @@ def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
     """gamma = ||J~(s*)^{-1}||_2 * max_t ||A~_t - A_t||_2 at the solution.
 
     The inverse-norm factor is 1 for zero transitions and the closed form
-    above for identity transitions. Diagonal and scaled-identity transitions
-    decouple coordinatewise into T x T bidiagonal blocks, so their inverse
-    norm needs only T <= 4096. Newton's rate is 0.
+    above for identity ones (Picard, or scaled by 1). Diagonal and scaled
+    transitions decouple coordinatewise into T x T bidiagonal blocks, so
+    their inverse norm needs only T <= 4096. Newton's rate is 0.
     """
-    mismatch = jacobian_mismatch(sys, traj_star, method)
     if method.kind == "newton":
         return 0.0
     T, D = traj_star.horizon, traj_star.dim
-    if method.kind == "jacobi":
+    lane, A = _transitions_at(sys, traj_star, method)
+    mismatch = _mismatch(sys, traj_star, lane, A)
+    if lane == ZERO:
         inv_norm = 1.0
-    elif method.kind == "picard":
+    elif lane == IDENTITY:
         inv_norm = picard_inverse_norm(T)
-    else:  # "quasi" and "scaled", the only other kinds
+    else:  # the diagonal and scalar lanes, the only others a non-Newton method gives
         _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
-        ts = np.arange(1, T + 1)
-        lane, A = _method_transitions(sys, ts, traj_star.prev_states(), method, NO_DAMPING)
-        diag = A if lane == "diagonal" else np.broadcast_to(A[:, None], (T, D))
+        diag = lane_apply(lane, A, np.ones((T, D)))
         inv_norm = max(_bidiagonal_inverse_norm(diag[:, j]) for j in range(D))
     return float(inv_norm * mismatch)
 

@@ -10,6 +10,7 @@ initial state propagates at least one newly correct step per iteration.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -40,22 +41,23 @@ class SolverMethod:
     @staticmethod
     def parse(text: str) -> "SolverMethod":
         """Parse "newton", "quasi", ..., or "scaled:<a>"."""
-        if ":" in text:
-            kind, _, arg = text.partition(":")
-            if kind != "scaled":
-                raise ContractError(f"only the scaled method takes an argument, got {text!r}")
-            return SolverMethod("scaled", float(arg))
-        return SolverMethod(text)
+        kind, sep, arg = text.partition(":")
+        if sep and kind != "scaled":
+            raise ContractError(f"only the scaled method takes an argument, got {text!r}")
+        return SolverMethod(kind, _parse_number(arg, text)) if sep else SolverMethod(kind)
+
+
+def _parse_number(arg: str, text: str) -> float:
+    try:
+        return float(arg)
+    except ValueError:
+        raise ContractError(f"in {text!r}, {arg!r} is not a number") from None
 
 
 NEWTON = SolverMethod("newton")
 QUASI_DIAGONAL = SolverMethod("quasi")
 PICARD = SolverMethod("picard")
 JACOBI = SolverMethod("jacobi")
-
-
-def scaled_identity(a: float) -> SolverMethod:
-    return SolverMethod("scaled", float(a))
 
 
 @dataclass(frozen=True)
@@ -89,16 +91,12 @@ class Damping:
 
     @staticmethod
     def parse(text: str) -> "Damping":
-        """Parse "none", "scale:<k>", or "clip:<lo>:<hi>"."""
-        parts = text.split(":")
-        if parts[0] == "none":
-            return Damping()
-        if parts[0] == "scale":
-            return Damping.scale(float(parts[1]))
-        if parts[0] == "clip":
-            lo, hi = (float(parts[1]), float(parts[2])) if len(parts) > 2 else (-1.0, 1.0)
-            return Damping.clip(lo, hi)
-        raise ContractError(f"cannot parse damping {text!r}")
+        """Parse "none", "scale:<k>", "clip" (lo, hi = -1, 1) or "clip:<lo>:<hi>"."""
+        kind, *args = text.split(":")
+        if len(args) not in {"none": (0,), "scale": (1,), "clip": (0, 2)}.get(kind, ()):
+            raise ContractError(f"cannot parse damping {text!r}: expected none, "
+                                "scale:<k>, clip or clip:<lo>:<hi>")
+        return getattr(Damping, kind)(*(_parse_number(arg, text) for arg in args))
 
 
 NO_DAMPING = Damping()
@@ -129,10 +127,12 @@ class SolverConfig:
         require_real("tolerance", self.tol)
         if self.tol <= 0:
             raise ContractError("tolerance must be positive")
-        if self.max_iters is not None:
-            require_real("max_iters", self.max_iters)
-            if self.max_iters < 1:
-                raise ContractError("max_iters must be >= 1")
+        for name in ("max_iters", "window"):
+            value = getattr(self, name)
+            if value is not None:
+                require_real(name, value)
+                if not isinstance(value, numbers.Integral) or value < 1:
+                    raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
         if self.init not in ("jacobi", "zeros", "normal"):
             raise ContractError(f"unknown init {self.init!r}")
         if self.metric not in ("diff", "merit"):

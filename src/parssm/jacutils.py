@@ -4,7 +4,7 @@ One central-difference kernel serves the finite-difference Jacobians and the
 default ``DynamicsSystem.jvp_batch``; one Hutchinson core (Rademacher probes,
 one JVP per probe through ``jvp_batch``) serves the stochastic diagonal
 estimates. The ``_batch`` forms return overflowed rows as non-finite values
-for the solvers' reset heuristic; the single-row public forms raise instead.
+for the solvers' reset heuristic; the single-row ``hutchinson_diag`` raises.
 """
 
 from __future__ import annotations
@@ -37,26 +37,6 @@ def _central_diff(sys, ts: np.ndarray, S: np.ndarray, V: np.ndarray,
         fp = sys.step_batch(ts_rep, (S[:, None, :] + delta).reshape(n * k, d))
         fm = sys.step_batch(ts_rep, (S[:, None, :] - delta).reshape(n * k, d))
         return (fp - fm).reshape(n, k, d) / (2.0 * h)
-
-
-def jvp(sys, t: int, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A_t(s) v through the system's ``jvp_batch`` (central difference by default)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (sys.dim,):
-        raise ContractError(f"jvp vector has shape {v.shape}, expected ({sys.dim},)")
-    out = np.asarray(sys.jvp(t, s, v), dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailure("non-finite jvp evaluation", t=t)
-    return out
-
-
-def fd_jacobian(sys, t: int, s: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Dense Jacobian by central differences, one column per basis vector."""
-    s = np.asarray(s, dtype=np.float64)
-    jac = fd_jacobian_batch(sys, np.array([t]), s[None, :], h)[0]
-    if not np.all(np.isfinite(jac)):
-        raise NumericalFailure("non-finite finite-difference Jacobian", t=t)
-    return jac
 
 
 def fd_jacobian_batch(sys, ts: np.ndarray, S: np.ndarray, h: float | None = None) -> np.ndarray:

@@ -7,7 +7,8 @@ scanned as stacked arrays in one lane, the least of
 
 that holds every element, so per-element cost stays O(D) for the structured
 classes and O(D^3) only for dense. This module alone converts lanes to
-matrices, Transitions and products A_t x_t, and the object API
+matrices, Transitions and products A_t x_t and holds their algebra
+(``lane_algebra``: product, transpose, inverse). The object API
 (``Transition``, ``affine_compose``, ``parallel_scan``) runs on the same lane
 code. Each prefix keeps the class of its own elements: Zero absorbs (a prefix
 is Zero once a Zero has entered it), Identity holds while every element so
@@ -149,7 +150,7 @@ class ComposeCounter:
 #   "diagonal" -> A has shape (T, D)
 #   "dense"    -> A has shape (T, D, D)
 # b always has shape (T, D). The lane_* helpers are the only code that turns
-# a lane into matrices, Transitions or products A_t x_t.
+# a lane into matrices, Transitions or products A_t x_t, or does its algebra.
 # ---------------------------------------------------------------------------
 
 
@@ -187,13 +188,19 @@ def lane_transitions(lane: str, A, T: int) -> list:
     return [Transition(kind, float(a) if lane == SCALAR else a) for a in A]
 
 
+def lane_algebra(lane: str, D: int):
+    """(product, transpose, inverse, identity) on the lane's stacks: matrix
+    algebra on "dense" (T, D, D) stacks, elementwise on the others."""
+    if lane == DENSE:
+        return np.matmul, lambda X: np.swapaxes(X, -1, -2), np.linalg.inv, np.eye(D)
+    return np.multiply, lambda X: X, np.reciprocal, 1.0
+
+
 def _compose_into(lane: str, A, b, hi: slice, lo: slice):
     """Overwrite slots ``hi`` with op[hi] o op[lo] (op[lo] acting first)."""
     b[hi] += lane_apply(lane, A[hi], b[lo])
-    if lane == DENSE:
-        A[hi] = A[hi] @ A[lo]
-    else:
-        A[hi] *= A[lo]
+    mul = lane_algebra(lane, b.shape[1])[0]
+    mul(A[hi], A[lo], out=A[hi])
 
 
 def tree_schedule(T: int) -> tuple[list, list]:

@@ -26,7 +26,7 @@ from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
 from .diagnostics import assemble_big_j
 from .fixedpoint import (NEWTON, NO_DAMPING, QUASI_DIAGONAL, SolveReport, SolverConfig,
                          _linearize_stacked, solve_loop)
-from .pscan import DENSE, evaluate_stacked, lane_apply, tree_schedule
+from .pscan import DENSE, evaluate_stacked, lane_algebra, lane_apply, tree_schedule
 
 
 @dataclass
@@ -78,14 +78,6 @@ def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
     return gamma
 
 
-def _algebra(lane: str, D: int):
-    """(product, transpose, inverse, identity) on the lane's stacks: matrix
-    algebra on "dense" (T, D, D) stacks, elementwise on "diagonal" (T, D)."""
-    if lane == DENSE:
-        return np.matmul, lambda X: np.swapaxes(X, -1, -2), np.linalg.inv, np.eye(D)
-    return np.multiply, lambda X: X, np.reciprocal, 1.0
-
-
 def _filter_covariances(lane, A, lam):
     """Filtered covariances Sigma_post_t: the C of each prefix of a tree scan.
 
@@ -95,7 +87,7 @@ def _filter_covariances(lane, A, lam):
     M = (I + C_i J_j)^-1, Abar = Abar_j M Abar_i, C = Abar_j M C_i Abar_j^T
     + C_j, J = Abar_i^T M^T J_j Abar_i + J_i. The data never enter.
     """
-    mul, tr, inv, one = _algebra(lane, A.shape[1])
+    mul, tr, inv, one = lane_algebra(lane, A.shape[1])
     Ab = A / (1.0 + lam)
     C = np.broadcast_to(one / (1.0 + lam), A.shape).copy()
     J = (lam / (1.0 + lam)) * mul(tr(A), A)
@@ -152,7 +144,7 @@ def _forward(lane, A, b, emissions, s_left, lam):
     + Gamma_t b_t + (I - Gamma_t) y_t, with Gamma_t = (lam Sigma_pred_t + I)^-1
     and the current iterate y_t as emission.
     """
-    mul, tr, inv, one = _algebra(lane, b.shape[1])
+    mul, tr, inv, one = lane_algebra(lane, b.shape[1])
     with np.errstate(all="ignore"):
         sig_post = _filter_covariances(lane, A, lam)
         _check_covariances(lane, sig_post)
@@ -175,7 +167,7 @@ def _smooth(lane, A, b, means, sig_post, sig_pred):
     from out_T = mu_T, which the scan runs on the reversed arrays (the last
     step enters as the map x -> mu_T).
     """
-    mul, tr, inv, _ = _algebra(lane, b.shape[1])
+    mul, tr, inv, _ = lane_algebra(lane, b.shape[1])
     G = np.zeros_like(sig_post)
     G[:-1] = mul(mul(sig_post[:-1], tr(A[1:])), inv(sig_pred[1:]))
     offset = means.copy()

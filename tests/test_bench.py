@@ -31,6 +31,14 @@ BAD_SETTINGS = [
     {"methods": [{"method": "picard", "jacobian": "full"}]},
     {"tolerance": "1e-8"}, {"max_iters": "100"},
     {"methods": [{"method": "kalman", "lambda": "0.5"}]},
+    {"methods": [{"method": "quasi", "damping": "scale"}]},
+    {"methods": [{"method": "quasi", "damping": "scale:abc"}]},
+    {"methods": [{"method": "quasi", "damping": "clip:a:b"}]},
+    {"methods": [{"method": "scaled:abc"}]},
+    {"methods": [{"method": "quasi", "damping": 0.5}]},
+    {"methods": [{"method": "quasi", "damping": None}]},
+    {"methods": [{"method": "quasi", "damping": ["scale", 0.3]}]},
+    {"max_iters": 2.5}, {"window": 2.5},
 ]
 
 

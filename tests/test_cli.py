@@ -113,8 +113,15 @@ class TestExitCodes:
         p.write_text("{")
         assert main(["bench", "--config", str(p)]) == 2
 
-    def test_bad_flag_value_is_2(self, capsys):
-        assert main(["solve", "--model", "rnn", "--D", "4", "--g", "-2.0", "-T", "8"]) == 2
+    @pytest.mark.parametrize("flags", [
+        ["--model", "rnn", "--D", "4", "--g", "-2.0"],
+        ["--model", "gru", "--D", "3", "--damping", "scale"],
+        ["--model", "gru", "--D", "3", "--damping", "scale:abc"],
+        ["--model", "gru", "--D", "3", "--method", "scaled:abc"],
+        ["--model", "gru", "--D", "3", "--method", "quasi", "--damping", "clip:a:b"],
+    ], ids=" ".join)
+    def test_bad_flag_value_is_2(self, flags, capsys):
+        assert main(["solve", *flags, "-T", "16"]) == 2
 
     @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--mode", "filter"],
                                        ["--jac", "full"], ["--damping", "scale:0.5"]])

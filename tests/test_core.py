@@ -133,7 +133,7 @@ class TestJacobianConsistency:
         ("gru", dict(D=5)), ("twowell", {}), ("s5", {}), ("logistic", dict(r=3.7)),
     ])
     def test_fd_agreement(self, kind, params):
-        from parssm.jacutils import fd_jacobian
+        from parssm.jacutils import fd_jacobian_batch
 
         sys_ = P.models.build(kind, 50, seed=7, **params)
         rng = np.random.default_rng(11)
@@ -143,7 +143,7 @@ class TestJacobianConsistency:
             if kind == "logistic":
                 s = rng.uniform(0.05, 0.95, 1)
             a = sys_.jacobian(t, s)
-            fd = fd_jacobian(sys_, t, s, h=1e-6)
+            fd = fd_jacobian_batch(sys_, [t], s[None], h=1e-6)[0]
             scale = max(1.0, float(np.max(np.abs(a))))
             assert np.max(np.abs(a - fd)) <= 1e-5 * scale
 
@@ -203,13 +203,14 @@ class TestBatchFirstContract:
     """A subclass that implements only step_batch gets every other form."""
 
     def test_single_row_jacobian_is_the_fd_oracle(self):
-        from parssm.jacutils import fd_jacobian
+        from parssm.jacutils import fd_jacobian_batch
 
         sys_ = TanhMap()
         rng = np.random.default_rng(1)
         for t in (1, 7, 64):
             s = rng.standard_normal(sys_.dim)
-            np.testing.assert_array_equal(sys_.jacobian(t, s), fd_jacobian(sys_, t, s))
+            np.testing.assert_array_equal(sys_.jacobian(t, s),
+                                          fd_jacobian_batch(sys_, [t], s[None])[0])
             np.testing.assert_array_equal(sys_.step(t, s), np.tanh(sys_.W @ s + sys_.b[t - 1]))
 
     def test_diag_default_is_hutchinson_seeded_by_diag_seed(self):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parssm as P
+from parssm import bench
 from parssm import diagnostics as dg
-from parssm.fixedpoint import JACOBI, NEWTON, PICARD, QUASI_DIAGONAL, scaled_identity
+from parssm.fixedpoint import JACOBI, NEWTON, PICARD, QUASI_DIAGONAL, SolverMethod
 from parssm.models import FunctionSystem
 
 
@@ -155,7 +156,8 @@ class TestJacobianMismatch:
         tr = P.rollout_sequential(sys_)
         assert dg.jacobian_mismatch(sys_, tr, JACOBI) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("method", [JACOBI, PICARD, QUASI_DIAGONAL, scaled_identity(0.5)])
+    @pytest.mark.parametrize("method", [JACOBI, PICARD, QUASI_DIAGONAL,
+                                        SolverMethod("scaled", 0.5)])
     def test_equals_dense_assembled_norm(self, method):
         """Block-structure shortcut equals the dense spectral norm of the
         assembled difference at small scale."""
@@ -224,6 +226,25 @@ class TestAsymptoticRate:
         dense_inv = 1.0 / dg.min_singular_value(dg.assemble_approx_j(sys_, tr, QUASI_DIAGONAL))
         expected = dense_inv * dg.jacobian_mismatch(sys_, tr, QUASI_DIAGONAL)
         assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_unit_scaled_identity_is_picard(self):
+        """A scaled identity with coefficient 1 has identity transitions: every
+        instrument accepts it and gives Picard's figures, and a sweep row with
+        it records no diagnostic failure."""
+        sys_ = P.models.build("rnn", 32, D=3, g=0.5, seed=0)
+        tr = P.rollout_sequential(sys_)
+        unit = SolverMethod("scaled", 1.0)
+        rate = dg.asymptotic_rate(sys_, tr, unit)
+        assert rate == pytest.approx(dg.asymptotic_rate(sys_, tr, PICARD), rel=1e-12)
+        assert dg.jacobian_mismatch(sys_, tr, unit) == dg.jacobian_mismatch(sys_, tr, PICARD)
+        np.testing.assert_array_equal(dg.assemble_approx_j(sys_, tr, unit),
+                                      dg.assemble_approx_j(sys_, tr, PICARD))
+        cfg = bench.ExperimentConfig.from_dict({
+            "schema": 1, "model": {"kind": "rnn", "D": 3, "g": 0.5, "T": 32},
+            "methods": [{"method": "scaled:1.0"}]})
+        [row] = bench.run_experiment(cfg)
+        assert row.error == "" and row.diag_error == ""
+        assert row.gamma == pytest.approx(rate, rel=1e-12)
 
 
 class TestBasinRadius:

@@ -8,8 +8,7 @@ import pytest
 import parssm as P
 from parssm.fixedpoint import (FRONT_BLOCK, JACOBI, NEWTON, PICARD, QUASI_DIAGONAL,
                                Damping, SolverConfig, SolverMethod, fixed_point_solve,
-                               jacobi_init, linearize, prefix_lock_check,
-                               scaled_identity)
+                               jacobi_init, linearize, prefix_lock_check)
 from parssm.pscan import evaluate_lds
 
 
@@ -85,7 +84,7 @@ class TestLinearize:
         clipped = linearize(sys_, tr, QUASI_DIAGONAL, Damping.clip(-0.5, 0.5))
         for op in clipped:
             assert np.all(op.A.value >= -0.5) and np.all(op.A.value <= 0.5)
-        for bad_method in (NEWTON, PICARD, JACOBI, scaled_identity(0.3)):
+        for bad_method in (NEWTON, PICARD, JACOBI, SolverMethod("scaled", 0.3)):
             with pytest.raises(P.ContractError):
                 linearize(sys_, tr, bad_method, Damping.clip())
 
@@ -137,7 +136,7 @@ class TestFixedPointSolve:
         assert slope == pytest.approx(np.log10(alpha), rel=0.005)
 
     @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL, PICARD, JACOBI,
-                                        scaled_identity(0.2)])
+                                        SolverMethod("scaled", 0.2)])
     def test_global_convergence_from_random_init(self, method):
         sys_ = P.models.build("gru", 96, D=6, seed=8)
         cfg = SolverConfig(tol=1e-10, init="normal", seed=1)

@@ -7,7 +7,7 @@ import pytest
 
 import parssm as P
 from parssm import models
-from parssm.jacutils import fd_jacobian
+from parssm.jacutils import fd_jacobian_batch
 
 
 class TestBuildValidation:
@@ -180,6 +180,6 @@ class TestFdFallbacks:
         form is shipped for this model)."""
         m = models.build("lorenz96", 8, seed=0)
         s = m.initial_state
-        a = fd_jacobian(m, 1, s, h=1e-6)
-        b = fd_jacobian(m, 1, s, h=1e-5)
+        a = fd_jacobian_batch(m, [1], s[None], h=1e-6)[0]
+        b = fd_jacobian_batch(m, [1], s[None], h=1e-5)[0]
         assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, np.max(np.abs(a)))
