@@ -45,6 +45,7 @@ class MethodEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "MethodEntry":
+        _reject_unknown(d, _ENTRY_KEYS, "method-entry")
         name = d.get("method")
         if not name:
             raise ContractError("method entry needs a 'method' field")
@@ -74,11 +75,21 @@ class MethodEntry:
 
 # method-entry keys of the kalman method, and the TrustRegionConfig fields they set
 _KALMAN_KEYS = {"lambda": "lam", "mode": "mode", "jacobian": "jacobian"}
+_ENTRY_KEYS = {"method", "damping", "label", *_KALMAN_KEYS}
 # config keys passed on to SolverConfig, and the fields they set
 _SOLVER_CONFIG_KEYS = {"tolerance": "tol", "max_iters": "max_iters", "init": "init",
-                       "metric": "metric", "window": "window", "record_history": "record_history"}
+                       "metric": "metric", "record_history": "record_history"}
+_CONFIG_KEYS = {"schema", "name", "model", "methods", "sweep", "seeds", "output", "workers",
+                *_SOLVER_CONFIG_KEYS}
 # sweep keys routed to the solver rather than the model constructor
 _SOLVER_KEYS = {"T", "lambda"}
+
+
+def _reject_unknown(d: dict, known: set, where: str):
+    """A key no setting reads is a usage error, so a misspelt one is never ignored."""
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise ContractError(f"unknown {where} key {', '.join(map(repr, unknown))}")
 
 
 @dataclass
@@ -109,6 +120,7 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         if doc.get("schema") != SCHEMA_VERSION:
             raise ContractError(f"config schema must be {SCHEMA_VERSION}, got {doc.get('schema')!r}")
+        _reject_unknown(doc, _CONFIG_KEYS, "config")
         model = doc.get("model") or {}
         kind = model.get("kind")
         if kind not in models.MODEL_KINDS:
@@ -222,7 +234,7 @@ def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
             record.lle = est.lam
             bounds = diagnostics.pl_bounds(est.lam, T=T, D=sys_.dim)
             record.pl_lower, record.pl_upper = bounds.lower, bounds.upper
-            if entry.kalman is None and T * sys_.dim <= diagnostics.DENSE_GUARD:
+            if entry.kalman is None:
                 record.mismatch = diagnostics.jacobian_mismatch(sys_, oracle, entry.method)
                 record.gamma = diagnostics.asymptotic_rate(sys_, oracle, entry.method)
         except Exception as e:  # diagnostics are best effort; the solve row stands

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: solve (one model + method), bench (sweep from a JSON config),
-lle (exponent estimate), diagnose (conditioning quantities), oracle (dense
-small-scale equivalence checks). Exit codes: 0 success, 2 usage error,
-3 runtime failure (with a machine-readable JSON error on stderr).
+lle (exponent estimate), diagnose (conditioning quantities), oracle (the
+dense small-scale check of the Kalman smoother step). Exit codes: 0 success,
+2 usage error, 3 runtime failure (with a machine-readable JSON error on
+stderr).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from . import bench, diagnostics, models
 from .core import ContractError, Trajectory, max_abs_diff, merit, rollout_sequential
 from .fixedpoint import SolverConfig, SolverMethod
-from .pscan import AffineOp, Transition, affine_compose, parallel_scan
 from .trustregion import TrustRegionConfig, kalman_step, lm_step_dense
 
 EXIT_OK = 0
@@ -56,7 +56,6 @@ def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int)
     p.add_argument("--init", choices=("jacobi", "zeros", "normal"))
     p.add_argument("--metric", choices=("diff", "merit"))
-    p.add_argument("--window", type=int)
     p.add_argument("--lambda", dest="lam", type=float,
                    help="trust-region precision (kalman method only)")
     p.add_argument("--mode", choices=("filter", "smoother"), help="kalman method only")
@@ -69,7 +68,7 @@ def _cmd_solve(args) -> int:
     entry = bench.MethodEntry.from_dict({key: v for key, v in (
         ("method", args.method), ("damping", args.damping), ("lambda", args.lam),
         ("mode", args.mode), ("jacobian", args.jac)) if v is not None})
-    given = {k: getattr(args, k) for k in ("tol", "max_iters", "init", "metric", "window")
+    given = {k: getattr(args, k) for k in ("tol", "max_iters", "init", "metric")
              if getattr(args, k) is not None}
     report = entry.solve(sys_, SolverConfig(seed=args.seed, **given))
     oracle = rollout_sequential(sys_)
@@ -134,62 +133,18 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _random_affine_ops(rng, T, D, kind):
-    ops = []
-    for _ in range(T):
-        b = rng.standard_normal(D)
-        if kind == "dense":
-            ops.append(AffineOp(Transition.dense(rng.standard_normal((D, D)) * 0.9 / np.sqrt(D)), b))
-        else:
-            ops.append(AffineOp(Transition.diagonal(rng.uniform(-1.0, 1.0, D)), b))
-    return ops
-
-
 def _cmd_oracle(args) -> int:
+    """lm-smoother: the Kalman smoother step equals the dense damped LM step."""
     rng = np.random.default_rng(args.seed)
-    if args.what == "lm-smoother":
-        sys_ = models.build("rnn", args.T, D=args.D, g=0.8, seed=args.seed)
-        guess = rollout_sequential(sys_).states + rng.standard_normal((args.T, args.D))
-        traj = Trajectory(sys_.initial_state, guess)
-        cfg = TrustRegionConfig(lam=args.lam, mode="smoother", jacobian="full")
-        smoothed = kalman_step(sys_, traj, cfg)
-        dense = lm_step_dense(sys_, traj, args.lam)
-        dev = max_abs_diff(smoothed, dense)
-        print(json.dumps({"max_deviation": dev, "tolerance": 1e-8, "ok": dev <= 1e-8}))
-        return EXIT_OK if dev <= 1e-8 else EXIT_RUNTIME
-    if args.what == "scan-fold":
-        ops = _random_affine_ops(rng, args.T, args.D, args.kind)
-        prefixes = parallel_scan(ops)
-        acc = ops[0]
-        worst = 0.0
-        for t in range(1, args.T):
-            acc = affine_compose(acc, ops[t])
-            ref = acc.A.matrix(args.D)
-            got = prefixes[t].A.matrix(args.D)
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            worst = max(worst, float(np.max(np.abs(ref - got))) / scale,
-                        float(np.max(np.abs(acc.b - prefixes[t].b))) / scale)
-        print(json.dumps({"max_relative_deviation": worst, "tolerance": 1e-10,
-                          "ok": worst <= 1e-10}))
-        return EXIT_OK if worst <= 1e-10 else EXIT_RUNTIME
-    # jinv: block (t, tau) of J^{-1} equals the Jacobian chain product
-    sys_ = models.build("rnn", args.T, D=args.D, g=0.9, seed=args.seed)
-    traj = rollout_sequential(sys_)
-    J = diagnostics.assemble_big_j(sys_, traj)
-    Jinv = np.linalg.inv(J)
-    ts = np.arange(1, args.T + 1)
-    jacs = sys_.jacobian_batch(ts, traj.prev_states())
-    worst = 0.0
-    D = args.D
-    for t in range(args.T):
-        prod = np.eye(D)
-        for tau in range(t, -1, -1):
-            block = Jinv[t * D:(t + 1) * D, tau * D:(tau + 1) * D]
-            worst = max(worst, float(np.max(np.abs(block - prod))))
-            if tau > 0:
-                prod = prod @ jacs[tau]
-    print(json.dumps({"max_deviation": worst, "tolerance": 1e-8, "ok": worst <= 1e-8}))
-    return EXIT_OK if worst <= 1e-8 else EXIT_RUNTIME
+    sys_ = models.build("rnn", args.T, D=args.D, g=0.8, seed=args.seed)
+    guess = rollout_sequential(sys_).states + rng.standard_normal((args.T, args.D))
+    traj = Trajectory(sys_.initial_state, guess)
+    cfg = TrustRegionConfig(lam=args.lam, mode="smoother", jacobian="full")
+    smoothed = kalman_step(sys_, traj, cfg)
+    dense = lm_step_dense(sys_, traj, args.lam)
+    dev = max_abs_diff(smoothed, dense)
+    print(json.dumps({"max_deviation": dev, "tolerance": 1e-8, "ok": dev <= 1e-8}))
+    return EXIT_OK if dev <= 1e-8 else EXIT_RUNTIME
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,17 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("-T", type=int, default=16)
     o.add_argument("-D", type=int, default=3)
     o.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    o.add_argument("--seed", type=int, default=0)
-    o.set_defaults(fn=_cmd_oracle)
-    o = osub.add_parser("scan-fold")
-    o.add_argument("-T", type=int, default=64)
-    o.add_argument("-D", type=int, default=4)
-    o.add_argument("--kind", default="dense", choices=("dense", "diagonal"))
-    o.add_argument("--seed", type=int, default=0)
-    o.set_defaults(fn=_cmd_oracle)
-    o = osub.add_parser("jinv")
-    o.add_argument("-T", type=int, default=8)
-    o.add_argument("-D", type=int, default=3)
     o.add_argument("--seed", type=int, default=0)
     o.set_defaults(fn=_cmd_oracle)
 

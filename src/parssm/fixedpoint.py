@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class SolverMethod:
         if self.kind not in ("newton", "quasi", "picard", "jacobi", "scaled"):
             raise ContractError(f"unknown solver method {self.kind!r}")
         if self.kind == "scaled":
-            if self.coeff is None or not np.isfinite(self.coeff):
+            require_real("the scaled method's coefficient", self.coeff)
+            if not np.isfinite(self.coeff):
                 raise ContractError("scaled-identity method needs a finite coefficient")
         elif self.coeff is not None:
             raise ContractError(f"method {self.kind!r} takes no coefficient")
@@ -72,6 +73,8 @@ class Damping:
     def __post_init__(self):
         if self.kind not in ("none", "scale", "clip"):
             raise ContractError(f"unknown damping {self.kind!r}")
+        for name in ("k", "lo", "hi"):
+            require_real(f"damping {name}", getattr(self, name))
         if self.kind == "scale" and not (0.0 <= self.k <= 1.0):
             raise ContractError("scale damping needs k in [0, 1]")
         if self.kind == "clip" and not (self.lo <= 0.0 <= self.hi):
@@ -117,7 +120,6 @@ class SolverConfig:
     max_iters: int | None = None
     init: str = "jacobi"  # "jacobi" | "zeros" | "normal"
     seed: int = 0
-    window: int | None = None
     damping: Damping = field(default_factory=Damping)
     record_history: bool = True
     record_iterates: bool = False
@@ -127,21 +129,14 @@ class SolverConfig:
         require_real("tolerance", self.tol)
         if self.tol <= 0:
             raise ContractError("tolerance must be positive")
-        for name in ("max_iters", "window"):
-            value = getattr(self, name)
-            if value is not None:
-                require_real(name, value)
-                if not isinstance(value, numbers.Integral) or value < 1:
-                    raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.max_iters is not None:
+            require_real("max_iters", self.max_iters)
+            if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+                raise ContractError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.init not in ("jacobi", "zeros", "normal"):
             raise ContractError(f"unknown init {self.init!r}")
         if self.metric not in ("diff", "merit"):
             raise ContractError(f"unknown metric {self.metric!r}")
-
-    def resolved(self, T: int) -> "SolverConfig":
-        if self.window is not None and not (1 <= self.window <= T):
-            raise ContractError(f"window must lie in [1, {T}]")
-        return replace(self, max_iters=self.max_iters if self.max_iters is not None else T)
 
 
 @dataclass
@@ -263,102 +258,76 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     """Generic driver shared by the scan solvers and the Kalman solver.
 
     ``chunk_step(states_chunk, t_start, s_left, fvals) -> new_chunk`` produces
-    the next iterate of the active chunk, whose steps are t_start+1 ..
-    t_start+Tc and whose left boundary state is ``s_left``. ``fvals`` holds
-    f_t(s_{t-1}) at the chunk's current rows, or None when the chunk step must
-    evaluate f itself.
+    the next iterate of the chunk of steps t_start+1 .. T, whose left boundary
+    state is ``s_left``. ``fvals`` holds f_t(s_{t-1}) at the chunk's current
+    rows, or None when the chunk step must evaluate f itself.
 
     The causal front is the number of leading rows whose residual
     s_t - f_t(s_{t-1}) is exactly zero. By induction from the fixed s_0 those
     rows solve the recurrence, so they are final, and in exact arithmetic every
     pass makes at least one more row exact. The loop freezes the front rounded
     down to whole blocks of ``FRONT_BLOCK`` rows (all T rows once every one is
-    exact), and a pass works on the rows past the frozen prefix only: the chunk
-    is [front, T), or with a window [max(front, t_done), +window), where t_done
-    advances to the chunk's end once its tail's successive difference meets
-    the tolerance.
+    exact), and each pass works on [front, T) only.
 
     After the chunk step, f is evaluated once, on rows [front, T). Those values
     give the merit (the frozen prefix adds 0), the new front, and the next
-    pass's ``fvals``. When neither the history nor the stopping metric needs
-    the merit, f is evaluated on the chunk's rows only, and the front advances
-    only from a chunk that starts at it, and a pass that advances the window
-    evaluates none: the next chunk starts past its rows. Non-finite iterate
-    entries are reset to 0 before a pass (one reset event per pass where that
-    happens), and the chunk step of that pass evaluates f afresh.
+    pass's ``fvals``. Non-finite iterate entries are reset to 0 before a pass
+    (one reset event per pass where that happens), and the chunk step of that
+    pass evaluates f afresh.
 
     Once the front reaches T the next pass has no rows. It still counts as an
     iteration, observes difference and merit 0, and does no work.
 
-    A pass whose chunk starts at the front, ends at T and comes back bitwise
-    unchanged (successive difference exactly zero) stops the loop as converged
-    regardless of the metric: the prefix is final and the iteration map is
-    deterministic, so nothing can change on any later pass. Chaotic chains can
-    floor the merit above any tolerance while still being exact fixed points
-    of the float map; this handles them soundly.
+    A pass that comes back bitwise unchanged (successive difference exactly
+    zero) stops the loop as converged regardless of the metric: the prefix is
+    final and the iteration map is deterministic, so nothing can change on any
+    later pass. Chaotic chains can floor the merit above any tolerance while
+    still being exact fixed points of the float map; this handles them soundly.
     """
-    cfg = cfg.resolved(sys.horizon)
     T = sys.horizon
-    tc = cfg.window or T
+    max_iters = cfg.max_iters or T
     ts = np.arange(1, T + 1)
     s0 = as_state(sys.initial_state, sys.dim)
     states = initial_guess(sys, cfg)
     front = 0     # frozen prefix: leading rows with zero residual
-    fvals = None  # f_t(s_{t-1}) on rows f_lo+1 .. f_lo+len(fvals) of the current states
+    fvals = None  # f_t(s_{t-1}) on rows f_lo+1 .. T of the current states
     f_lo = 0
-    t_done = 0
     resets = 0
     merit_hist: list = []
     diff_hist: list = []
     iterates: list = [] if cfg.record_iterates else None
     converged = False
     iters = 0
-    want_merit = cfg.record_history or cfg.metric == "merit"
     start = time.perf_counter()
-    while iters < cfg.max_iters:
+    while iters < max_iters:
         bad = ~np.isfinite(states)
         if bad.any():
             states[bad] = 0.0
             resets += 1
             fvals = None
         iters += 1
-        lo = max(front, t_done)
-        hi = min(lo + tc, T)
-        diff, current_merit, stationary = 0.0, 0.0, True  # the empty pass
-        if lo < T:
-            s_left = states[lo - 1] if lo > 0 else s0
-            old_tail = states[hi - 1].copy()
-            reuse = fvals is not None and f_lo <= lo and hi <= f_lo + len(fvals)
-            new_chunk = chunk_step(states[lo:hi], lo, s_left,
-                                   fvals[lo - f_lo:hi - f_lo] if reuse else None)
-            diff = max_abs_diff(new_chunk, states[lo:hi])
-            stationary = diff == 0.0 and lo == front and hi == T
-            states[lo:hi] = new_chunk
-            if hi < T and max_abs_diff(new_chunk[-1:], old_tail[None, :]) <= cfg.tol:
-                t_done = hi  # middle chunk: advance once the tail stops moving
-            if t_done == hi and not want_merit:
-                fvals = None  # the next chunk starts at hi, past every row f would cover
-            else:
-                f_lo, f_hi = (front, T) if want_merit else (lo, hi)
-                prev = states[f_lo - 1:f_hi - 1] if f_lo > 0 else np.vstack([s0, states[:f_hi - 1]])
-                with np.errstate(all="ignore"):
-                    fvals = sys.step_batch(ts[f_lo:f_hi], prev)
-                    r = states[f_lo:f_hi] - fvals
-                exact, current_merit = exact_rows_and_merit(r)
-                if f_lo == front:  # rows exact from the front on extend it
-                    front = T if front + exact == T else (front + exact) // FRONT_BLOCK * FRONT_BLOCK
+        diff, current_merit = 0.0, 0.0  # the empty pass
+        if front < T:
+            s_left = states[front - 1] if front > 0 else s0
+            new_chunk = chunk_step(states[front:], front, s_left,
+                                   None if fvals is None else fvals[front - f_lo:])
+            diff = max_abs_diff(new_chunk, states[front:])
+            states[front:] = new_chunk
+            f_lo = front
+            prev = states[front - 1:T - 1] if front > 0 else np.vstack([s0, states[:T - 1]])
+            with np.errstate(all="ignore"):
+                fvals = sys.step_batch(ts[front:], prev)
+                r = states[front:] - fvals
+            exact, current_merit = exact_rows_and_merit(r)
+            # rows exact from the front on extend it
+            front = T if front + exact == T else (front + exact) // FRONT_BLOCK * FRONT_BLOCK
         if cfg.record_history:
             diff_hist.append(diff)
             merit_hist.append(current_merit)
         if iterates is not None:
             iterates.append(states.copy())
-        if hi < T:
-            continue
-        if cfg.metric == "merit":
-            done = current_merit / T <= cfg.tol
-        else:
-            done = diff <= cfg.tol
-        if done or stationary:
+        measured = current_merit / T if cfg.metric == "merit" else diff
+        if measured <= cfg.tol or diff == 0.0:  # an unchanged pass is final
             converged = True
             break
     elapsed = time.perf_counter() - start

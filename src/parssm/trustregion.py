@@ -201,7 +201,7 @@ def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -
 
 def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     """Fixed-point loop around ``kalman_step``; same stopping and reporting
-    contract as ``fixed_point_solve`` (metric, reset heuristic, windowing).
+    contract as ``fixed_point_solve`` (metric, reset heuristic, causal front).
 
     Unlike the undamped family, the trust region pins each update toward the
     previous iterate (the already-correct coordinate contracts by

@@ -39,6 +39,7 @@ BAD_SETTINGS = [
     {"methods": [{"method": "quasi", "damping": None}]},
     {"methods": [{"method": "quasi", "damping": ["scale", 0.3]}]},
     {"max_iters": 2.5}, {"window": 2.5},
+    {"window": 16}, {"tolerence": 1e-8}, {"methods": [{"method": "newton", "lamda": 3}]},
 ]
 
 
@@ -93,6 +94,14 @@ class TestConfigParsing:
     @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=lambda d: json.dumps(d))
     def test_bad_setting_fails_at_load(self, tmp_path, bad):
         with pytest.raises(P.ContractError):
+            bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"tolerence": 1e-8}, "'tolerence'"),
+        ({"methods": [{"method": "newton", "lamda": 3}]}, "'lamda'"),
+    ], ids=["top-level", "method-entry"])
+    def test_unknown_key_is_named(self, tmp_path, bad, key):
+        with pytest.raises(P.ContractError, match=key):
             bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
 
     def test_bad_setting_exits_2(self, tmp_path, capsys):
@@ -194,6 +203,26 @@ class TestRunExperiment:
         assert bad.diag_error.startswith("NumericalFailure: ")
         assert np.isnan(bad.lle) and np.isnan(bad.gamma)
         assert good.diag_error == "" and np.isfinite(good.lle)
+
+    def test_rate_diagnostics_past_the_dense_guard(self, tmp_path):
+        """T*D = 5120 is past the dense oracles' guard, but the mismatch needs
+        no guard and the rate's per-coordinate path needs only T <= 4096, so
+        both columns are filled."""
+        doc = _tiny_config(tmp_path, model={"kind": "rnn", "D": 32, "T": 160, "g": 0.8},
+                           methods=[{"method": "quasi"}], sweep={}, seeds=[0])
+        [row] = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        assert row.error == "" and row.diag_error == ""
+        assert np.isfinite(row.mismatch) and np.isfinite(row.gamma)
+
+    def test_rate_refusal_is_the_diag_error(self, tmp_path):
+        """At T = 5000 the rate's own guard refuses; the refusal is named in
+        diag_error and the mismatch, which needs no guard, still stands."""
+        doc = _tiny_config(tmp_path, model={"kind": "affine", "T": 5000, "alpha": 0.5},
+                           methods=[{"method": "quasi"}], sweep={}, seeds=[0])
+        [row] = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        assert row.error == "" and row.converged
+        assert np.isfinite(row.mismatch) and np.isnan(row.gamma)
+        assert row.diag_error.startswith("ContractError:")
 
     def test_lambda_axis_checked_per_row(self, tmp_path):
         """A lambda axis sets each Kalman row's lam and leaves fixed-point rows

@@ -9,14 +9,18 @@ import pytest
 
 from parssm.cli import build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _readme_commands():
-    """The ``parssm ...`` lines of the README's CLI section."""
-    section = README.read_text().split("## CLI", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    return [line for line in block.splitlines() if line.startswith("parssm ")]
+def _documented_commands():
+    """The ``parssm ...`` lines of the CLI sections of README.md and PAPER.md,
+    each line once, README's first."""
+    lines = []
+    for doc in ("README.md", "PAPER.md"):
+        section = (ROOT / doc).read_text().split("## CLI", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines += [line for line in block.splitlines() if line.startswith("parssm ")]
+    return list(dict.fromkeys(lines))
 
 
 class TestSolve:
@@ -69,14 +73,6 @@ class TestOracle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] and payload["max_deviation"] <= 1e-8
 
-    def test_scan_fold(self, capsys):
-        for kind in ("dense", "diagonal"):
-            assert main(["oracle", "scan-fold", "-T", "128", "-D", "4", "--kind", kind]) == 0
-            assert json.loads(capsys.readouterr().out)["ok"]
-
-    def test_jinv(self, capsys):
-        assert main(["oracle", "jinv", "-T", "8", "-D", "3"]) == 0
-        assert json.loads(capsys.readouterr().out)["ok"]
 
 
 class TestLle:
@@ -132,13 +128,19 @@ class TestExitCodes:
         assert main(["solve", "--model", "affine", "--alpha", "0.5", "-T", "8",
                      "--method", method, *flags]) == 2
 
+    def test_window_flag_is_a_usage_error(self, capsys):
+        """Every pass works on the rows past the causal front; there is no
+        window to set (a "window" config key fails the same way)."""
+        assert main(["solve", "--model", "affine", "-T", "8", "--window", "4"]) == 2
+        assert "--window" in capsys.readouterr().err
+
     def test_runtime_failure_is_3(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "missing.json")]) == 3
         err = capsys.readouterr().err
         assert json.loads(err)["type"]
 
 
-@pytest.mark.parametrize("line", _readme_commands())
+@pytest.mark.parametrize("line", _documented_commands())
 def test_readme_command_parses(line):
-    """Every command the README documents parses; none is run."""
+    """Every command the README or PAPER.md documents parses; none is run."""
     build_parser().parse_args(shlex.split(line)[1:])

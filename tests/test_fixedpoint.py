@@ -1,6 +1,4 @@
-"""Fixed-point solver loop: linearization, convergence, damping, windowing."""
-
-from dataclasses import replace
+"""Fixed-point solver loop: linearization, convergence, damping, causal front."""
 
 import numpy as np
 import pytest
@@ -28,10 +26,14 @@ class TestMethodAndDampingTypes:
             Damping.clip(0.5, 1.0)  # needs lo <= 0
         assert Damping.parse("clip:-0.8:0.8").hi == pytest.approx(0.8)
 
-    @pytest.mark.parametrize("kwargs", [dict(tol="1e-8"), dict(tol=True), dict(max_iters="100")])
-    def test_settings_must_be_numbers(self, kwargs):
+    @pytest.mark.parametrize("make, kwargs", [
+        (SolverConfig, dict(tol="1e-8")), (SolverConfig, dict(tol=True)),
+        (SolverConfig, dict(max_iters="100")), (SolverMethod, dict(kind="scaled", coeff="0.5")),
+        (Damping, dict(kind="scale", k="0.3")), (Damping, dict(kind="clip", lo="a")),
+    ])
+    def test_settings_must_be_numbers(self, make, kwargs):
         with pytest.raises(P.ContractError, match="must be a real number"):
-            SolverConfig(**kwargs)
+            make(**kwargs)
 
 
 class TestLinearize:
@@ -166,19 +168,6 @@ class TestFixedPointSolve:
         assert len(rep.merit_history) == rep.iterations
         assert rep.diff_history[-1] <= 1e-8
         assert rep.merit_history[-1] <= rep.merit_history[0]
-
-    def test_window_matches_full_solve(self):
-        """A sliding window converges to the same trajectory, left to right."""
-        sys_ = P.models.build("gru", 60, D=4, seed=3)
-        full = fixed_point_solve(sys_, SolverConfig(tol=1e-10), NEWTON)
-        windowed = fixed_point_solve(sys_, SolverConfig(tol=1e-10, window=16, max_iters=600), NEWTON)
-        assert windowed.converged
-        assert P.max_abs_diff(windowed.trajectory, full.trajectory) <= 1e-8
-
-    def test_window_validation(self):
-        sys_ = P.models.build("affine", 8, alpha=0.5)
-        with pytest.raises(P.ContractError):
-            fixed_point_solve(sys_, SolverConfig(window=9), NEWTON)
 
     def test_quasi_diagonal_equals_diag_embedded_in_dense(self):
         """The diagonal-lane iteration equals the same iteration with the
@@ -320,52 +309,18 @@ class TestCausalFront:
         np.testing.assert_array_equal(b, b_fresh)
         np.testing.assert_array_equal(fvals, given)  # the caller's array is not written
 
-    def test_windowed_solve_without_history_evaluates_f_on_its_chunk(self):
-        sys_ = P.models.build("gru", 200, D=4, seed=3)
-        calls = _spy_step_batch(sys_)
-        cfg = SolverConfig(tol=1e-10, window=20, record_history=False, max_iters=2000)
-        rep = fixed_point_solve(sys_, cfg, NEWTON)
-        assert rep.converged
-        assert calls[0] == 200 and max(calls[1:]) <= 20  # after the Jacobi guess
-
-    @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL, PICARD])
-    def test_window_advance_evaluates_no_residual(self, method, monkeypatch):
-        """Without history or the merit metric, a pass that advances the
-        window skips its residual: f runs on exactly (advances x window) rows
-        fewer than one linearization plus one residual per pass would take,
-        and the iterates equal those of the solve that records its history."""
-        import parssm.fixedpoint as fp
-
-        T, window = 1000, 50
-        sys_ = P.models.build("gru", T, D=4, seed=0)
-        calls = _spy_step_batch(sys_)
-        chunks = []  # (first row, rows, linearized without reused f) per pass
-        inner = fp._linearize_stacked
-
-        def spy(system, prev, ts, m, damping, fvals=None):
-            chunks.append((int(ts[0]) - 1, len(ts), fvals is None))
-            return inner(system, prev, ts, m, damping, fvals)
-
-        monkeypatch.setattr(fp, "_linearize_stacked", spy)
-        cfg = SolverConfig(tol=1e-8, window=window, record_history=False)
-        rep = fixed_point_solve(sys_, cfg, method)
-        assert rep.converged
-        starts = [lo for lo, _, _ in chunks]
-        advances = sum(b == a + window for a, b in zip(starts, starts[1:]))
-        assert advances == T // window - 1
-        every_pass = T + sum(n for _, n, fresh in chunks if fresh) + sum(n for _, n, _ in chunks)
-        assert sum(calls) == every_pass - advances * window  # T is the Jacobi guess
-        monkeypatch.undo()
-        ref = fixed_point_solve(P.models.build("gru", T, D=4, seed=0),
-                                replace(cfg, record_history=True), method)
-        assert rep.iterations == ref.iterations
-        np.testing.assert_array_equal(rep.trajectory.states, ref.trajectory.states)
-
-    @pytest.mark.parametrize("method", [QUASI_DIAGONAL, PICARD, JACOBI, NEWTON])
-    def test_windowed_s5_matches_oracle(self, method):
-        sys_ = P.models.build("s5", 200, seed=1)
-        cfg = SolverConfig(tol=1e-18, metric="merit", window=32, init="normal", seed=1)
-        rep = fixed_point_solve(sys_, cfg, method)
-        assert rep.converged and rep.iterations <= 200
-        np.testing.assert_array_equal(rep.trajectory.states, P.rollout_sequential(sys_).states)
-
+    @pytest.mark.parametrize("method", [QUASI_DIAGONAL, NEWTON])
+    def test_history_flag_changes_no_f_row(self, method):
+        """Turning the histories off only stops recording: every pass
+        evaluates f on the same rows, and the iterates are the same."""
+        runs = []
+        for record in (True, False):
+            sys_ = P.models.build("gru", 200, D=4, seed=3)
+            calls = _spy_step_batch(sys_)
+            rep = fixed_point_solve(sys_, SolverConfig(tol=1e-10, record_history=record), method)
+            assert rep.converged
+            runs.append((calls, rep))
+        (calls_on, on), (calls_off, off) = runs
+        assert calls_off == calls_on
+        assert off.iterations == on.iterations and off.diff_history == []
+        np.testing.assert_array_equal(off.trajectory.states, on.trajectory.states)
