@@ -203,15 +203,18 @@ def exact_rows_and_merit(r: np.ndarray) -> tuple[int, float]:
     precede the rest, so a block's merit equals the merit of any longer block
     that extends it by exact rows. m is +inf when an entry is non-finite or
     the sum of squares overflows.
+
+    One flat ``argmax`` finds the first nonzero entry, and its row is k. The
+    sum of squares is finite exactly when every entry is finite and nothing
+    overflows, so the dot product itself is the finiteness test.
     """
-    moved = np.flatnonzero(np.any(r != 0.0, axis=1))
-    k = int(moved[0]) if moved.size else len(r)
-    rest = r[k:]
-    if not np.all(np.isfinite(rest)):
-        return k, float("inf")
-    flat = rest.ravel()
-    with np.errstate(over="ignore"):
-        return k, 0.5 * float(np.dot(flat, flat))
+    moved = (r != 0.0).ravel()
+    first = int(np.argmax(moved)) if moved.size else 0
+    k = first // r.shape[1] if moved.size and moved[first] else len(r)
+    flat = r[k:].ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = 0.5 * float(np.dot(flat, flat))
+    return k, m if np.isfinite(m) else float("inf")
 
 
 def max_abs_diff(a, b) -> float:
@@ -225,7 +228,6 @@ def max_abs_diff(a, b) -> float:
     if xa.shape != xb.shape:
         raise ContractError(f"shape mismatch: {xa.shape} vs {xb.shape}")
     with np.errstate(invalid="ignore"):
-        d = np.abs(xa - xb)
-    if np.isnan(d).any():
-        return float("inf")
-    return float(d.max()) if d.size else 0.0
+        d = xa - xb
+        m = float(np.abs(d, out=d).max(initial=0.0))  # NaN propagates through the max
+    return float("inf") if np.isnan(m) else m

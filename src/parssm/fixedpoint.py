@@ -197,21 +197,23 @@ def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None):
     (non-finite step value or magnitude beyond the overflow guard) are
     linearized at the reset value 0 instead, with f evaluated afresh there,
     so the returned operators are the method transition at a point the
-    dynamics can actually evaluate.
+    dynamics can actually evaluate. Both checks first test the whole block
+    at once and build their per-row masks only when that test fails.
     """
     prev = np.asarray(states_prev, dtype=np.float64)
     with np.errstate(all="ignore"):
         fvals = sys.step_batch(ts, prev) if fvals is None else fvals
-        bad = ~np.all(np.isfinite(fvals), axis=1)
-        bad |= np.max(np.abs(prev), axis=1) > OVERFLOW_GUARD
-        if bad.any():
-            prev = np.where(bad[:, None], 0.0, prev)
-            fvals = fvals.copy()
-            fvals[bad] = sys.step_batch(np.asarray(ts)[bad], np.zeros((int(bad.sum()), prev.shape[1])))
+        if not (np.isfinite(fvals).all() and np.abs(prev).max(initial=0.0) <= OVERFLOW_GUARD):
+            bad = ~np.all(np.isfinite(fvals), axis=1)
+            bad |= np.max(np.abs(prev), axis=1) > OVERFLOW_GUARD
+            if bad.any():
+                prev = np.where(bad[:, None], 0.0, prev)
+                fvals = fvals.copy()
+                fvals[bad] = sys.step_batch(np.asarray(ts)[bad],
+                                            np.zeros((int(bad.sum()), prev.shape[1])))
         lane, A = _method_transitions(sys, ts, prev, method, damping)
-        if A is not None:
-            flat = A.reshape(len(ts), -1)
-            abad = ~np.all(np.isfinite(flat), axis=1)
+        if A is not None and not np.isfinite(A).all():
+            abad = ~np.all(np.isfinite(A.reshape(len(ts), -1)), axis=1)
             if abad.any():
                 sub_ts = np.asarray(ts)[abad]
                 zeros = np.zeros((int(abad.sum()), prev.shape[1]))

@@ -25,6 +25,7 @@ worker: ``scan_stacked`` keeps a ``workers`` keyword that accepts only 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,11 +189,15 @@ def lane_transitions(lane: str, A, T: int) -> list:
     return [Transition(kind, float(a) if lane == SCALAR else a) for a in A]
 
 
+@functools.lru_cache(maxsize=64)
 def lane_algebra(lane: str, D: int):
     """(product, transpose, inverse, identity) on the lane's stacks: matrix
-    algebra on "dense" (T, D, D) stacks, elementwise on the others."""
+    algebra on "dense" (T, D, D) stacks, elementwise on the others. Memoized
+    per (lane, D), so the dense identity is built once and is read-only."""
     if lane == DENSE:
-        return np.matmul, lambda X: np.swapaxes(X, -1, -2), np.linalg.inv, np.eye(D)
+        eye = np.eye(D)
+        eye.flags.writeable = False
+        return np.matmul, lambda X: np.swapaxes(X, -1, -2), np.linalg.inv, eye
     return np.multiply, lambda X: X, np.reciprocal, 1.0
 
 

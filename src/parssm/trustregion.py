@@ -86,6 +86,14 @@ def _filter_covariances(lane, A, lam):
     and Abar_1 = J_1 = 0 since s_0 is known. Element i then j combines to
     M = (I + C_i J_j)^-1, Abar = Abar_j M Abar_i, C = Abar_j M C_i Abar_j^T
     + C_j, J = Abar_i^T M^T J_j Abar_i + J_i. The data never enter.
+
+    Only the up-sweep levels below the top one update Abar and J. The top
+    up-sweep level and every down-sweep level come last, and each writes slots
+    that then hold whole prefixes from element 1 (``tree_schedule``). No later
+    level combines such a slot as its right element j, and the new C needs
+    only C_i of the left element. So the Abar and J those levels would write
+    are never read, and they compute C alone: every C is bit for bit the one
+    the full combine on every level gives.
     """
     mul, tr, inv, one = lane_algebra(lane, A.shape[1])
     Ab = A / (1.0 + lam)
@@ -94,12 +102,13 @@ def _filter_covariances(lane, A, lam):
     Ab[0] = 0.0
     J[0] = 0.0
     up, down = tree_schedule(len(A))
-    for hi, lo in up + down:
+    for level, (hi, lo) in enumerate(up + down):
         M = inv(one + mul(C[lo], J[hi]))
         AM = mul(Ab[hi], M)
         C[hi] = mul(mul(AM, C[lo]), tr(Ab[hi])) + C[hi]
-        J[hi] = mul(mul(tr(Ab[lo]), mul(tr(M), J[hi])), Ab[lo]) + J[lo]
-        Ab[hi] = mul(AM, Ab[lo])
+        if level < len(up) - 1:
+            J[hi] = mul(mul(tr(Ab[lo]), mul(tr(M), J[hi])), Ab[lo]) + J[lo]
+            Ab[hi] = mul(AM, Ab[lo])
     return C
 
 
@@ -112,6 +121,8 @@ def _raise_at_first(bad, message):
 def _check_covariances(lane, sig):
     """Raise NumericalFailure at the first step with a non-finite or asymmetric
     covariance, else at the first indefinite (full) or negative (diagonal) one.
+    Otherwise return the stack symmetrized, 0.5 (Sigma + Sigma^T) (a diagonal
+    stack is its own transpose and comes back as it is).
 
     A full stack is first offered to one batched Cholesky factorization, which
     certifies the common case: when it succeeds every covariance is positive
@@ -124,7 +135,7 @@ def _check_covariances(lane, sig):
     broken = ~np.all(np.isfinite(flat), axis=1)
     if lane != DENSE:
         _raise_at_first(broken | (flat.min(axis=1) < 0.0), "covariance update went negative")
-        return
+        return sig
     scale = np.maximum(1.0, np.abs(flat).max(axis=1))
     asym = np.abs(sig - np.swapaxes(sig, 1, 2)).reshape(T, -1).max(axis=1)
     _raise_at_first(broken | (asym > 1e-8 * scale), "covariance update lost symmetry")
@@ -134,6 +145,7 @@ def _check_covariances(lane, sig):
     except np.linalg.LinAlgError:
         min_eigs = np.linalg.eigvalsh(sym)[:, 0]
         _raise_at_first(min_eigs < -1e-8 * scale, "covariance update went indefinite")
+    return sym
 
 
 def _forward(lane, A, b, emissions, s_left, lam):
@@ -146,9 +158,7 @@ def _forward(lane, A, b, emissions, s_left, lam):
     """
     mul, tr, inv, one = lane_algebra(lane, b.shape[1])
     with np.errstate(all="ignore"):
-        sig_post = _filter_covariances(lane, A, lam)
-        _check_covariances(lane, sig_post)
-    sig_post = 0.5 * (sig_post + tr(sig_post))
+        sig_post = _check_covariances(lane, _filter_covariances(lane, A, lam))
     sig_pred = np.broadcast_to(one, sig_post.shape).copy()
     sig_pred[1:] += mul(mul(A[1:], sig_post[:-1]), tr(A[1:]))
     gamma = inv(lam * sig_pred + one)

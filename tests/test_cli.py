@@ -13,14 +13,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _documented_commands():
-    """The ``parssm ...`` lines of the CLI sections of README.md and PAPER.md,
-    each line once, README's first."""
-    lines = []
-    for doc in ("README.md", "PAPER.md"):
-        section = (ROOT / doc).read_text().split("## CLI", 1)[1]
-        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-        lines += [line for line in block.splitlines() if line.startswith("parssm ")]
-    return list(dict.fromkeys(lines))
+    """The ``parssm ...`` lines of README.md's CLI section, each line once."""
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return list(dict.fromkeys(line for line in block.splitlines() if line.startswith("parssm ")))
 
 
 class TestSolve:
@@ -142,5 +138,5 @@ class TestExitCodes:
 
 @pytest.mark.parametrize("line", _documented_commands())
 def test_readme_command_parses(line):
-    """Every command the README or PAPER.md documents parses; none is run."""
+    """Every command the README documents parses; none is run."""
     build_parser().parse_args(shlex.split(line)[1:])

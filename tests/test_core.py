@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import parssm as P
+from parssm.core import exact_rows_and_merit
 from parssm.models import FunctionSystem, ScalarAffine
 
 
@@ -123,6 +124,74 @@ class TestMaxAbsDiff:
     def test_shape_mismatch(self):
         with pytest.raises(P.ContractError):
             P.max_abs_diff(np.zeros((3, 2)), np.zeros((2, 3)))
+
+
+def _rows_and_merit_per_row(r):
+    """The per-row form ``exact_rows_and_merit``'s whole-array path replaces."""
+    moved = np.flatnonzero(np.any(r != 0.0, axis=1))
+    k = int(moved[0]) if moved.size else len(r)
+    rest = r[k:]
+    if not np.all(np.isfinite(rest)):
+        return k, float("inf")
+    flat = rest.ravel()
+    with np.errstate(over="ignore"):
+        return k, 0.5 * float(np.dot(flat, flat))
+
+
+def _max_abs_diff_masked(x, y):
+    """The NaN-mask form ``max_abs_diff``'s single max replaces."""
+    with np.errstate(invalid="ignore"):
+        d = np.abs(x - y)
+    if np.isnan(d).any():
+        return float("inf")
+    return float(d.max()) if d.size else 0.0
+
+
+def _edge_blocks():
+    """Residual-like blocks: leading exact zeros (some -0.0), all-zero and
+    empty blocks, NaN, +-inf, inf - inf, and entries whose squares overflow."""
+    rng = np.random.default_rng(11)
+    blocks = {"random": rng.standard_normal((40, 5)),
+              "all-zero": np.zeros((40, 5)), "empty": np.zeros((0, 5)),
+              "no-columns": np.zeros((3, 0)), "one-row": np.array([[0.0, 2.0]])}
+    lead = rng.standard_normal((40, 5))
+    lead[:17] = 0.0
+    lead[3, 1] = -0.0
+    blocks["leading-zeros"] = lead
+    blocks["last-entry-only"] = np.zeros((40, 5))
+    blocks["last-entry-only"][-1, -1] = 1e-300
+    for name, value in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf),
+                        ("overflow", 1e200)):
+        for row in (0, 17, 39):
+            r = lead.copy()
+            r[row, 2] = value
+            blocks[f"{name}@{row}"] = r
+    with np.errstate(invalid="ignore"):
+        inf = np.where(lead != 0.0, np.inf, 0.0)
+        blocks["inf-inf"] = lead + inf - inf  # NaN past the leading zeros
+    return blocks
+
+
+EDGE_BLOCKS = _edge_blocks()
+
+
+class TestWholeArrayPaths:
+    """The whole-array tests of ``exact_rows_and_merit`` and ``max_abs_diff``
+    give what the per-row forms give, on every edge case."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
+    def test_exact_rows_and_merit(self, name):
+        r = EDGE_BLOCKS[name]
+        assert exact_rows_and_merit(r) == _rows_and_merit_per_row(r)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
+    def test_max_abs_diff(self, name):
+        x = EDGE_BLOCKS[name]
+        y = EDGE_BLOCKS["leading-zeros" if x.shape == (40, 5) else name].copy()
+        if y.size:
+            y.flat[-1] = np.inf  # inf against inf, and inf against a finite entry
+        for a, b in ((x, y), (y, x), (x, x), (x, np.zeros_like(x))):
+            assert P.max_abs_diff(a, b) == _max_abs_diff_masked(a, b)
 
 
 class TestJacobianConsistency:

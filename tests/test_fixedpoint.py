@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import parssm as P
-from parssm.fixedpoint import (FRONT_BLOCK, JACOBI, NEWTON, PICARD, QUASI_DIAGONAL,
-                               Damping, SolverConfig, SolverMethod, fixed_point_solve,
+from parssm.fixedpoint import (FRONT_BLOCK, JACOBI, NEWTON, NO_DAMPING, OVERFLOW_GUARD,
+                               PICARD, QUASI_DIAGONAL, Damping, SolverConfig, SolverMethod,
+                               _linearize_stacked, _method_transitions, fixed_point_solve,
                                jacobi_init, linearize, prefix_lock_check)
-from parssm.pscan import evaluate_lds
+from parssm.pscan import ZERO, evaluate_lds, lane_apply
 
 
 class TestMethodAndDampingTypes:
@@ -99,6 +100,105 @@ class TestLinearize:
         for op in ops:
             assert np.all(np.isfinite(op.A.matrix(5)))
             assert np.all(np.isfinite(op.b))
+
+
+class MarkedExp(P.DynamicsSystem):
+    """f_t(s) = exp(s)/2 + t/10 elementwise. f overflows past s = 710, and the
+    Jacobian (and its diagonal) reads NaN on rows with s_2 < -50, where f is
+    finite, so each of the three per-row guards can be set off on its own."""
+
+    def __init__(self, T):
+        self.dim, self.horizon, self.initial_state = 2, T, np.zeros(2)
+
+    def step_batch(self, ts, S):
+        return 0.5 * np.exp(S) + 0.1 * np.asarray(ts)[:, None]
+
+    def diag_jacobian_batch(self, ts, S):
+        d = 0.5 * np.exp(S)
+        d[S[:, 1] < -50.0] = np.nan
+        return d
+
+    def jacobian_batch(self, ts, S):
+        out = np.zeros((len(S), 2, 2))
+        out[:, [0, 1], [0, 1]] = self.diag_jacobian_batch(ts, S)
+        return out
+
+
+def _linearize_per_row(sys_, prev, ts, method, damping, fvals=None):
+    """The per-row guards ``_linearize_stacked``'s whole-array tests bypass."""
+    with np.errstate(all="ignore"):
+        fvals = sys_.step_batch(ts, prev) if fvals is None else fvals
+        bad = ~np.all(np.isfinite(fvals), axis=1)
+        bad |= np.max(np.abs(prev), axis=1) > OVERFLOW_GUARD
+        if bad.any():
+            prev = np.where(bad[:, None], 0.0, prev)
+            fvals = fvals.copy()
+            fvals[bad] = sys_.step_batch(ts[bad], np.zeros((int(bad.sum()), prev.shape[1])))
+        lane, A = _method_transitions(sys_, ts, prev, method, damping)
+        if A is not None:
+            abad = ~np.all(np.isfinite(A.reshape(len(ts), -1)), axis=1)
+            if abad.any():
+                zeros = np.zeros((int(abad.sum()), prev.shape[1]))
+                A[abad] = _method_transitions(sys_, ts[abad], zeros, method, damping)[1]
+        b = fvals if lane == ZERO else fvals - lane_apply(lane, A, prev)
+    return lane, A, b
+
+
+# row of prev -> what it sets off: |s| past the guard (with f finite or not),
+# non-finite f, a non-finite Jacobian row, and a NaN state
+MARKS = {"guard": (3, [-2e100, 0.5]), "guard-and-f": (5, [1e101, 0.5]),
+         "f-overflow": (7, [800.0, 0.5]), "f-inf": (8, [np.inf, 0.0]),
+         "-inf": (9, [-np.inf, 0.0]), "nan": (10, [0.0, np.nan]),
+         "jacobian": (12, [0.3, -60.0])}
+
+
+class TestWholeArrayGuards:
+    """``_linearize_stacked`` tests the whole block first; whether or not that
+    test passes, it returns what the per-row guards return."""
+
+    @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL, PICARD, JACOBI,
+                                        SolverMethod("scaled", 0.5)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("marks", [(), ("guard",), ("f-overflow",), ("jacobian",),
+                                       tuple(MARKS)], ids=lambda m: "+".join(m) or "clean")
+    @pytest.mark.parametrize("given_f", [False, True])
+    def test_matches_per_row_guards(self, method, marks, given_f):
+        T = 16
+        sys_ = MarkedExp(T)
+        ts = np.arange(1, T + 1)
+        prev = np.random.default_rng(0).uniform(-1.0, 1.0, (T, 2))
+        for name in marks:
+            row, value = MARKS[name]
+            prev[row] = value
+        with np.errstate(all="ignore"):
+            fvals = sys_.step_batch(ts, prev) if given_f else None
+        want = _linearize_per_row(sys_, prev, ts, method, NO_DAMPING, fvals)
+        got = _linearize_stacked(sys_, prev, ts, method, NO_DAMPING, fvals)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert (g is None and w is None) or np.array_equal(g, w, equal_nan=True)
+
+    def test_flagged_rows_are_linearized_at_zero(self):
+        """Rows past the guard or with non-finite f are reset: A_t and b_t are
+        taken at s = 0. A row whose Jacobian alone is non-finite keeps its
+        point, and only its A_t is taken at 0."""
+        T = 16
+        sys_ = MarkedExp(T)
+        ts = np.arange(1, T + 1)
+        prev = np.full((T, 2), 0.25)
+        for row, value in MARKS.values():
+            prev[row] = value
+        lane, A, b = _linearize_stacked(sys_, prev, ts, NEWTON, NO_DAMPING)
+        at_zero = 0.5 * np.eye(2)
+        for name, (row, _) in MARKS.items():
+            np.testing.assert_array_equal(A[row], at_zero)
+            if name != "jacobian":
+                np.testing.assert_array_equal(b[row], 0.5 + 0.1 * ts[row])
+        row = MARKS["jacobian"][0]
+        np.testing.assert_array_equal(
+            b[row], sys_.step_batch(ts[row:row + 1], prev[row:row + 1])[0] - at_zero @ prev[row])
+        clean = np.setdiff1d(np.arange(T), [r for r, _ in MARKS.values()])
+        np.testing.assert_array_equal(A[clean], np.broadcast_to(0.5 * np.exp(0.25) * np.eye(2),
+                                                                (len(clean), 2, 2)))
 
 
 class TestJacobiInit:

@@ -7,9 +7,10 @@ import pytest
 
 import parssm as P
 from parssm.fixedpoint import NEWTON, SolverConfig, linearize
-from parssm.pscan import evaluate_lds, evaluate_stacked
-from parssm.trustregion import (TrustRegionConfig, _check_covariances, _forward, _smooth,
-                                attenuation, kalman_solve, kalman_step, lm_step_dense)
+from parssm.pscan import evaluate_lds, evaluate_stacked, lane_algebra, tree_schedule
+from parssm.trustregion import (TrustRegionConfig, _check_covariances, _filter_covariances,
+                                _forward, _smooth, attenuation, kalman_solve, kalman_step,
+                                lm_step_dense)
 
 
 def _noisy_guess(sys_, scale=1.0, seed=0):
@@ -116,6 +117,36 @@ class TestScanEqualsSequentialOracle:
             assert _step_relative_error(g, w) <= 1e-10
         smoothed = _smooth(lane, A, b, *got)
         assert _step_relative_error(smoothed, _sequential_rts(lane, A, b, *got)) <= 1e-10
+
+
+def _filter_covariances_every_level(lane, A, lam):
+    """The covariance scan with the full element combine (Abar, C and J) on
+    every level, the form ``_filter_covariances`` cuts to C alone on the levels
+    whose Abar and J are never read."""
+    mul, tr, inv, one = lane_algebra(lane, A.shape[1])
+    Ab = A / (1.0 + lam)
+    C = np.broadcast_to(one / (1.0 + lam), A.shape).copy()
+    J = (lam / (1.0 + lam)) * mul(tr(A), A)
+    Ab[0] = 0.0
+    J[0] = 0.0
+    up, down = tree_schedule(len(A))
+    for hi, lo in up + down:
+        M = inv(one + mul(C[lo], J[hi]))
+        AM = mul(Ab[hi], M)
+        C[hi] = mul(mul(AM, C[lo]), tr(Ab[hi])) + C[hi]
+        J[hi] = mul(mul(tr(Ab[lo]), mul(tr(M), J[hi])), Ab[lo]) + J[lo]
+        Ab[hi] = mul(AM, Ab[lo])
+    return C
+
+
+class TestCovarianceScanCut:
+    @pytest.mark.parametrize("lane", ["dense", "diagonal"])
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 8, 100, 128, 129])
+    def test_bit_identical_to_the_full_combine(self, T, lam, lane):
+        A = _lorenz96_linearization(T, lane)[0]
+        got = _filter_covariances(lane, A, lam)
+        assert np.array_equal(got, _filter_covariances_every_level(lane, A, lam))
 
 
 class TestConfig:
