@@ -180,6 +180,7 @@ class RunRecord:
     diag_error: str = ""
     merit_history: list | None = None
     diff_history: list | None = None
+    front_history: list | None = None
 
     def as_row(self) -> dict:
         row = {name: getattr(self, "lam" if name == "lambda" else name) for name in _RECORD_FIELDS}
@@ -229,6 +230,7 @@ def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
         if cfg.solver.record_history:
             record.merit_history = report.merit_history
             record.diff_history = report.diff_history
+            record.front_history = report.front_history
         try:
             est = diagnostics.estimate_lle(sys_, oracle, probes=3, seed=seed)
             record.lle = est.lam
@@ -291,7 +293,7 @@ def write_csv(records, path: str):
 
 
 def write_sidecar(records, path: str):
-    """JSON sidecar holding full merit/diff histories keyed by coordinates."""
+    """JSON sidecar holding full merit/diff/front histories keyed by coordinates."""
     payload = []
     for rec in records:
         if rec.merit_history is None and rec.diff_history is None:
@@ -299,7 +301,7 @@ def write_sidecar(records, path: str):
         payload.append({
             "model_params": rec.model_params, "method": rec.method, "T": rec.T,
             "seed": rec.seed, "merit_history": rec.merit_history,
-            "diff_history": rec.diff_history,
+            "diff_history": rec.diff_history, "front_history": rec.front_history,
         })
     with open(path, "w") as f:
         json.dump(payload, f, indent=1)

@@ -63,6 +63,13 @@ def _add_solver_args(p: argparse.ArgumentParser):
                    help="jacobian variant for the kalman method")
 
 
+def _rows_worked_frac(report, T: int) -> float:
+    """Share of the T rows each pass worked on, sum(T - front) / (iterations T),
+    with the front each pass started from read off ``front_history``."""
+    started = [0] + report.front_history[:-1]
+    return sum(T - f for f in started) / (report.iterations * T)
+
+
 def _cmd_solve(args) -> int:
     sys_ = _build_model(args)
     entry = bench.MethodEntry.from_dict({key: v for key, v in (
@@ -78,6 +85,7 @@ def _cmd_solve(args) -> int:
         "converged": report.converged, "iterations": report.iterations,
         "resets": report.resets, "final_diff": report.final_diff,
         "final_err_vs_oracle": err, "merit": merit(sys_, report.trajectory),
+        "rows_worked_frac": _rows_worked_frac(report, sys_.horizon),
         "elapsed_s": report.elapsed,
     }
     if args.json:

@@ -195,23 +195,36 @@ def merit(sys: DynamicsSystem, traj: Trajectory) -> float:
     return exact_rows_and_merit(residual(sys, traj))[1]
 
 
-def exact_rows_and_merit(r: np.ndarray) -> tuple[int, float]:
-    """(k, m) for a residual block r: k leading rows are exactly zero, and m
-    is half the squared Frobenius norm, summed over rows k on only.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def exact_rows_and_merit(r: np.ndarray, eps: float = 0.0) -> tuple[int, float]:
+    """(k, m) for a residual block r: the k leading rows have max_i |r_t,i| at
+    most ``eps``, and m is half the squared Frobenius norm, summed from the
+    first row with a nonzero entry on. A NaN or infinite entry is never within
+    ``eps``, so k stops at its row. With eps = 0 the k rows are exactly zero.
 
     Skipping the zero rows makes m bitwise independent of how many of them
     precede the rest, so a block's merit equals the merit of any longer block
     that extends it by exact rows. m is +inf when an entry is non-finite or
     the sum of squares overflows.
 
-    One flat ``argmax`` finds the first nonzero entry, and its row is k. The
+    One flat ``argmax`` finds the first nonzero entry, and its row z starts
+    the sum. Only when that entry is itself within ``eps`` does a second flat
+    scan, from it on, find the first entry past ``eps``, whose row is k. The
     sum of squares is finite exactly when every entry is finite and nothing
     overflows, so the dot product itself is the finiteness test.
     """
-    moved = (r != 0.0).ravel()
-    first = int(np.argmax(moved)) if moved.size else 0
-    k = first // r.shape[1] if moved.size and moved[first] else len(r)
-    flat = r[k:].ravel()
+    d = r.shape[1]
+    flat = r.ravel()
+    moved = flat != 0.0
+    first = int(np.argmax(moved)) if flat.size else 0
+    z = k = first // d if flat.size and moved[first] else len(r)
+    if k < len(r) and abs(flat[first]) <= eps:  # False at NaN
+        within = np.abs(flat[first:]) <= min(eps, _FLOAT_MAX)  # False at NaN and +-inf
+        past = int(np.argmin(within))
+        k = (first + past) // d if not within[past] else len(r)
+    flat = flat[z * d:]
     with np.errstate(over="ignore", invalid="ignore"):
         m = 0.5 * float(np.dot(flat, flat))
     return k, m if np.isfinite(m) else float("inf")

@@ -152,6 +152,7 @@ class SolveReport:
     elapsed: float
     final_diff: float  # the last pass's successive difference, recorded or not
     iterates: list | None = None
+    front_history: list = field(default_factory=list)  # the frozen front after each pass
 
 
 OVERFLOW_GUARD = 1e100  # iterate entries beyond this are treated as overflowed
@@ -161,6 +162,16 @@ OVERFLOW_GUARD = 1e100  # iterate entries beyond this are treated as overflowed
 # so a front moving one row per pass would strand per-row arrays (n-byte masks)
 # at every length from T down: about 3 MB more peak memory at T=1000.
 FRONT_BLOCK = 16
+
+
+def front_tolerance(cfg: SolverConfig) -> float:
+    """eps_front: the largest row residual max_i |r_t,i| that freezes a row.
+
+    A millionth of the scale the stop reads: of ``tol`` itself under the
+    difference metric, and of sqrt(2 tol), the size of an entry whose square
+    alone meets merit/T <= tol, under the merit metric.
+    """
+    return 1e-6 * (np.sqrt(2.0 * cfg.tol) if cfg.metric == "merit" else cfg.tol)
 
 
 def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
@@ -265,20 +276,28 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     rows, or None when the chunk step must evaluate f itself.
 
     The causal front is the number of leading rows whose residual
-    s_t - f_t(s_{t-1}) is exactly zero. By induction from the fixed s_0 those
-    rows solve the recurrence, so they are final, and in exact arithmetic every
-    pass makes at least one more row exact. The loop freezes the front rounded
-    down to whole blocks of ``FRONT_BLOCK`` rows (all T rows once every one is
-    exact), and each pass works on [front, T) only.
+    max_i |s_t,i - f_t(s_{t-1})_i| is at most eps_front (``front_tolerance``:
+    1e-6 tol under the difference metric, 1e-6 sqrt(2 tol) under the merit
+    metric). A NaN or infinite residual is never within it. The loop freezes
+    the front rounded down to whole blocks of ``FRONT_BLOCK`` rows (all T rows
+    once every one is within eps_front), and each pass works on [front, T)
+    only. A frozen row and its predecessor never change again, so neither does
+    its residual. With eps_front = 0 the frozen rows are those that solve the
+    recurrence exactly, which in exact arithmetic every pass extends by at
+    least one row; a row with zero residual is within any eps_front, so the
+    tolerance front advances at least as fast.
 
     After the chunk step, f is evaluated once, on rows [front, T). Those values
-    give the merit (the frozen prefix adds 0), the new front, and the next
-    pass's ``fvals``. Non-finite iterate entries are reset to 0 before a pass
-    (one reset event per pass where that happens), and the chunk step of that
-    pass evaluates f afresh.
+    give the new front, the next pass's ``fvals`` and the merit. A row's merit
+    is added once, when it freezes, to a running ``frozen_merit``, and each
+    pass's merit is that sum plus the merit of rows [front, T), so it is the
+    merit of the whole trajectory. Frozen rows report a difference of 0.
+    Non-finite entries of rows [front, T) are reset to 0 before a pass (one
+    reset event per pass where that happens; frozen rows are finite), and the
+    chunk step of that pass evaluates f afresh.
 
     Once the front reaches T the next pass has no rows. It still counts as an
-    iteration, observes difference and merit 0, and does no work.
+    iteration, observes difference 0 and the frozen merit, and does no work.
 
     A pass that comes back bitwise unchanged (successive difference exactly
     zero) stops the loop as converged regardless of the metric: the prefix is
@@ -288,44 +307,55 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     """
     T = sys.horizon
     max_iters = cfg.max_iters or T
+    eps_front = front_tolerance(cfg)
     ts = np.arange(1, T + 1)
     s0 = as_state(sys.initial_state, sys.dim)
     states = initial_guess(sys, cfg)
-    front = 0     # frozen prefix: leading rows with zero residual
+    front = 0           # frozen prefix: leading rows with residual within eps_front
+    frozen_merit = 0.0  # merit of the frozen rows
     fvals = None  # f_t(s_{t-1}) on rows f_lo+1 .. T of the current states
     f_lo = 0
     resets = 0
     merit_hist: list = []
     diff_hist: list = []
+    front_hist: list = []
     iterates: list = [] if cfg.record_iterates else None
     converged = False
     iters = 0
     start = time.perf_counter()
     while iters < max_iters:
-        bad = ~np.isfinite(states)
+        active = states[front:]
+        bad = ~np.isfinite(active)
         if bad.any():
-            states[bad] = 0.0
+            active[bad] = 0.0
             resets += 1
             fvals = None
         iters += 1
-        diff, current_merit = 0.0, 0.0  # the empty pass
+        diff, current_merit = 0.0, frozen_merit  # the empty pass
         if front < T:
             s_left = states[front - 1] if front > 0 else s0
-            new_chunk = chunk_step(states[front:], front, s_left,
+            new_chunk = chunk_step(active, front, s_left,
                                    None if fvals is None else fvals[front - f_lo:])
-            diff = max_abs_diff(new_chunk, states[front:])
-            states[front:] = new_chunk
+            diff = max_abs_diff(new_chunk, active)
+            active[:] = new_chunk
             f_lo = front
             prev = states[front - 1:T - 1] if front > 0 else np.vstack([s0, states[:T - 1]])
             with np.errstate(all="ignore"):
                 fvals = sys.step_batch(ts[front:], prev)
-                r = states[front:] - fvals
-            exact, current_merit = exact_rows_and_merit(r)
-            # rows exact from the front on extend it
-            front = T if front + exact == T else (front + exact) // FRONT_BLOCK * FRONT_BLOCK
+                r = active - fvals
+            settled, active_merit = exact_rows_and_merit(r, eps_front)
+            current_merit += active_merit
+            # rows within eps_front from the front on extend it
+            settled += front
+            new_front = T if settled == T else settled // FRONT_BLOCK * FRONT_BLOCK
+            if new_front > front:
+                frozen = r[:new_front - front].ravel()
+                frozen_merit += 0.5 * float(np.dot(frozen, frozen))
+                front = new_front
         if cfg.record_history:
             diff_hist.append(diff)
             merit_hist.append(current_merit)
+            front_hist.append(front)
         if iterates is not None:
             iterates.append(states.copy())
         measured = current_merit / T if cfg.metric == "merit" else diff
@@ -343,6 +373,7 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
         elapsed=elapsed,
         final_diff=diff,
         iterates=iterates,
+        front_history=front_hist,
     )
 
 

@@ -274,6 +274,8 @@ class TestOutputs:
         payload = json.loads(open(sidecar).read())
         assert len(payload) == 1
         assert len(payload[0]["merit_history"]) == records[0].iterations
+        assert payload[0]["front_history"] == records[0].front_history
+        assert len(records[0].front_history) == records[0].iterations
 
     def test_quoting_is_rfc4180(self, tmp_path):
         """Fields containing commas (the params JSON) survive a round trip."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import parssm as P
 from parssm.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +36,26 @@ class TestSolve:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is True
+
+    def test_rows_worked_frac(self, capsys):
+        """Sum over passes of the rows past the front the pass started from,
+        over iterations x T: one whole pass on S5 with Newton, and less than
+        the whole trajectory per pass once Kalman passes freeze rows."""
+        main(["solve", "--model", "s5", "--method", "newton", "-T", "64",
+              "--metric", "merit", "--tol", "1e-18", "--json"])
+        assert json.loads(capsys.readouterr().out)["rows_worked_frac"] == 1.0
+        args = ["--model", "lorenz96", "-T", "128", "--seed", "51", "--method", "kalman",
+                "--lambda", "0.01", "--tol", "1e-6", "--init", "normal"]
+        main(["solve", *args, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        sys_ = P.models.build("lorenz96", 128, seed=51)
+        cfg = P.TrustRegionConfig(lam=0.01, solver=P.SolverConfig(tol=1e-6, init="normal",
+                                                                  seed=51))
+        rep = P.kalman_solve(sys_, cfg)
+        started = [0] + rep.front_history[:-1]
+        assert payload["iterations"] == rep.iterations
+        assert payload["rows_worked_frac"] == sum(128 - f for f in started) / (rep.iterations * 128)
+        assert 0.0 < payload["rows_worked_frac"] < 1.0
 
     def test_human_readable_default(self, capsys):
         code = main(["solve", "--model", "affine", "--alpha", "0.5", "-T", "16"])
@@ -125,7 +146,7 @@ class TestExitCodes:
                      "--method", method, *flags]) == 2
 
     def test_window_flag_is_a_usage_error(self, capsys):
-        """Every pass works on the rows past the causal front; there is no
+        """Every pass works on the rows past the frozen front; there is no
         window to set (a "window" config key fails the same way)."""
         assert main(["solve", "--model", "affine", "-T", "8", "--window", "4"]) == 2
         assert "--window" in capsys.readouterr().err

@@ -126,11 +126,13 @@ class TestMaxAbsDiff:
             P.max_abs_diff(np.zeros((3, 2)), np.zeros((2, 3)))
 
 
-def _rows_and_merit_per_row(r):
+def _rows_and_merit_per_row(r, eps=0.0):
     """The per-row form ``exact_rows_and_merit``'s whole-array path replaces."""
-    moved = np.flatnonzero(np.any(r != 0.0, axis=1))
-    k = int(moved[0]) if moved.size else len(r)
-    rest = r[k:]
+    with np.errstate(invalid="ignore"):
+        past = np.flatnonzero(~np.all(np.isfinite(r) & (np.abs(r) <= eps), axis=1))
+    k = int(past[0]) if past.size else len(r)
+    moved = np.flatnonzero(np.any(r[:k] != 0.0, axis=1))
+    rest = r[int(moved[0]) if moved.size else k:]
     if not np.all(np.isfinite(rest)):
         return k, float("inf")
     flat = rest.ravel()
@@ -183,6 +185,22 @@ class TestWholeArrayPaths:
     def test_exact_rows_and_merit(self, name):
         r = EDGE_BLOCKS[name]
         assert exact_rows_and_merit(r) == _rows_and_merit_per_row(r)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-12, 0.5, 2.0, np.inf])
+    @pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
+    def test_rows_within_a_tolerance(self, name, eps):
+        """k counts the leading rows within eps, and m still starts at the
+        first nonzero row, which may come before row k."""
+        r = EDGE_BLOCKS[name].copy()
+        if r.shape == (40, 5):
+            r[17:20] *= 1e-13  # small rows right after the leading zeros
+        assert exact_rows_and_merit(r, eps) == _rows_and_merit_per_row(r, eps)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_never_within_eps(self, value):
+        r = np.zeros((8, 3))
+        r[5, 1] = value
+        assert exact_rows_and_merit(r, np.inf) == (5, float("inf"))
 
     @pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
     def test_max_abs_diff(self, name):

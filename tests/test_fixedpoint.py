@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import parssm as P
+import parssm.fixedpoint as fp
 from parssm.fixedpoint import (FRONT_BLOCK, JACOBI, NEWTON, NO_DAMPING, OVERFLOW_GUARD,
                                PICARD, QUASI_DIAGONAL, Damping, SolverConfig, SolverMethod,
                                _linearize_stacked, _method_transitions, fixed_point_solve,
@@ -357,6 +358,7 @@ class TestCausalFront:
         # pass 1 linearizes and takes the residual; every later pass only
         # takes the residual, on the rows past the prefix frozen before it
         assert calls == [T, T] + [T - f for f in frozen[:-1]]
+        assert rep.front_history == frozen
         for i, c in enumerate(fronts):
             for later in rep.iterates[i + 1:]:
                 np.testing.assert_array_equal(later[:c], rep.iterates[i][:c])
@@ -373,8 +375,6 @@ class TestCausalFront:
     def test_reset_pass_evaluates_f_afresh(self, monkeypatch):
         """Pass 1 and every pass after a reset linearize without reused
         values; every other pass reuses f at exactly its current rows."""
-        import parssm.fixedpoint as fp
-
         sys_ = P.models.build("lorenz96", 128, seed=1)
         seen = []
         inner = fp._linearize_stacked
@@ -424,3 +424,111 @@ class TestCausalFront:
         assert calls_off == calls_on
         assert off.iterations == on.iterations and off.diff_history == []
         np.testing.assert_array_equal(off.trajectory.states, on.trajectory.states)
+
+
+def _exact_front(monkeypatch):
+    """Run the loop under the exact rule, eps_front = 0."""
+    monkeypatch.setattr(fp, "front_tolerance", lambda cfg: 0.0)
+
+
+def _kalman(T, seed, jac):
+    solver = SolverConfig(tol=1e-6, init="normal", seed=seed, max_iters=2 * T,
+                          record_iterates=True)
+    return P.TrustRegionConfig(lam=0.01, jacobian=jac, solver=solver)
+
+
+# (label, system, solve) on float models, where residuals below eps_front
+# but not exactly zero make the tolerance front move
+FLOAT_SOLVES = [
+    ("lorenz96/kalman-full", lambda: P.models.build("lorenz96", 128, seed=51),
+     lambda s: P.kalman_solve(s, _kalman(128, 51, "full"))),
+    ("lorenz96/kalman-diagonal", lambda: P.models.build("lorenz96", 128, seed=801),
+     lambda s: P.kalman_solve(s, _kalman(128, 801, "diagonal"))),
+    ("rnn-g0.8/newton", lambda: P.models.build("rnn", 256, D=16, g=0.8, seed=2),
+     lambda s: fixed_point_solve(s, SolverConfig(tol=1e-8, init="normal", seed=3,
+                                                 record_iterates=True), NEWTON)),
+]
+
+
+class TestToleranceFront:
+    """The front freezes the leading rows whose residual is within eps_front."""
+
+    def test_eps_front_derives_from_the_stop(self):
+        assert fp.front_tolerance(SolverConfig(tol=1e-6)) == pytest.approx(1e-12, abs=0.0)
+        assert fp.front_tolerance(SolverConfig(tol=1e-18, metric="merit")) == \
+            pytest.approx(1.414e-15, rel=1e-3, abs=0.0)
+
+    @pytest.mark.parametrize("method", [JACOBI, PICARD, QUASI_DIAGONAL, NEWTON])
+    def test_s5_is_bit_identical_to_the_exact_rule(self, method, monkeypatch):
+        """S5's residuals are exact integers, so eps_front (1.4e-15 at tol
+        1e-18) freezes exactly the rows the exact rule freezes."""
+        runs = []
+        for exact in (False, True):
+            if exact:
+                _exact_front(monkeypatch)
+            sys_ = P.models.build("s5", 200, seed=6)
+            cfg = SolverConfig(tol=1e-18, metric="merit", init="normal", seed=7,
+                               record_iterates=True)
+            runs.append(fixed_point_solve(sys_, cfg, method))
+        tol_rep, exact_rep = runs
+        assert tol_rep.converged and tol_rep.iterations == exact_rep.iterations
+        assert tol_rep.merit_history == exact_rep.merit_history
+        assert tol_rep.diff_history == exact_rep.diff_history
+        assert tol_rep.front_history == exact_rep.front_history
+        for a, b in zip(tol_rep.iterates, exact_rep.iterates):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("jac", ["full", "diagonal"])
+    def test_exact_rule_on_lorenz96_keeps_every_row_active(self, jac, monkeypatch):
+        """Under eps_front = 0 the front never leaves row 0 on Lorenz-96, and
+        every pass is the whole-trajectory ``kalman_step``, bit for bit."""
+        _exact_front(monkeypatch)
+        sys_ = P.models.build("lorenz96", 128, seed=51)
+        cfg = _kalman(128, 51, jac)
+        rep = P.kalman_solve(sys_, cfg)
+        assert rep.converged and rep.resets == 0
+        assert set(rep.front_history) == {0}
+        traj = P.Trajectory(sys_.initial_state, fp.initial_guess(sys_, cfg.solver))
+        for it in rep.iterates:
+            traj = P.kalman_step(sys_, traj, cfg)
+            np.testing.assert_array_equal(it, traj.states)
+
+    @pytest.mark.parametrize("label, build, solve", FLOAT_SOLVES, ids=[c[0] for c in FLOAT_SOLVES])
+    def test_merit_history_is_the_whole_trajectory_merit(self, label, build, solve):
+        sys_ = build()
+        rep = solve(sys_)
+        assert rep.converged
+        assert len(rep.front_history) == rep.iterations
+        # rows freeze while the merit is still positive, so frozen rows with
+        # nonzero residuals count in it
+        assert any(f > 0 and m > 0.0 for f, m in zip(rep.front_history, rep.merit_history))
+        for m, it in zip(rep.merit_history, rep.iterates):
+            want = P.merit(sys_, P.Trajectory(sys_.initial_state, it))
+            assert m == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("label, build, solve", FLOAT_SOLVES, ids=[c[0] for c in FLOAT_SOLVES])
+    def test_frozen_rows_never_change_and_match_the_oracle(self, label, build, solve):
+        sys_ = build()
+        rep = solve(sys_)
+        oracle = P.rollout_sequential(sys_)
+        assert rep.front_history == sorted(rep.front_history)
+        locked = prefix_lock_check(rep.iterates, oracle, tol=1e-8)
+        for i, front in enumerate(rep.front_history):
+            assert locked[i] >= front
+            for later in rep.iterates[i + 1:]:
+                np.testing.assert_array_equal(later[:front], rep.iterates[i][:front])
+
+    @pytest.mark.parametrize("method", [JACOBI, NEWTON])
+    def test_nan_residual_never_freezes(self, method):
+        """f_20 is NaN everywhere, so row 20's residual is never finite: the
+        front stops at the block boundary below it, whatever the tolerance."""
+        T, bad_t = 48, 20
+
+        def step(t, s):
+            return np.full(2, np.nan) if t == bad_t else 0.5 * s + 1.0
+
+        sys_ = P.models.FunctionSystem(2, T, np.zeros(2), step,
+                                       jac_fn=lambda t, s: 0.5 * np.eye(2))
+        rep = fixed_point_solve(sys_, SolverConfig(tol=1e-4, max_iters=30), method)
+        assert not rep.converged and rep.iterations == 30
+        assert max(rep.front_history) == (bad_t - 1) // FRONT_BLOCK * FRONT_BLOCK

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import parssm as P
-from parssm.jacutils import (DiagEstimate, fd_jacobian_batch, hutchinson_diag,
+from parssm.jacutils import (DiagEstimate, _central_diff, fd_jacobian_batch, hutchinson_diag,
                              hutchinson_diag_batch)
 from parssm.models import FunctionSystem
 
@@ -183,3 +183,54 @@ class TestDiagResolutionOrder:
                               step_fn=lambda t, s: dvec * s,
                               jvp_fn=lambda t, s, v: dvec * v)
         np.testing.assert_array_equal(sys_.diag_jacobian(1, np.ones(3)), dvec)
+
+
+def _central_diff_two_calls(sys_, ts, S, V, hs):
+    """The central difference with its +h and -h rows in separate calls."""
+    n, d = S.shape
+    k = V.shape[-2]
+    h = hs[:, None, None]
+    ts_rep = np.repeat(np.asarray(ts), k)
+    with np.errstate(all="ignore"):
+        delta = h * V
+        fp = sys_.step_batch(ts_rep, (S[:, None, :] + delta).reshape(n * k, d))
+        fm = sys_.step_batch(ts_rep, (S[:, None, :] - delta).reshape(n * k, d))
+        return (fp - fm).reshape(n, k, d) / (2.0 * h)
+
+
+def _no_jacobian_system(T):
+    """A coupled map with no analytic Jacobian, diagonal or JVP."""
+    return FunctionSystem(dim=3, horizon=T, initial_state=np.ones(3),
+                          step_fn=lambda t, s: np.tanh(np.roll(s, 1) * s) + 0.01 * t * s)
+
+
+class TestCentralDiffOneCall:
+    """Both sides of the difference go through one ``step_batch`` call, with
+    the bits of two separate calls."""
+
+    @pytest.mark.parametrize("make", [lambda: P.models.build("lorenz96", 128, seed=7),
+                                      lambda: _no_jacobian_system(40)],
+                             ids=["lorenz96", "function-system"])
+    def test_bit_identical_to_two_calls(self, make):
+        sys_ = make()
+        n, d = sys_.horizon, sys_.dim
+        rng = np.random.default_rng(8)
+        ts = np.arange(1, n + 1)
+        S = 3.0 * rng.standard_normal((n, d))
+        hs = 1e-6 * (1.0 + np.max(np.abs(S), axis=1))
+        calls = []
+        inner = sys_.step_batch
+        sys_.step_batch = lambda ts_, S_: calls.append(len(ts_)) or inner(ts_, S_)
+        for V in (np.eye(d)[None, :, :], rng.standard_normal((n, 1, d)),
+                  rng.choice([-1.0, 1.0], (n, 4, d))):
+            calls.clear()
+            got = _central_diff(sys_, ts, S, V, hs)
+            assert calls == [2 * n * V.shape[1]]
+            np.testing.assert_array_equal(got, _central_diff_two_calls(sys_, ts, S, V, hs))
+        # the public forms built on it: the FD Jacobian and the Hutchinson JVPs
+        jac = np.swapaxes(_central_diff_two_calls(sys_, ts, S, np.eye(d)[None], hs), 1, 2)
+        np.testing.assert_array_equal(fd_jacobian_batch(sys_, ts, S), jac)
+        V = rng.standard_normal((n, d))
+        hv = 1e-6 * (1.0 + np.max(np.abs(S), axis=1)) / np.maximum(np.abs(V).max(axis=1), 1.0)
+        np.testing.assert_array_equal(sys_.jvp_batch(ts, S, V),
+                                      _central_diff_two_calls(sys_, ts, S, V[:, None], hv)[:, 0])
