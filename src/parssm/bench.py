@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 from . import diagnostics, models
-from .core import ContractError, max_abs_diff, merit, rollout_sequential
+from .core import ContractError, max_abs_diff, merit, require_int, rollout_sequential
 from .fixedpoint import Damping, SolveReport, SolverConfig, SolverMethod, fixed_point_solve
 from .trustregion import TrustRegionConfig, kalman_solve
 
@@ -26,11 +26,13 @@ WORKERS_ENV = "PARSSM_WORKERS"
 
 
 def default_workers() -> int:
+    """The pool width PARSSM_WORKERS sets: 1 when it is unset or empty."""
     raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    if not raw:
         return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ContractError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise ContractError("experiment needs a nonempty methods list")
-        if not self.seeds:
-            raise ContractError("experiment needs at least one seed")
-        for key, values in self.sweep.items():
+        for key, values in [("seeds", self.seeds), *self.sweep.items()]:
             if not isinstance(values, (list, tuple)) or len(values) == 0:
-                raise ContractError(f"sweep axis {key!r} must be a nonempty array")
+                raise ContractError(f"{key!r} must be a nonempty array, got {values!r}")
+        for seed in self.seeds:
+            require_int("a seed", seed, 0)
+        for T in [self.default_T, *self.sweep.get("T", ())]:
+            require_int("the horizon T", T, 1)
+        if self.workers is not None:
+            require_int("workers", self.workers, 1)
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -134,11 +140,11 @@ class ExperimentConfig:
             model_params=params,
             methods=methods,
             sweep=doc.get("sweep", {}),
-            seeds=list(doc.get("seeds", [0])),
+            seeds=doc.get("seeds", [0]),
             solver=SolverConfig(**{"record_history": False, **solver}),
             output=doc.get("output"),
             workers=doc.get("workers"),
-            default_T=int(model.get("T", 256)),
+            default_T=model.get("T", 256),
         )
 
     @staticmethod
@@ -248,7 +254,7 @@ def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
 
 
 def _point_key(cfg: ExperimentConfig, point: dict, seed: int):
-    T = int(point.get("T", cfg.default_T))
+    T = point.get("T", cfg.default_T)
     params = {k: v for k, v in cfg.model_params.items()}
     params.update({k: v for k, v in point.items() if k not in _SOLVER_KEYS})
     params["seed"] = seed

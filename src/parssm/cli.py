@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = bench.ExperimentConfig.from_json(args.config)
     if args.workers is not None:
-        cfg.workers = args.workers
+        cfg = replace(cfg, workers=args.workers)  # checked as the config's own key is
     records, out, sidecar = bench.run_and_write(cfg, args.output)
     n_fail = sum(1 for r in records if r.error)
     print(f"wrote {len(records)} rows to {out}" + (f" (+ {sidecar})" if sidecar else ""))

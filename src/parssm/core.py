@@ -37,6 +37,13 @@ def require_real(name: str, value) -> None:
         raise ContractError(f"{name} must be a real number, got {value!r}")
 
 
+def require_int(name: str, value, least: int) -> None:
+    """Raise ContractError unless ``value`` is an integer >= ``least`` (a bool is not)."""
+    require_real(name, value)
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def as_state(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a float64 state vector, optionally checking its length."""
     s = np.asarray(x, dtype=np.float64)

@@ -10,14 +10,13 @@ initial state propagates at least one newly correct step per iteration.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (ContractError, DynamicsSystem, Trajectory, as_state,
-                   exact_rows_and_merit, max_abs_diff, require_real)
+                   exact_rows_and_merit, max_abs_diff, require_int, require_real)
 from .core import merit  # noqa: F401  (tracing tools patch fixedpoint.merit by name)
 from .pscan import ZERO, AffineOp, evaluate_stacked, lane_apply, lane_transitions
 
@@ -127,12 +126,10 @@ class SolverConfig:
 
     def __post_init__(self):
         require_real("tolerance", self.tol)
-        if self.tol <= 0:
-            raise ContractError("tolerance must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ContractError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.max_iters is not None:
-            require_real("max_iters", self.max_iters)
-            if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-                raise ContractError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+            require_int("max_iters", self.max_iters, 1)
         if self.init not in ("jacobi", "zeros", "normal"):
             raise ContractError(f"unknown init {self.init!r}")
         if self.metric not in ("diff", "merit"):
@@ -150,7 +147,9 @@ class SolveReport:
     diff_history: list
     resets: int
     elapsed: float
-    final_diff: float  # the last pass's successive difference, recorded or not
+    # the last pass's successive difference, recorded or not; it can be above
+    # tol when the pass that froze every row stopped the solve
+    final_diff: float
     iterates: list | None = None
     front_history: list = field(default_factory=list)  # the frozen front after each pass
 
@@ -270,51 +269,45 @@ def initial_guess(sys: DynamicsSystem, cfg: SolverConfig) -> np.ndarray:
 def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveReport:
     """Generic driver shared by the scan solvers and the Kalman solver.
 
-    ``chunk_step(states_chunk, t_start, s_left, fvals) -> new_chunk`` produces
-    the next iterate of the chunk of steps t_start+1 .. T, whose left boundary
-    state is ``s_left``. ``fvals`` holds f_t(s_{t-1}) at the chunk's current
-    rows, or None when the chunk step must evaluate f itself.
+    One (T+1) x D array holds s_0 in row 0 and the iterate s_1..s_T in rows
+    1..T. Each pass calls ``chunk_step(window, ts, fvals) -> new rows`` with
+    ``window`` = rows front..T and ``ts`` = steps front+1..T: ``window[0]`` is
+    the fixed left boundary, ``window[:-1]`` the predecessors and ``window[1:]``
+    the rows to update, which the chunk step does not write. ``fvals`` holds
+    f_t(s_{t-1}) at those rows, or None when the chunk step must evaluate f.
 
     The causal front is the number of leading rows whose residual
-    max_i |s_t,i - f_t(s_{t-1})_i| is at most eps_front (``front_tolerance``:
-    1e-6 tol under the difference metric, 1e-6 sqrt(2 tol) under the merit
-    metric). A NaN or infinite residual is never within it. The loop freezes
-    the front rounded down to whole blocks of ``FRONT_BLOCK`` rows (all T rows
-    once every one is within eps_front), and each pass works on [front, T)
-    only. A frozen row and its predecessor never change again, so neither does
-    its residual. With eps_front = 0 the frozen rows are those that solve the
-    recurrence exactly, which in exact arithmetic every pass extends by at
-    least one row; a row with zero residual is within any eps_front, so the
-    tolerance front advances at least as fast.
+    max_i |s_t,i - f_t(s_{t-1})_i| is at most eps_front (``front_tolerance``);
+    a NaN or infinite residual never is. The loop freezes the front rounded
+    down to whole blocks of ``FRONT_BLOCK`` rows (all T rows once every one is
+    within eps_front). A frozen row and its predecessor never change again, so
+    neither does its residual. With eps_front = 0 the frozen rows are those
+    that solve the recurrence exactly, which in exact arithmetic every pass
+    extends by at least one row; the tolerance front advances at least as fast.
 
-    After the chunk step, f is evaluated once, on rows [front, T). Those values
-    give the new front, the next pass's ``fvals`` and the merit. A row's merit
-    is added once, when it freezes, to a running ``frozen_merit``, and each
-    pass's merit is that sum plus the merit of rows [front, T), so it is the
-    merit of the whole trajectory. Frozen rows report a difference of 0.
-    Non-finite entries of rows [front, T) are reset to 0 before a pass (one
-    reset event per pass where that happens; frozen rows are finite), and the
-    chunk step of that pass evaluates f afresh.
+    After the new rows are written, f is evaluated once, on ``window[:-1]``,
+    giving the new front, the next pass's ``fvals`` and the merit. A row's
+    merit is added to a running ``frozen_merit`` once, when it freezes, so each
+    pass's merit, that sum plus the merit of the rows past the front, is the
+    whole trajectory's. Frozen rows report a difference of 0. Non-finite
+    entries past the front are reset to 0 before a pass (one reset event per
+    pass where that happens), and that pass's chunk step evaluates f afresh.
 
-    Once the front reaches T the next pass has no rows. It still counts as an
-    iteration, observes difference 0 and the frozen merit, and does no work.
-
-    A pass that comes back bitwise unchanged (successive difference exactly
-    zero) stops the loop as converged regardless of the metric: the prefix is
-    final and the iteration map is deterministic, so nothing can change on any
-    later pass. Chaotic chains can floor the merit above any tolerance while
-    still being exact fixed points of the float map; this handles them soundly.
+    The loop stops as converged when the stopping metric is met, when a pass
+    freezes all T rows (the trajectory is then final), or when a pass comes
+    back bitwise unchanged (successive difference exactly zero): the iteration
+    map is deterministic, so nothing can change on a later pass. Chaotic
+    chains can floor the merit above any tolerance while still being exact
+    fixed points of the float map; this handles them soundly.
     """
     T = sys.horizon
     max_iters = cfg.max_iters or T
     eps_front = front_tolerance(cfg)
     ts = np.arange(1, T + 1)
-    s0 = as_state(sys.initial_state, sys.dim)
-    states = initial_guess(sys, cfg)
+    path = np.vstack([as_state(sys.initial_state, sys.dim), initial_guess(sys, cfg)])
     front = 0           # frozen prefix: leading rows with residual within eps_front
     frozen_merit = 0.0  # merit of the frozen rows
-    fvals = None  # f_t(s_{t-1}) on rows f_lo+1 .. T of the current states
-    f_lo = 0
+    fvals = None  # f_t(s_{t-1}) on rows front+1 .. T of the current iterate
     resets = 0
     merit_hist: list = []
     diff_hist: list = []
@@ -324,47 +317,42 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     iters = 0
     start = time.perf_counter()
     while iters < max_iters:
-        active = states[front:]
+        window = path[front:]
+        active = window[1:]
         bad = ~np.isfinite(active)
         if bad.any():
             active[bad] = 0.0
             resets += 1
             fvals = None
         iters += 1
-        diff, current_merit = 0.0, frozen_merit  # the empty pass
-        if front < T:
-            s_left = states[front - 1] if front > 0 else s0
-            new_chunk = chunk_step(active, front, s_left,
-                                   None if fvals is None else fvals[front - f_lo:])
-            diff = max_abs_diff(new_chunk, active)
-            active[:] = new_chunk
-            f_lo = front
-            prev = states[front - 1:T - 1] if front > 0 else np.vstack([s0, states[:T - 1]])
-            with np.errstate(all="ignore"):
-                fvals = sys.step_batch(ts[front:], prev)
-                r = active - fvals
-            settled, active_merit = exact_rows_and_merit(r, eps_front)
-            current_merit += active_merit
-            # rows within eps_front from the front on extend it
-            settled += front
-            new_front = T if settled == T else settled // FRONT_BLOCK * FRONT_BLOCK
-            if new_front > front:
-                frozen = r[:new_front - front].ravel()
-                frozen_merit += 0.5 * float(np.dot(frozen, frozen))
-                front = new_front
+        new_rows = chunk_step(window, ts[front:], fvals)
+        diff = max_abs_diff(new_rows, active)
+        active[:] = new_rows
+        with np.errstate(all="ignore"):
+            fvals = sys.step_batch(ts[front:], window[:-1])
+            r = active - fvals
+        settled, active_merit = exact_rows_and_merit(r, eps_front)
+        current_merit = frozen_merit + active_merit
+        settled += front  # rows within eps_front from the front on extend it
+        new_front = T if settled == T else settled // FRONT_BLOCK * FRONT_BLOCK
+        if new_front > front:
+            frozen = r[:new_front - front].ravel()
+            frozen_merit += 0.5 * float(np.dot(frozen, frozen))
+            fvals = fvals[new_front - front:]
+            front = new_front
         if cfg.record_history:
             diff_hist.append(diff)
             merit_hist.append(current_merit)
             front_hist.append(front)
         if iterates is not None:
-            iterates.append(states.copy())
+            iterates.append(path[1:].copy())
         measured = current_merit / T if cfg.metric == "merit" else diff
-        if measured <= cfg.tol or diff == 0.0:  # an unchanged pass is final
+        if measured <= cfg.tol or diff == 0.0 or front == T:
             converged = True
             break
     elapsed = time.perf_counter() - start
     return SolveReport(
-        trajectory=Trajectory(sys.initial_state, states),
+        trajectory=Trajectory(sys.initial_state, path[1:]),
         converged=converged,
         iterations=iters,
         merit_history=merit_hist,
@@ -385,12 +373,10 @@ def fixed_point_solve(sys: DynamicsSystem, cfg: SolverConfig,
     T iterations regardless of the initial guess or transition choice.
     """
 
-    def chunk_step(chunk, t0, s_left, fvals):
-        prev = np.vstack([s_left[None, :], chunk[:-1]])
-        ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
-        lane, A, b = _linearize_stacked(sys, prev, ts, method, cfg.damping, fvals)
+    def chunk_step(window, ts, fvals):
+        lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, cfg.damping, fvals)
         with np.errstate(all="ignore"):
-            return evaluate_stacked(lane, A, b, s_left)
+            return evaluate_stacked(lane, A, b, window[0])
 
     return solve_loop(sys, cfg, chunk_step)
 

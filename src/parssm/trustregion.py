@@ -46,8 +46,8 @@ class TrustRegionConfig:
 
     def __post_init__(self):
         require_real("lam", self.lam)
-        if self.lam < 0:
-            raise ContractError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ContractError(f"lam must be >= 0 and finite, got {self.lam!r}")
         if self.mode not in ("filter", "smoother"):
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.jacobian not in ("full", "diagonal"):
@@ -185,13 +185,12 @@ def _smooth(lane, A, b, means, sig_post, sig_pred):
     return evaluate_stacked(lane, G[::-1], offset[::-1], np.zeros(b.shape[1]))[::-1]
 
 
-def _kalman_chunk(sys, chunk, t0, s_left, cfg: TrustRegionConfig, fvals=None):
-    prev = np.vstack([s_left[None, :], chunk[:-1]])
-    ts = np.arange(t0 + 1, t0 + len(chunk) + 1)
+def _kalman_chunk(sys, window, ts, cfg: TrustRegionConfig, fvals=None):
+    """Trust-region update of rows ``window[1:]`` (steps ``ts``) from boundary ``window[0]``."""
     method = QUASI_DIAGONAL if cfg.jacobian == "diagonal" else NEWTON
-    lane, A, b = _linearize_stacked(sys, prev, ts, method, NO_DAMPING, fvals)
-    emissions = np.where(np.isfinite(chunk), chunk, 0.0)
-    means, sig_post, sig_pred = _forward(lane, A, b, emissions, s_left, cfg.lam)
+    lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, NO_DAMPING, fvals)
+    emissions = np.where(np.isfinite(window[1:]), window[1:], 0.0)
+    means, sig_post, sig_pred = _forward(lane, A, b, emissions, window[0], cfg.lam)
     return _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
 
 
@@ -205,8 +204,8 @@ def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -
     jacobian="diagonal" all matrix algebra specializes elementwise.
     """
     sys._check_traj(traj)
-    s0 = as_state(sys.initial_state, sys.dim)
-    return Trajectory(s0, _kalman_chunk(sys, traj.states, 0, s0, cfg))
+    window = np.vstack([as_state(sys.initial_state, sys.dim), traj.states])
+    return Trajectory(window[0], _kalman_chunk(sys, window, np.arange(1, sys.horizon + 1), cfg))
 
 
 def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
@@ -228,8 +227,8 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
             extra = int(np.ceil(budget / shrink)) + 8
         solver = replace(solver, max_iters=sys.horizon + extra)
 
-    def chunk_step(chunk, t0, s_left, fvals):
-        return _kalman_chunk(sys, chunk, t0, s_left, cfg, fvals=fvals)
+    def chunk_step(window, ts, fvals):
+        return _kalman_chunk(sys, window, ts, cfg, fvals=fvals)
 
     return solve_loop(sys, solver, chunk_step)
 

@@ -40,6 +40,13 @@ BAD_SETTINGS = [
     {"methods": [{"method": "quasi", "damping": ["scale", 0.3]}]},
     {"max_iters": 2.5}, {"window": 2.5},
     {"window": 16}, {"tolerence": 1e-8}, {"methods": [{"method": "newton", "lamda": 3}]},
+    {"tolerance": float("nan")}, {"tolerance": float("inf")},
+    {"methods": [{"method": "kalman", "lambda": float("nan")}]},
+    {"methods": [{"method": "kalman", "lambda": float("inf")}]},
+    {"workers": "2"}, {"workers": -1}, {"workers": 0}, {"workers": 2.5}, {"workers": True},
+    {"model": {"kind": "gru", "D": 3, "T": 8.7}}, {"model": {"kind": "gru", "D": 3, "T": "8"}},
+    {"model": {"kind": "gru", "D": 3, "T": 0}}, {"sweep": {"T": [4.5]}}, {"sweep": {"T": [0]}},
+    {"seeds": 3}, {"seeds": []}, {"seeds": [-1]}, {"seeds": [1.5]}, {"seeds": ["0"]},
 ]
 
 
@@ -104,11 +111,37 @@ class TestConfigParsing:
         with pytest.raises(P.ContractError, match=key):
             bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
 
-    def test_bad_setting_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", [{"init": "bogus"}, {"workers": "2"}, {"seeds": 3}],
+                             ids=json.dumps)
+    def test_bad_setting_exits_2(self, tmp_path, capsys, bad):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(_tiny_config(tmp_path, init="bogus")))
+        p.write_text(json.dumps(_tiny_config(tmp_path, **bad)))
         assert cli.main(["bench", "--config", str(p)]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    def test_workers_flag_below_1_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_tiny_config(tmp_path)))
+        assert cli.main(["bench", "--config", str(p), "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5"])
+    def test_bad_workers_environment_exits_2(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv(bench.WORKERS_ENV, raw)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_tiny_config(tmp_path)))
+        assert cli.main(["bench", "--config", str(p)]) == 2
+        assert bench.WORKERS_ENV in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("raw, width", [(None, 1), ("", 1), ("3", 3)])
+    def test_workers_environment_default(self, monkeypatch, raw, width):
+        if raw is None:
+            monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(bench.WORKERS_ENV, raw)
+        assert bench.default_workers() == width
 
     @pytest.mark.parametrize("quoted", [
         {"tolerance": "1e-8"}, {"methods": [{"method": "kalman", "lambda": "0.5"}]},

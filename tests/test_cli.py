@@ -132,6 +132,10 @@ class TestExitCodes:
         ["--model", "gru", "--D", "3", "--damping", "scale:abc"],
         ["--model", "gru", "--D", "3", "--method", "scaled:abc"],
         ["--model", "gru", "--D", "3", "--method", "quasi", "--damping", "clip:a:b"],
+        ["--model", "affine", "--alpha", "0.5", "--tol", "nan"],
+        ["--model", "affine", "--alpha", "0.5", "--tol", "inf"],
+        ["--model", "lorenz96", "--method", "kalman", "--lambda", "nan"],
+        ["--model", "lorenz96", "--method", "kalman", "--lambda", "inf"],
     ], ids=" ".join)
     def test_bad_flag_value_is_2(self, flags, capsys):
         assert main(["solve", *flags, "-T", "16"]) == 2

@@ -364,13 +364,22 @@ class TestCausalFront:
                 np.testing.assert_array_equal(later[:c], rep.iterates[i][:c])
 
     @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL])
-    def test_empty_pass_counts_and_evaluates_nothing(self, method):
+    def test_front_reaching_T_stops_the_loop(self, method):
+        """Pass 1 solves the affine chain exactly and freezes all 16 rows. Its
+        difference from the guess is above tol, but the trajectory is final,
+        so the loop stops there as converged."""
         sys_ = P.models.build("affine", 16, alpha=0.5)
         calls = _spy_step_batch(sys_)
         rep = fixed_point_solve(sys_, SolverConfig(), method)
-        assert rep.converged and rep.iterations == 2
-        assert rep.diff_history[1] == 0.0 and rep.merit_history[1] == 0.0
-        assert calls == [16, 16, 16]  # the Jacobi guess, then pass 1; pass 2 has no rows
+        assert rep.converged and rep.iterations == 1
+        assert rep.front_history == [16] and rep.final_diff > SolverConfig().tol
+        assert calls == [16, 16, 16]  # the Jacobi guess, then pass 1's linearization and residual
+        np.testing.assert_array_equal(rep.trajectory.states, P.rollout_sequential(sys_).states)
+
+    def test_one_pass_budget_that_freezes_every_row_converges(self):
+        sys_ = P.models.build("affine", 16, alpha=0.5)
+        rep = fixed_point_solve(sys_, SolverConfig(max_iters=1), NEWTON)
+        assert rep.converged and rep.iterations == 1
 
     def test_reset_pass_evaluates_f_afresh(self, monkeypatch):
         """Pass 1 and every pass after a reset linearize without reused
@@ -447,6 +456,10 @@ FLOAT_SOLVES = [
     ("rnn-g0.8/newton", lambda: P.models.build("rnn", 256, D=16, g=0.8, seed=2),
      lambda s: fixed_point_solve(s, SolverConfig(tol=1e-8, init="normal", seed=3,
                                                  record_iterates=True), NEWTON)),
+    # pass 5 freezes all 128 rows while its difference is still above tol
+    ("rnn-g0.8-T128/newton", lambda: P.models.build("rnn", 128, D=8, g=0.8, seed=1),
+     lambda s: fixed_point_solve(s, SolverConfig(tol=1e-8, init="normal", seed=2,
+                                                 record_iterates=True), NEWTON)),
 ]
 
 
@@ -517,6 +530,13 @@ class TestToleranceFront:
             assert locked[i] >= front
             for later in rep.iterates[i + 1:]:
                 np.testing.assert_array_equal(later[:front], rep.iterates[i][:front])
+
+    @pytest.mark.parametrize("label, build, solve", FLOAT_SOLVES, ids=[c[0] for c in FLOAT_SOLVES])
+    def test_no_pass_follows_the_front_reaching_T(self, label, build, solve):
+        sys_ = build()
+        rep = solve(sys_)
+        assert rep.converged
+        assert sys_.horizon not in rep.front_history[:-1]
 
     @pytest.mark.parametrize("method", [JACOBI, NEWTON])
     def test_nan_residual_never_freezes(self, method):
