@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 from . import diagnostics, models
-from .core import ContractError, max_abs_diff, merit, require_int, rollout_sequential
+from .core import (ContractError, max_abs_diff, merit, require_int, require_real,
+                   rollout_sequential)
 from .fixedpoint import Damping, SolveReport, SolverConfig, SolverMethod, fixed_point_solve
 from .trustregion import TrustRegionConfig, kalman_solve
 
@@ -119,6 +120,8 @@ class ExperimentConfig:
             require_int("a seed", seed, 0)
         for T in [self.default_T, *self.sweep.get("T", ())]:
             require_int("the horizon T", T, 1)
+        for lam in self.sweep.get("lambda", ()):
+            require_real("a sweep lambda", lam)  # its range is each Kalman row's check
         if self.workers is not None:
             require_int("workers", self.workers, 1)
 

@@ -80,8 +80,8 @@ def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
     block row of the residual Jacobian is just I)."""
     T, D = blocks.shape[0], blocks.shape[1]
     out = np.eye(T * D)
-    for t in range(1, T):
-        out[t * D:(t + 1) * D, (t - 1) * D:t * D] = -blocks[t]
+    t = np.arange(1, T)
+    out.reshape(T, D, T, D)[t, :, t - 1, :] = -blocks[1:]
     return out
 
 
@@ -207,15 +207,6 @@ def picard_inverse_norm(T: int) -> float:
     return float(1.0 / (2.0 * np.sin(np.pi / (2.0 * (2.0 * T + 1.0)))))
 
 
-def _bidiagonal_inverse_norm(subdiag: np.ndarray) -> float:
-    """||B^{-1}||_2 for B = I_T - subdiag(c_2 .. c_T), dense SVD."""
-    T = subdiag.shape[0]
-    B = np.eye(T)
-    idx = np.arange(1, T)
-    B[idx, idx - 1] = -subdiag[1:]
-    return 1.0 / min_singular_value(B)
-
-
 def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
                     method: SolverMethod) -> float:
     """gamma = ||J~(s*)^{-1}||_2 * max_t ||A~_t - A_t||_2 at the solution.
@@ -223,7 +214,8 @@ def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
     The inverse-norm factor is 1 for zero transitions and the closed form
     above for identity ones (Picard, or scaled by 1). Diagonal and scaled
     transitions decouple coordinatewise into T x T bidiagonal blocks, so
-    their inverse norm needs only T <= 4096. Newton's rate is 0.
+    their inverse norm needs only T <= 4096; it is the largest over the
+    bitwise-distinct coordinate chains, each solved once. Newton's rate is 0.
     """
     if method.kind == "newton":
         return 0.0
@@ -237,7 +229,9 @@ def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
     else:  # the diagonal and scalar lanes, the only others a non-Newton method gives
         _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
         diag = lane_apply(lane, A, np.ones((T, D)))
-        inv_norm = max(_bidiagonal_inverse_norm(diag[:, j]) for j in range(D))
+        chains = np.unique(diag.T.view(np.int64), axis=0).view(np.float64)
+        inv_norm = max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
+                       for c in chains)
     return float(inv_norm * mismatch)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ContractError, DynamicsSystem, as_state
+from .core import ContractError, DynamicsSystem, as_state, require_int
 
 
 def _map_rows(fn, ts, *rows):
@@ -93,10 +93,9 @@ class MeanFieldRNN(DynamicsSystem):
     """
 
     def __init__(self, D, g, T, seed=0, input_amplitude=0.1):
-        if g <= 0:
-            raise ContractError("gain g must be positive")
-        if D < 1:
-            raise ContractError("state size D must be >= 1")
+        if not 0 < g < np.inf:
+            raise ContractError(f"gain g must be positive and finite, got {g!r}")
+        require_int("state size D", D, 1)
         self.dim = int(D)
         self.horizon = int(T)
         self.g = float(g)
@@ -133,8 +132,7 @@ class Gru(DynamicsSystem):
     """
 
     def __init__(self, D, T, seed=0):
-        if D < 1:
-            raise ContractError("state size D must be >= 1")
+        require_int("state size D", D, 1)
         self.dim = int(D)
         self.horizon = int(T)
         rng = np.random.default_rng(seed)
@@ -200,10 +198,9 @@ class Lorenz96(DynamicsSystem):
     """
 
     def __init__(self, D=5, F=8.0, dt=0.01, T=1000, seed=0):
-        if dt <= 0:
-            raise ContractError("dt must be positive")
-        if D < 4:
-            raise ContractError("Lorenz-96 needs D >= 4")
+        if not 0 < dt < np.inf:
+            raise ContractError(f"dt must be positive and finite, got {dt!r}")
+        require_int("Lorenz-96's state size D", D, 4)
         self.dim = int(D)
         self.horizon = int(T)
         self.F = float(F)
@@ -247,8 +244,8 @@ class LangevinTwoWell(DynamicsSystem):
     saddle = np.array([0.0, 0.1])
 
     def __init__(self, eps=0.01, T=1000, seed=0):
-        if eps <= 0:
-            raise ContractError("step size eps must be positive")
+        if not 0 < eps < np.inf:
+            raise ContractError(f"step size eps must be positive and finite, got {eps!r}")
         self.dim = 2
         self.horizon = int(T)
         self.eps = float(eps)
@@ -361,9 +358,6 @@ MODEL_KINDS = {
     "logistic": LogisticMap,
 }
 
-_REQUIRED = {"affine": ("alpha",), "rnn": ("D", "g"), "gru": ("D",),
-             "lorenz96": (), "twowell": (), "s5": (), "logistic": ("r",)}
-
 
 def build(kind: str, T: int, **params) -> DynamicsSystem:
     """Construct a zoo model by kind name; parameter ranges are validated."""
@@ -371,9 +365,6 @@ def build(kind: str, T: int, **params) -> DynamicsSystem:
         raise ContractError(f"unknown model kind {kind!r}; choose from {sorted(MODEL_KINDS)}")
     if T < 1:
         raise ContractError("horizon T must be >= 1")
-    missing = [p for p in _REQUIRED[kind] if p not in params]
-    if missing:
-        raise ContractError(f"model {kind!r} requires parameters {missing}")
     cls = MODEL_KINDS[kind]
     try:
         return cls(T=T, **params)

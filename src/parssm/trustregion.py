@@ -208,6 +208,14 @@ def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -
     return Trajectory(window[0], _kalman_chunk(sys, window, np.arange(1, sys.horizon + 1), cfg))
 
 
+def _default_max_iters(T: int, lam: float, tol: float) -> int:
+    """``kalman_solve``'s iteration budget when ``max_iters`` is unset."""
+    if lam == 0.0:
+        return T
+    passes = (1.0 + lam) * (2 * T + np.log(1.0 / tol) / np.log1p(1.0 / lam))
+    return int(np.ceil(passes)) + 8
+
+
 def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     """Fixed-point loop around ``kalman_step``; same stopping and reporting
     contract as ``fixed_point_solve`` (metric, reset heuristic, causal front).
@@ -215,17 +223,15 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     Unlike the undamped family, the trust region pins each update toward the
     previous iterate (the already-correct coordinate contracts by
     lam/(1 + lam) per pass), so a default iteration budget of T is not
-    enough; when ``max_iters`` is unset it resolves to T plus the extra
-    passes that contraction needs to reach the tolerance.
+    enough. When ``max_iters`` is unset it resolves to
+    ceil((1 + lam)(2T + ln(1/tol)/ln(1 + 1/lam))) + 8 passes, and to T when
+    lam = 0: the damping slows both the sweep along the horizon and that
+    contraction by about 1 + lam, and 2T covers solves whose converged
+    prefix grows by less than one row per pass.
     """
     solver = cfg.solver
     if solver.max_iters is None:
-        extra = 0
-        if cfg.lam > 0.0:
-            shrink = np.log1p(1.0 / cfg.lam)  # log((1 + lam)/lam)
-            budget = np.log(1.0 / solver.tol) + np.log1p(sys.horizon)
-            extra = int(np.ceil(budget / shrink)) + 8
-        solver = replace(solver, max_iters=sys.horizon + extra)
+        solver = replace(solver, max_iters=_default_max_iters(sys.horizon, cfg.lam, solver.tol))
 
     def chunk_step(window, ts, fvals):
         return _kalman_chunk(sys, window, ts, cfg, fvals=fvals)

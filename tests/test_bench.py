@@ -47,6 +47,7 @@ BAD_SETTINGS = [
     {"model": {"kind": "gru", "D": 3, "T": 8.7}}, {"model": {"kind": "gru", "D": 3, "T": "8"}},
     {"model": {"kind": "gru", "D": 3, "T": 0}}, {"sweep": {"T": [4.5]}}, {"sweep": {"T": [0]}},
     {"seeds": 3}, {"seeds": []}, {"seeds": [-1]}, {"seeds": [1.5]}, {"seeds": ["0"]},
+    {"sweep": {"lambda": ["0.5"]}}, {"sweep": {"lambda": [True]}},
 ]
 
 

@@ -128,6 +128,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--model", "rnn", "--D", "4", "--g", "-2.0"],
+        ["--model", "rnn", "--D", "4", "--g", "nan"],
+        ["--model", "rnn", "--D", "4", "--g", "inf"],
+        ["--model", "lorenz96", "--dt", "inf"],
+        ["--model", "twowell", "--eps", "inf"],
         ["--model", "gru", "--D", "3", "--damping", "scale"],
         ["--model", "gru", "--D", "3", "--damping", "scale:abc"],
         ["--model", "gru", "--D", "3", "--method", "scaled:abc"],
@@ -139,6 +143,13 @@ class TestExitCodes:
     ], ids=" ".join)
     def test_bad_flag_value_is_2(self, flags, capsys):
         assert main(["solve", *flags, "-T", "16"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["lle", "--model", "rnn", "--D", "4", "--g", "inf"],
+        ["diagnose", "gamma", "--model", "lorenz96", "--dt", "inf", "--method", "quasi"],
+    ], ids=" ".join)
+    def test_non_finite_model_parameter_is_2(self, argv, capsys):
+        assert main([*argv, "-T", "16"]) == 2
 
     @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--mode", "filter"],
                                        ["--jac", "full"], ["--damping", "scale:0.5"]])

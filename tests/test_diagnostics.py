@@ -11,6 +11,7 @@ from parssm import bench
 from parssm import diagnostics as dg
 from parssm.fixedpoint import JACOBI, NEWTON, PICARD, QUASI_DIAGONAL, SolverMethod
 from parssm.models import FunctionSystem
+from parssm.pscan import lane_apply
 
 
 class TestEstimateLle:
@@ -77,6 +78,30 @@ class TestAssembleBigJ:
         sys_ = P.models.build("rnn", 1400, D=3, g=0.8, seed=0)
         with pytest.raises(P.ContractError):
             dg.assemble_big_j(sys_, P.rollout_sequential(sys_))
+
+
+def _assemble_blocks_loop(blocks):
+    """The block-by-block form of ``assemble_blocks``."""
+    T, D = blocks.shape[0], blocks.shape[1]
+    out = np.eye(T * D)
+    for t in range(1, T):
+        out[t * D:(t + 1) * D, (t - 1) * D:t * D] = -blocks[t]
+    return out
+
+
+class TestAssembleBlocks:
+    @pytest.mark.parametrize("T", [1, 2, 50])
+    @pytest.mark.parametrize("D", [1, 3])
+    def test_equals_loop_form_bitwise(self, T, D):
+        """Signed zeros included: +0 and -0 blocks land as -0 and +0."""
+        rng = np.random.default_rng(T * 10 + D)
+        blocks = rng.standard_normal((T, D, D))
+        blocks[rng.random((T, D, D)) < 0.2] = 0.0
+        blocks[rng.random((T, D, D)) < 0.2] = -0.0
+        got = dg.assemble_blocks(blocks)
+        assert got.shape == (T * D, T * D)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      _assemble_blocks_loop(blocks).view(np.int64))
 
 
 class TestMinSingularValue:
@@ -245,6 +270,64 @@ class TestAsymptoticRate:
         [row] = bench.run_experiment(cfg)
         assert row.error == "" and row.diag_error == ""
         assert row.gamma == pytest.approx(rate, rel=1e-12)
+
+
+def _per_coordinate_rate(sys_, tr, method):
+    """gamma with one bidiagonal SVD per coordinate, built entry by entry."""
+    T, D = tr.horizon, tr.dim
+    lane, A = dg._transitions_at(sys_, tr, method)
+    diag = lane_apply(lane, A, np.ones((T, D)))
+    inv_norms = []
+    for j in range(D):
+        B = np.eye(T)
+        idx = np.arange(1, T)
+        B[idx, idx - 1] = -diag[1:, j]
+        inv_norms.append(1.0 / dg.min_singular_value(B))
+    return float(max(inv_norms) * dg._mismatch(sys_, tr, lane, A))
+
+
+_ZOO_AT_64 = [("affine", dict(alpha=0.7)), ("rnn", dict(D=8, g=1.5)), ("gru", dict(D=4)),
+              ("lorenz96", dict(D=5)), ("twowell", {}), ("s5", {}), ("logistic", dict(r=3.5))]
+
+
+class TestRatePerDistinctChain:
+    @pytest.mark.parametrize("kind,params", _ZOO_AT_64, ids=[k for k, _ in _ZOO_AT_64])
+    @pytest.mark.parametrize("method", [QUASI_DIAGONAL, SolverMethod("scaled", 0.5)],
+                             ids=["quasi", "scaled:0.5"])
+    def test_equals_per_coordinate_reference(self, kind, params, method):
+        sys_ = P.models.build(kind, 64, seed=3, **params)
+        tr = P.rollout_sequential(sys_)
+        assert dg.asymptotic_rate(sys_, tr, method) == _per_coordinate_rate(sys_, tr, method)
+
+    def _count_svds(self, monkeypatch):
+        calls = []
+        inner = dg.min_singular_value
+
+        def counted(M):
+            calls.append(M.shape)
+            return inner(M)
+
+        monkeypatch.setattr(dg, "min_singular_value", counted)
+        return calls
+
+    def test_identical_chains_solved_once(self, monkeypatch):
+        """The mean-field RNN's diagonal is exactly 0 in all 8 coordinates."""
+        sys_ = P.models.build("rnn", 64, D=8, g=1.5, seed=0)
+        tr = P.rollout_sequential(sys_)
+        calls = self._count_svds(monkeypatch)
+        dg.asymptotic_rate(sys_, tr, QUASI_DIAGONAL)
+        assert calls == [(64, 64)]
+
+    def test_chains_apart_by_a_signed_zero_stay_apart(self, monkeypatch):
+        """Dedupe is on the bit pattern: a +0 and a -0 chain are two chains,
+        while two equal chains are one."""
+        sys_ = FunctionSystem(dim=4, horizon=16, initial_state=np.zeros(4),
+                              step_fn=lambda t, s: 0.5 * s,
+                              diag_fn=lambda t, s: np.array([0.0, -0.0, 0.5, 0.5]))
+        tr = P.rollout_sequential(sys_)
+        calls = self._count_svds(monkeypatch)
+        dg.asymptotic_rate(sys_, tr, QUASI_DIAGONAL)
+        assert len(calls) == 3
 
 
 class TestBasinRadius:

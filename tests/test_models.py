@@ -19,6 +19,13 @@ class TestBuildValidation:
         ("rnn", dict(D=8, g=0.0)), ("rnn", dict(D=8, g=-1.0)),
         ("lorenz96", dict(dt=0.0)), ("twowell", dict(eps=-0.1)),
         ("logistic", dict(r=0.0)), ("logistic", dict(r=4.5)),
+        ("rnn", dict(D=4, g=float("nan"))), ("rnn", dict(D=4, g=float("inf"))),
+        ("lorenz96", dict(dt=float("inf"))), ("lorenz96", dict(dt=float("nan"))),
+        ("twowell", dict(eps=float("inf"))), ("twowell", dict(eps=float("nan"))),
+        ("logistic", dict(r=float("nan"))),
+        ("rnn", dict(D=4.5, g=1.0)), ("rnn", dict(D="4", g=1.0)), ("rnn", dict(D=0, g=1.0)),
+        ("gru", dict(D=2.5)), ("gru", dict(D=True)), ("lorenz96", dict(D=3)),
+        ("lorenz96", dict(D=5.0)),
     ])
     def test_parameter_ranges(self, kind, params):
         with pytest.raises(P.ContractError):

@@ -8,9 +8,9 @@ import pytest
 import parssm as P
 from parssm.fixedpoint import NEWTON, SolverConfig, linearize
 from parssm.pscan import evaluate_lds, evaluate_stacked, lane_algebra, tree_schedule
-from parssm.trustregion import (TrustRegionConfig, _check_covariances, _filter_covariances,
-                                _forward, _smooth, attenuation, kalman_solve, kalman_step,
-                                lm_step_dense)
+from parssm.trustregion import (TrustRegionConfig, _check_covariances, _default_max_iters,
+                                _filter_covariances, _forward, _smooth, attenuation,
+                                kalman_solve, kalman_step, lm_step_dense)
 
 
 def _noisy_guess(sys_, scale=1.0, seed=0):
@@ -397,6 +397,30 @@ class TestKalmanSolve:
         slow = kalman_solve(sys_, TrustRegionConfig(lam=100.0, solver=base))
         assert fast.converged
         assert slow.iterations > 5 * fast.iterations
+
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
+    def test_default_budget_covers_lorenz96(self, lam):
+        """With ``max_iters`` unset, Lorenz-96 at T=8 converges at every lam
+        (it needs 41, 60 and 320 passes). The budget never falls below the
+        earlier T + ceil((ln(1/tol) + ln(1 + T)) / ln(1 + 1/lam)) + 8, which
+        gave 31, 40 and 185 here, so a solve that converged under that
+        budget takes the same passes under this one."""
+        sys_ = P.models.build("lorenz96", 8, seed=1)
+        rep = kalman_solve(sys_, TrustRegionConfig(lam=lam, solver=SolverConfig(
+            tol=1e-6, init="normal", seed=1, record_history=False)))
+        assert rep.converged
+        # the pass difference understates the error by about 1 + lam
+        assert P.max_abs_diff(rep.trajectory, P.rollout_sequential(sys_)) <= 20 * (1 + lam) * 1e-6
+        T = np.arange(1, 1001)
+        for grid_lam in (0.01, 0.1, 0.5, 1.0, 10.0):
+            for tol in (1e-4, 1e-6, 1e-8):
+                old = T + np.ceil((np.log(1.0 / tol) + np.log1p(T)) / np.log1p(1.0 / grid_lam)) + 8
+                new = [_default_max_iters(int(t), grid_lam, tol) for t in T]
+                assert np.all(new >= old), (grid_lam, tol)
+
+    def test_default_budget_without_damping_is_T(self):
+        assert _default_max_iters(37, 0.0, 1e-8) == 37
 
 
 class TestLmStepDense:
