@@ -1,8 +1,9 @@
 """Experiment harness: config parsing, solver/model sweeps, CSV reports.
 
 A config is a single JSON document (schema 1). Sweeps are expressed as
-arrays; the cross product of all sweep axes times the seed list is run for
-every method entry, each run producing one CSV row with full coordinates.
+arrays; each model instance (one combination of the model axes, T among
+them, and one seed) is run for every method entry, and a kalman entry once
+per value of the lambda axis. Each run is one CSV row with full coordinates.
 Per-run failures are recorded as rows, never aborting the sweep. Outputs are
 plot-ready CSV plus an optional JSON sidecar with full histories.
 """
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 from . import diagnostics, models
 from .core import (ContractError, max_abs_diff, merit, require_int, require_real,
                    rollout_sequential)
-from .fixedpoint import Damping, SolveReport, SolverConfig, SolverMethod, fixed_point_solve
+from .fixedpoint import (Damping, SolveReport, SolverConfig, SolverMethod, check_damping,
+                         fixed_point_solve)
 from .trustregion import TrustRegionConfig, kalman_solve
 
 SCHEMA_VERSION = 1
@@ -65,6 +67,7 @@ class MethodEntry:
             raise ContractError(f"method {name!r} takes no {', '.join(given)}: "
                                 "they set the kalman method")
         method = SolverMethod.parse(name)
+        check_damping(method, damping)
         label = d.get("label") or (f"{name}+{damping.kind}" if damping.kind != "none" else name)
         return MethodEntry(label=label, method=method, damping=damping)
 
@@ -84,8 +87,8 @@ _SOLVER_CONFIG_KEYS = {"tolerance": "tol", "max_iters": "max_iters", "init": "in
                        "metric": "metric", "record_history": "record_history"}
 _CONFIG_KEYS = {"schema", "name", "model", "methods", "sweep", "seeds", "output", "workers",
                 *_SOLVER_CONFIG_KEYS}
-# sweep keys routed to the solver rather than the model constructor
-_SOLVER_KEYS = {"T", "lambda"}
+# the diag_error of a kalman row: the rate theory covers fixed-point methods
+KALMAN_RATE_NOTE = "mismatch and gamma are defined for the fixed-point methods only"
 
 
 def _reject_unknown(d: dict, known: set, where: str):
@@ -122,6 +125,8 @@ class ExperimentConfig:
             require_int("the horizon T", T, 1)
         for lam in self.sweep.get("lambda", ()):
             require_real("a sweep lambda", lam)  # its range is each Kalman row's check
+        if "lambda" in self.sweep and all(m.kalman is None for m in self.methods):
+            raise ContractError("a 'lambda' sweep axis needs a kalman entry: other methods ignore it")
         if self.workers is not None:
             require_int("workers", self.workers, 1)
 
@@ -200,96 +205,92 @@ class RunRecord:
 # the CSV columns, in order: every scalar field, with lam written as lambda
 _RECORD_FIELDS = ["lambda" if f.name == "lam" else f.name for f in fields(RunRecord)
                   if not f.name.endswith("_history")]
+# the SolveReport fields a row copies, and those it copies when histories are recorded
+_REPORT_FIELDS = ("converged", "iterations", "resets", "elapsed", "final_diff")
+_HISTORIES = ("merit_history", "diff_history", "front_history")
 
 
-def _sweep_points(cfg: ExperimentConfig):
-    keys = sorted(cfg.sweep.keys())
-    if not keys:
-        yield {}
-        return
-    for combo in itertools.product(*(cfg.sweep[k] for k in keys)):
-        yield dict(zip(keys, combo))
+def _instances(cfg: ExperimentConfig):
+    """(T, model params) of each instance: a combination of the model axes and a seed."""
+    axes = sorted(k for k in cfg.sweep if k != "lambda")
+    for combo in itertools.product(*(cfg.sweep[k] for k in axes)):
+        point = dict(zip(axes, combo))
+        T = point.pop("T", cfg.default_T)
+        for seed in cfg.seeds:
+            yield T, {**cfg.model_params, **point, "seed": seed}
 
 
-def _run_one(cfg: ExperimentConfig, entry: MethodEntry, point: dict, seed: int,
-             oracle_cache: dict) -> RunRecord:
-    T, params, key = _point_key(cfg, point, seed)
-    record = RunRecord(
-        experiment=cfg.name, model=cfg.model_kind,
-        model_params=json.dumps(params, sort_keys=True), method=entry.label,
-        T=T, D=0, seed=seed, lam=float("nan"), tolerance=cfg.solver.tol,
-    )
+def _describe(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _run_instance(cfg: ExperimentConfig, T: int, params: dict) -> list:
+    """Every row of one model instance. The model is built, its oracle rolled
+    out and its exponent and PL bounds estimated once; then each fixed-point
+    entry is solved once, and each kalman entry once per lambda axis value."""
+    seed, records, runs = params["seed"], [], []
+    for i, lam in enumerate(cfg.sweep.get("lambda", [None])):
+        for entry in (m for m in cfg.methods if i == 0 or m.kalman is not None):
+            record = RunRecord(
+                experiment=cfg.name, model=cfg.model_kind,
+                model_params=json.dumps(params, sort_keys=True), method=entry.label,
+                T=T, D=0, seed=seed, lam=float("nan"), tolerance=cfg.solver.tol,
+            )
+            records.append(record)
+            try:  # a lambda axis value overrides the entry's own and fails only its rows
+                if entry.kalman is not None:
+                    record.lam = float(entry.kalman.lam if lam is None else lam)
+                    entry = replace(entry, kalman=replace(entry.kalman, lam=record.lam))
+                runs.append((record, entry))
+            except ContractError as e:
+                record.error = _describe(e)
     try:
-        if entry.kalman is not None:  # a lambda sweep axis sets the entry's lam
-            record.lam = float(point.get("lambda", entry.kalman.lam))
-            entry = replace(entry, kalman=replace(entry.kalman, lam=record.lam))
         sys_ = models.build(cfg.model_kind, T, **params)
-        record.D = sys_.dim
-        oracle = oracle_cache[key]
-        if isinstance(oracle, Exception):
-            raise oracle.with_traceback(None)  # shared by every run at this point
-        report = entry.solve(sys_, replace(cfg.solver, seed=seed))
-        record.converged = report.converged
-        record.iterations = report.iterations
-        record.resets = report.resets
-        record.elapsed = report.elapsed
-        record.final_diff = report.final_diff
-        record.final_err = max_abs_diff(report.trajectory, oracle)
-        record.final_merit = merit(sys_, report.trajectory)
-        if cfg.solver.record_history:
-            record.merit_history = report.merit_history
-            record.diff_history = report.diff_history
-            record.front_history = report.front_history
+        for record, _ in runs:
+            record.D = sys_.dim
+        oracle = rollout_sequential(sys_)
+    except Exception as e:  # crash isolation: every row of the instance reports it
+        for record, _ in runs:
+            record.error = _describe(e)
+        return records
+    diag = {}  # the instance's exponent columns, or the failure that stopped them
+    try:
+        diag["lle"] = diagnostics.estimate_lle(sys_, oracle, probes=3, seed=seed).lam
+        bounds = diagnostics.pl_bounds(diag["lle"], T=T, D=sys_.dim)
+        diag.update(pl_lower=bounds.lower, pl_upper=bounds.upper)
+    except Exception as e:  # diagnostics are best effort; the solve rows stand
+        diag["diag_error"] = _describe(e)
+    for record, entry in runs:
         try:
-            est = diagnostics.estimate_lle(sys_, oracle, probes=3, seed=seed)
-            record.lle = est.lam
-            bounds = diagnostics.pl_bounds(est.lam, T=T, D=sys_.dim)
-            record.pl_lower, record.pl_upper = bounds.lower, bounds.upper
-            if entry.kalman is None:
+            report = entry.solve(sys_, replace(cfg.solver, seed=seed))
+            for name in _REPORT_FIELDS + (_HISTORIES if cfg.solver.record_history else ()):
+                setattr(record, name, getattr(report, name))
+            record.final_err = max_abs_diff(report.trajectory, oracle)
+            record.final_merit = merit(sys_, report.trajectory)
+        except Exception as e:  # crash isolation: a failed run is still a row
+            record.error, record.converged = _describe(e), False
+            continue
+        vars(record).update(diag)
+        if not record.diag_error and entry.kalman is not None:
+            record.diag_error = KALMAN_RATE_NOTE
+        elif not record.diag_error:
+            try:
                 record.mismatch = diagnostics.jacobian_mismatch(sys_, oracle, entry.method)
-                record.gamma = diagnostics.asymptotic_rate(sys_, oracle, entry.method)
-        except Exception as e:  # diagnostics are best effort; the solve row stands
-            record.diag_error = f"{type(e).__name__}: {e}"
-    except Exception as e:  # crash isolation: a failed run is still a row
-        record.error = f"{type(e).__name__}: {e}"
-        record.converged = False
-    return record
-
-
-def _point_key(cfg: ExperimentConfig, point: dict, seed: int):
-    T = point.get("T", cfg.default_T)
-    params = {k: v for k, v in cfg.model_params.items()}
-    params.update({k: v for k, v in point.items() if k not in _SOLVER_KEYS})
-    params["seed"] = seed
-    return T, params, (json.dumps(params, sort_keys=True), T)
+                record.gamma = diagnostics.rate_factor(sys_, oracle, entry.method) * record.mismatch
+            except Exception as e:
+                record.diag_error = _describe(e)
+    return records
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
-    """Run the full sweep; returns records sorted by coordinates.
-
-    Runs execute in a bounded thread pool (width from the config or the
-    PARSSM_WORKERS environment variable). Oracles are rolled out serially up
-    front so pool workers only read the cache; a failed rollout is cached as
-    its exception and reported by every run of that point. Rows carry full
-    coordinates, so scheduling order never matters.
-    """
-    workers = cfg.workers or default_workers()
-    points = list(_sweep_points(cfg))
-    oracle_cache: dict = {}
-    for point in points:
-        for seed in cfg.seeds:
-            T, params, key = _point_key(cfg, point, seed)
-            if key not in oracle_cache:
-                try:
-                    oracle_cache[key] = rollout_sequential(models.build(cfg.model_kind, T, **params))
-                except Exception as e:  # each run of this point reports it as its row error
-                    oracle_cache[key] = e
-    jobs = [(entry, point, seed) for point in points for seed in cfg.seeds
-            for entry in cfg.methods]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(lambda j: _run_one(cfg, *j, oracle_cache), jobs))
-    records.sort(key=lambda r: (r.model_params, r.T, r.seed, r.method))
-    return records
+    """Run the full sweep; returns records sorted by coordinates. Model
+    instances, each rolling out its own oracle, run in a thread pool as wide
+    as the config's workers or PARSSM_WORKERS; rows carry full coordinates,
+    so scheduling order never matters."""
+    with ThreadPoolExecutor(max_workers=cfg.workers or default_workers()) as pool:
+        per_instance = pool.map(lambda inst: _run_instance(cfg, *inst), _instances(cfg))
+    return sorted(itertools.chain.from_iterable(per_instance),
+                  key=lambda r: (r.model_params, r.T, r.seed, r.method))
 
 
 def write_csv(records, path: str):
@@ -303,15 +304,9 @@ def write_csv(records, path: str):
 
 def write_sidecar(records, path: str):
     """JSON sidecar holding full merit/diff/front histories keyed by coordinates."""
-    payload = []
-    for rec in records:
-        if rec.merit_history is None and rec.diff_history is None:
-            continue
-        payload.append({
-            "model_params": rec.model_params, "method": rec.method, "T": rec.T,
-            "seed": rec.seed, "merit_history": rec.merit_history,
-            "diff_history": rec.diff_history, "front_history": rec.front_history,
-        })
+    payload = [{"model_params": rec.model_params, "method": rec.method, "T": rec.T,
+                "seed": rec.seed, **{name: getattr(rec, name) for name in _HISTORIES}}
+               for rec in records if rec.merit_history is not None]
     with open(path, "w") as f:
         json.dump(payload, f, indent=1)
 
@@ -323,8 +318,7 @@ def run_and_write(cfg: ExperimentConfig, output: str | None = None) -> tuple:
     if out is None:
         raise ContractError("no output path given (config 'output' or --output)")
     write_csv(records, out)
-    sidecar = None
-    if cfg.solver.record_history:
-        sidecar = out + ".histories.json"
+    sidecar = out + ".histories.json" if cfg.solver.record_history else None
+    if sidecar:
         write_sidecar(records, sidecar)
     return records, out, sidecar

@@ -175,14 +175,6 @@ def _transitions_at(sys, traj, method):
     return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
 
 
-def _mismatch(sys, traj, lane, A) -> float:
-    """max over t >= 2 of ||A~_t - A_t||_2, with A~ the lane stack (lane, A)."""
-    T, D = traj.horizon, traj.dim
-    true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
-    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
-    return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
-
-
 def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
                       method: SolverMethod) -> float:
     """max over t >= 2 of ||A~_t - A_t||_2 at the trajectory's states.
@@ -193,7 +185,11 @@ def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
     """
     if method.kind == "newton":
         return 0.0
-    return _mismatch(sys, traj, *_transitions_at(sys, traj, method))
+    T, D = traj.horizon, traj.dim
+    lane, A = _transitions_at(sys, traj, method)
+    true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
+    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
+    return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
 
 
 def picard_inverse_norm(T: int) -> float:
@@ -207,32 +203,35 @@ def picard_inverse_norm(T: int) -> float:
     return float(1.0 / (2.0 * np.sin(np.pi / (2.0 * (2.0 * T + 1.0)))))
 
 
-def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
-                    method: SolverMethod) -> float:
-    """gamma = ||J~(s*)^{-1}||_2 * max_t ||A~_t - A_t||_2 at the solution.
-
-    The inverse-norm factor is 1 for zero transitions and the closed form
-    above for identity ones (Picard, or scaled by 1). Diagonal and scaled
-    transitions decouple coordinatewise into T x T bidiagonal blocks, so
-    their inverse norm needs only T <= 4096; it is the largest over the
-    bitwise-distinct coordinate chains, each solved once. Newton's rate is 0.
-    """
+def rate_factor(sys: DynamicsSystem, traj_star: Trajectory,
+                method: SolverMethod) -> float:
+    """||J~(s*)^{-1}||_2, the factor that turns the mismatch into the rate: 1
+    for zero transitions, the closed form above for identity ones (Picard, or
+    scaled by 1). Diagonal and scaled transitions decouple coordinatewise into
+    T x T bidiagonal blocks, so their factor needs only T <= 4096; it is the
+    largest over the bitwise-distinct coordinate chains, each solved once.
+    Newton's factor is 0, as its rate is."""
     if method.kind == "newton":
         return 0.0
     T, D = traj_star.horizon, traj_star.dim
     lane, A = _transitions_at(sys, traj_star, method)
-    mismatch = _mismatch(sys, traj_star, lane, A)
     if lane == ZERO:
-        inv_norm = 1.0
-    elif lane == IDENTITY:
-        inv_norm = picard_inverse_norm(T)
-    else:  # the diagonal and scalar lanes, the only others a non-Newton method gives
-        _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
-        diag = lane_apply(lane, A, np.ones((T, D)))
-        chains = np.unique(diag.T.view(np.int64), axis=0).view(np.float64)
-        inv_norm = max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
-                       for c in chains)
-    return float(inv_norm * mismatch)
+        return 1.0
+    if lane == IDENTITY:
+        return picard_inverse_norm(T)
+    # the diagonal and scalar lanes, the only others a non-Newton method gives
+    _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
+    diag = lane_apply(lane, A, np.ones((T, D)))
+    chains = np.unique(diag.T.view(np.int64), axis=0).view(np.float64)
+    return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
+                     for c in chains))
+
+
+def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
+                    method: SolverMethod) -> float:
+    """gamma = ||J~(s*)^{-1}||_2 * max_t ||A~_t - A_t||_2 at the solution:
+    ``rate_factor`` times ``jacobian_mismatch``. Newton's rate is 0."""
+    return rate_factor(sys, traj_star, method) * jacobian_mismatch(sys, traj_star, method)
 
 
 def basin_radius(mu: float, L: float) -> float:

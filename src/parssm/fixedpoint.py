@@ -173,10 +173,15 @@ def front_tolerance(cfg: SolverConfig) -> float:
     return 1e-6 * (np.sqrt(2.0 * cfg.tol) if cfg.metric == "merit" else cfg.tol)
 
 
-def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
-    """Stacked transition lane and array for the given method and damping."""
+def check_damping(method: SolverMethod, damping: Damping):
+    """Clip damping clips diagonal entries, so only the quasi method takes it."""
     if damping.kind == "clip" and method.kind != "quasi":
         raise ContractError("clip damping is defined for diagonal transitions only")
+
+
+def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
+    """Stacked transition lane and array for the given method and damping."""
+    check_damping(method, damping)
     scale = 1.0 - damping.k if damping.kind == "scale" else 1.0
     if method.kind == "newton":
         with np.errstate(all="ignore"):

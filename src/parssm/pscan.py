@@ -308,7 +308,7 @@ def _narrow(lane: str, A, to: str):
     return A[:, 0] if lane == DIAGONAL and to != DIAGONAL else A
 
 
-def parallel_scan(ops, counter: ComposeCounter | None = None):
+def parallel_scan(ops):
     """All inclusive prefixes: element t is ops_t o ... o ops_1.
 
     The sequence is scanned in the least lane holding every element. Prefix t
@@ -318,7 +318,7 @@ def parallel_scan(ops, counter: ComposeCounter | None = None):
     """
     ops = list(ops)
     lane, A, b = _stack(ops)
-    pA, pb = scan_stacked(lane, A, b, counter=counter)
+    pA, pb = scan_stacked(lane, A, b)
     out, seen = [], set()
     for t, op in enumerate(ops):
         seen.add(op.A.kind)

@@ -48,6 +48,8 @@ BAD_SETTINGS = [
     {"model": {"kind": "gru", "D": 3, "T": 0}}, {"sweep": {"T": [4.5]}}, {"sweep": {"T": [0]}},
     {"seeds": 3}, {"seeds": []}, {"seeds": [-1]}, {"seeds": [1.5]}, {"seeds": ["0"]},
     {"sweep": {"lambda": ["0.5"]}}, {"sweep": {"lambda": [True]}},
+    {"methods": [{"method": "newton"}], "sweep": {"lambda": [0.5]}},
+    {"methods": [{"method": "newton", "damping": "clip"}]},
 ]
 
 
@@ -259,8 +261,9 @@ class TestRunExperiment:
         assert row.diag_error.startswith("ContractError:")
 
     def test_lambda_axis_checked_per_row(self, tmp_path):
-        """A lambda axis sets each Kalman row's lam and leaves fixed-point rows
-        alone; a value the filter rejects fails only its own rows."""
+        """A lambda axis sets each Kalman row's lam, and a fixed-point entry,
+        which ignores it, is solved once per instance; a value the filter
+        rejects fails only its own rows."""
         doc = _tiny_config(tmp_path, methods=[{"method": "newton"}, {"method": "kalman"}],
                            sweep={"lambda": [0.0, 0.5]}, seeds=[0])
         records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
@@ -268,7 +271,71 @@ class TestRunExperiment:
         newton = [r for r in records if r.method == "newton"]
         assert kalman[0.0].error.startswith("ContractError: lam = 0")
         assert kalman[0.5].error == "" and kalman[0.5].converged
-        assert len(newton) == 2 and all(r.error == "" and np.isnan(r.lam) for r in newton)
+        assert len(newton) == 1 and newton[0].error == "" and np.isnan(newton[0].lam)
+
+    def test_one_rollout_and_estimate_per_instance(self, tmp_path, monkeypatch):
+        """Each model instance (T value x seed) rolls out its oracle and
+        estimates its exponent once, however many methods and lambda values
+        share it."""
+        calls = {"rollout": [], "lle": []}
+        rollout, estimate = bench.rollout_sequential, bench.diagnostics.estimate_lle
+
+        def counted_rollout(sys_):
+            calls["rollout"].append(sys_.horizon)
+            return rollout(sys_)
+
+        def counted_estimate(sys_, traj, **kw):
+            calls["lle"].append(sys_.horizon)
+            return estimate(sys_, traj, **kw)
+
+        monkeypatch.setattr(bench, "rollout_sequential", counted_rollout)
+        monkeypatch.setattr(bench.diagnostics, "estimate_lle", counted_estimate)
+        doc = _tiny_config(tmp_path, sweep={"T": [12, 24], "lambda": [0.5, 1.0]}, workers=2)
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        assert len(records) == 2 * 2 * (3 + 2)  # T values x seeds x (fixed point + kalman x lambda)
+        assert sorted(calls["rollout"]) == sorted(calls["lle"]) == [12, 12, 24, 24]
+
+    def test_one_true_jacobian_stack_per_fixed_point_row(self, tmp_path, monkeypatch):
+        """The instance's exponent estimate and each fixed-point row's mismatch
+        evaluate the true Jacobians once each; the row's gamma equals
+        asymptotic_rate bit for bit."""
+        sys_ = P.models.build("rnn", 16, D=4, g=0.8, seed=0)
+        calls, inner = [], type(sys_).jacobian_batch
+
+        def counted(self, ts, S):
+            calls.append(len(ts))
+            return inner(self, ts, S)
+
+        monkeypatch.setattr(type(sys_), "jacobian_batch", counted)
+        doc = _tiny_config(tmp_path, model={"kind": "rnn", "D": 4, "T": 16, "g": 0.8},
+                           methods=[{"method": "quasi"}, {"method": "jacobi"}],
+                           sweep={}, seeds=[0])
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        assert calls == [16, 16, 16]  # the exponent, then one mismatch per row
+        oracle = P.rollout_sequential(sys_)
+        for row, method in zip(records, [P.JACOBI, P.QUASI_DIAGONAL]):  # sorted by label
+            assert row.diag_error == "" and row.gamma == P.asymptotic_rate(sys_, oracle, method)
+
+    def test_kalman_rows_name_their_missing_rate(self, tmp_path):
+        """A Kalman row has no mismatch or rate, and says so in diag_error;
+        its exponent columns stand."""
+        doc = _tiny_config(tmp_path, methods=[{"method": "kalman", "lambda": 0.5}],
+                           sweep={}, seeds=[0])
+        [row] = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        assert row.error == "" and np.isfinite(row.lle) and np.isfinite(row.pl_upper)
+        assert np.isnan(row.mismatch) and np.isnan(row.gamma)
+        assert row.diag_error == bench.KALMAN_RATE_NOTE
+
+    def test_kalman_row_keeps_the_estimate_failure(self, tmp_path):
+        """When the exponent estimate fails, a Kalman row names that failure,
+        as the fixed-point rows of the instance do."""
+        doc = _tiny_config(tmp_path, model={"kind": "affine", "T": 16, "alpha": 0.0},
+                           methods=[{"method": "newton"}, {"method": "kalman", "lambda": 0.5}],
+                           sweep={}, seeds=[0])
+        kalman, newton = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))  # sorted
+        assert kalman.method == "kalman" and kalman.error == ""
+        assert kalman.diag_error.startswith("NumericalFailure: ")
+        assert kalman.diag_error == newton.diag_error
 
     def test_final_diff_without_history(self, tmp_path):
         """A sweep records no histories, yet each row carries the last pass's

@@ -283,7 +283,7 @@ def _per_coordinate_rate(sys_, tr, method):
         idx = np.arange(1, T)
         B[idx, idx - 1] = -diag[1:, j]
         inv_norms.append(1.0 / dg.min_singular_value(B))
-    return float(max(inv_norms) * dg._mismatch(sys_, tr, lane, A))
+    return float(max(inv_norms) * dg.jacobian_mismatch(sys_, tr, method))
 
 
 _ZOO_AT_64 = [("affine", dict(alpha=0.7)), ("rnn", dict(D=8, g=1.5)), ("gru", dict(D=4)),

@@ -174,11 +174,12 @@ class TestParallelScan:
 
     @pytest.mark.parametrize("T", [2, 3, 8, 13, 64, 100, 500])
     def test_compose_budget_and_depth(self, T):
-        """At most 2T element compositions; up-sweep depth <= ceil(log2 T)."""
+        """On the dense lane: at most 2T element compositions and up-sweep
+        depth <= ceil(log2 T)."""
         rng = np.random.default_rng(T)
-        ops = [_rand_dense(rng, 2) for _ in range(T)]
         counter = ComposeCounter()
-        parallel_scan(ops, counter=counter)
+        scan_stacked("dense", rng.standard_normal((T, 2, 2)), rng.standard_normal((T, 2)),
+                     counter=counter)
         assert counter.compositions <= 2 * T
         assert counter.up_levels <= int(np.ceil(np.log2(T)))
         if T & (T - 1) == 0:
