@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -305,7 +306,8 @@ def write_csv(records, path: str):
 def write_sidecar(records, path: str):
     """JSON sidecar holding full merit/diff/front histories keyed by coordinates."""
     payload = [{"model_params": rec.model_params, "method": rec.method, "T": rec.T,
-                "seed": rec.seed, **{name: getattr(rec, name) for name in _HISTORIES}}
+                "seed": rec.seed, "lambda": None if math.isnan(rec.lam) else rec.lam,
+                **{name: getattr(rec, name) for name in _HISTORIES}}
                for rec in records if rec.merit_history is not None]
     with open(path, "w") as f:
         json.dump(payload, f, indent=1)

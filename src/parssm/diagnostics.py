@@ -100,15 +100,6 @@ def assemble_big_j(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
     return assemble_blocks(blocks)
 
 
-def assemble_approx_j(sys: DynamicsSystem, traj: Trajectory,
-                      method: SolverMethod) -> np.ndarray:
-    """Like ``assemble_big_j`` but with the method's transitions A~_t."""
-    sys._check_traj(traj)
-    T, D = traj.horizon, traj.dim
-    _check_dense_guard(T, D, "assemble_approx_j")
-    return assemble_blocks(lane_matrices(*_transitions_at(sys, traj, method), T, D))
-
-
 def min_singular_value(M: np.ndarray) -> float:
     """Smallest singular value via a dense SVD."""
     M = np.asarray(M, dtype=np.float64)

@@ -15,12 +15,12 @@ is Zero once a Zero has entered it), Identity holds while every element so
 far is Identity, and otherwise the prefix is in the least lane holding the
 kinds seen so far. Scan and pairwise fold therefore agree on every class.
 
-The scan itself is a two-phase tree (up-sweep building power-of-two partial
-products, down-sweep filling in the remaining inclusive prefixes). Each level
-composes two strided slice views of the sequence, so nothing is padded,
-gathered or scattered. It performs fewer than 2T element compositions in
-floor(log2 T) up-sweep and at most ceil(log2 T) - 1 down-sweep levels, on one
-worker: ``scan_stacked`` keeps a ``workers`` keyword that accepts only 1.
+The scan is a two-phase tree (up-sweep, then down-sweep) that one driver,
+``tree_scan``, walks for any associative combine: the affine one here, the
+Kalman filtering-element one in ``trustregion``. Each level combines two
+strided slice views, so nothing is padded, gathered or scattered: fewer than
+2T combines in floor(log2 T) up-sweep and at most ceil(log2 T) - 1 down-sweep
+levels, on one worker (``scan_stacked``'s ``workers`` keyword accepts only 1).
 """
 
 from __future__ import annotations
@@ -208,28 +208,37 @@ def _compose_into(lane: str, A, b, hi: slice, lo: slice):
     mul(A[hi], A[lo], out=A[hi])
 
 
-def tree_schedule(T: int) -> tuple[list, list]:
-    """Up- and down-sweep levels of the tree scan over T slots, as (hi, lo)
-    pairs of strided slices: level l composes slots hi with the slots 2^l to
-    their left, which act first. Up-sweep level l writes slots m 2^(l+1) - 1
-    (0-based); down-sweep level l, coarse to fine, slots m 2^(l+1) + 3 2^l - 1.
-    Run in order, the levels leave every slot holding its inclusive prefix
-    under any associative composition, after fewer than 2T compositions."""
+def tree_scan(T: int, combine, counter: ComposeCounter | None = None):
+    """Run the tree scan over T slots as one ``combine(hi, lo, closing)`` per
+    level, which overwrites slots ``hi`` (a strided slice) with their
+    combination with the slots ``lo`` 2^l to their left, which act first.
+    Up-sweep level l writes slots m 2^(l+1) - 1 (0-based); down-sweep level l,
+    coarse to fine, slots m 2^(l+1) + 3 2^l - 1. In order, the levels leave
+    every slot holding its inclusive prefix, after fewer than 2T combines.
+    ``closing`` marks the top up-sweep level and every down-sweep level: they
+    come last, and no later level passes a slot they write as ``hi``."""
+    if T == 0:
+        raise ContractError("parallel scan needs at least one element")
     levels = (T - 1).bit_length()  # ceil(log2 T)
 
     def level(lv, first):
         return slice(first, T, 2 << lv), slice(first - (1 << lv), T - (1 << lv), 2 << lv)
 
-    return ([level(lv, (2 << lv) - 1) for lv in range(levels) if (2 << lv) <= T],
-            [level(lv, (3 << lv) - 1) for lv in range(levels - 2, -1, -1) if (3 << lv) <= T])
+    up = [level(lv, (2 << lv) - 1) for lv in range(levels) if (2 << lv) <= T]
+    down = [level(lv, (3 << lv) - 1) for lv in range(levels - 2, -1, -1) if (3 << lv) <= T]
+    for i, (hi, lo) in enumerate(up + down):
+        combine(hi, lo, i >= len(up) - 1)
+        if counter is not None:
+            counter.add(len(range(T)[hi]))
+    if counter is not None:
+        counter.up_levels += len(up)
+        counter.down_levels += len(down)
 
 
 def scan_stacked(lane: str, A: np.ndarray, b: np.ndarray, workers: int = 1,
                  counter: ComposeCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """All inclusive prefix compositions of a stacked affine sequence.
-
-    Two-phase tree scan on strided views of the sequence itself, on the
-    levels of ``tree_schedule``, each one batched composition of two slices.
+    """All inclusive prefix compositions of a stacked affine sequence: the
+    affine composition of two slices on each level of ``tree_scan``.
 
     ``workers`` must be 1: the scan runs on one worker. The keyword remains
     because the benchmark's span tracer (``perfbench/spans.py``) still passes
@@ -237,19 +246,9 @@ def scan_stacked(lane: str, A: np.ndarray, b: np.ndarray, workers: int = 1,
     """
     if workers != 1:
         raise ContractError(f"scan_stacked runs on one worker, got workers={workers}")
-    T = b.shape[0]
-    if T == 0:
-        raise ContractError("parallel scan needs at least one element")
     A = np.array(A, dtype=np.float64)
     b = np.array(b, dtype=np.float64)
-    up, down = tree_schedule(T)
-    for hi, lo in up + down:
-        _compose_into(lane, A, b, hi, lo)
-        if counter is not None:
-            counter.add(len(range(T)[hi]))
-    if counter is not None:
-        counter.up_levels += len(up)
-        counter.down_levels += len(down)
+    tree_scan(b.shape[0], lambda hi, lo, closing: _compose_into(lane, A, b, hi, lo), counter)
     return A, b
 
 

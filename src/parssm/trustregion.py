@@ -26,7 +26,7 @@ from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
 from .diagnostics import assemble_big_j
 from .fixedpoint import (NEWTON, NO_DAMPING, QUASI_DIAGONAL, SolveReport, SolverConfig,
                          _linearize_stacked, solve_loop)
-from .pscan import DENSE, evaluate_stacked, lane_algebra, lane_apply, tree_schedule
+from .pscan import DENSE, evaluate_stacked, lane_algebra, lane_apply, tree_scan
 
 
 @dataclass
@@ -58,12 +58,20 @@ class TrustRegionConfig:
             raise ContractError("the trust region takes no damping: lam sets its step")
 
 
+def _gain(lane, sig_pred, lam):
+    """Gamma = 0.5 (G + G^T) with G = (lam Sigma_pred + I)^-1, on a lane's stack."""
+    _, tr, inv, one = lane_algebra(lane, sig_pred.shape[1])
+    gamma = inv(lam * sig_pred + one)
+    return 0.5 * (gamma + tr(gamma))
+
+
 def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
-    """Gamma = sigma^2 (A Sigma A^T + (sigma^2 + 1) I)^{-1}.
+    """Gamma = sigma^2 (A Sigma A^T + (sigma^2 + 1) I)^{-1}: the filter's
+    ``_gain`` on one dense step, with lam = 1/sigma^2.
 
     Symmetric positive definite with ||Gamma||_2 <= sigma^2/(1 + sigma^2)
     = 1/(1 + lam); consequently ||Gamma A||_2 <= ||A||_2 / (1 + lam). The
-    solve cannot be singular: the bracketed matrix dominates (sigma^2 + 1) I.
+    inverse cannot be singular: the bracketed matrix dominates (sigma^2 + 1) I.
     """
     A = np.asarray(A, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
@@ -71,29 +79,20 @@ def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
         raise ContractError("sigma2 must be positive")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Sigma))):
         raise ContractError("attenuation inputs must be finite")
-    d = A.shape[0]
-    m = A @ Sigma @ A.T + (sigma2 + 1.0) * np.eye(d)
-    gamma = sigma2 * np.linalg.solve(m, np.eye(d))
-    gamma = 0.5 * (gamma + gamma.T)
-    return gamma
+    mul, tr, _, one = lane_algebra(DENSE, A.shape[0])
+    sig_pred = one + mul(mul(A[None], Sigma[None]), tr(A[None]))
+    return _gain(DENSE, sig_pred, 1.0 / sigma2)[0]
 
 
 def _filter_covariances(lane, A, lam):
-    """Filtered covariances Sigma_post_t: the C of each prefix of a tree scan.
+    """Filtered covariances Sigma_post_t: the C of each ``tree_scan`` prefix.
 
     With process noise I and emission covariance I/lam, element t is
     Abar_t = A_t/(1 + lam), C_t = I/(1 + lam), J_t = lam/(1 + lam) A_t^T A_t,
     and Abar_1 = J_1 = 0 since s_0 is known. Element i then j combines to
     M = (I + C_i J_j)^-1, Abar = Abar_j M Abar_i, C = Abar_j M C_i Abar_j^T
-    + C_j, J = Abar_i^T M^T J_j Abar_i + J_i. The data never enter.
-
-    Only the up-sweep levels below the top one update Abar and J. The top
-    up-sweep level and every down-sweep level come last, and each writes slots
-    that then hold whole prefixes from element 1 (``tree_schedule``). No later
-    level combines such a slot as its right element j, and the new C needs
-    only C_i of the left element. So the Abar and J those levels would write
-    are never read, and they compute C alone: every C is bit for bit the one
-    the full combine on every level gives.
+    + C_j, J = Abar_i^T M^T J_j Abar_i + J_i. The data never enter. No level
+    reads the Abar and J a closing level would write, so those compute C alone.
     """
     mul, tr, inv, one = lane_algebra(lane, A.shape[1])
     Ab = A / (1.0 + lam)
@@ -101,14 +100,16 @@ def _filter_covariances(lane, A, lam):
     J = (lam / (1.0 + lam)) * mul(tr(A), A)
     Ab[0] = 0.0
     J[0] = 0.0
-    up, down = tree_schedule(len(A))
-    for level, (hi, lo) in enumerate(up + down):
+
+    def combine(hi, lo, closing):
         M = inv(one + mul(C[lo], J[hi]))
         AM = mul(Ab[hi], M)
         C[hi] = mul(mul(AM, C[lo]), tr(Ab[hi])) + C[hi]
-        if level < len(up) - 1:
+        if not closing:
             J[hi] = mul(mul(tr(Ab[lo]), mul(tr(M), J[hi])), Ab[lo]) + J[lo]
             Ab[hi] = mul(AM, Ab[lo])
+
+    tree_scan(len(A), combine)
     return C
 
 
@@ -156,13 +157,12 @@ def _forward(lane, A, b, emissions, s_left, lam):
     + Gamma_t b_t + (I - Gamma_t) y_t, with Gamma_t = (lam Sigma_pred_t + I)^-1
     and the current iterate y_t as emission.
     """
-    mul, tr, inv, one = lane_algebra(lane, b.shape[1])
+    mul, tr, _, one = lane_algebra(lane, b.shape[1])
     with np.errstate(all="ignore"):
         sig_post = _check_covariances(lane, _filter_covariances(lane, A, lam))
     sig_pred = np.broadcast_to(one, sig_post.shape).copy()
     sig_pred[1:] += mul(mul(A[1:], sig_post[:-1]), tr(A[1:]))
-    gamma = inv(lam * sig_pred + one)
-    gamma = 0.5 * (gamma + tr(gamma))
+    gamma = _gain(lane, sig_pred, lam)
     A_eff = mul(gamma, A)
     bias = lane_apply(lane, gamma, b) + lane_apply(lane, one - gamma, emissions)
     means = evaluate_stacked(lane, A_eff, bias, s_left)

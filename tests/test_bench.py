@@ -227,6 +227,29 @@ class TestRunExperiment:
         assert bad.error == "ContractError: initial state must be finite"
         assert bad.converged is False
 
+    def test_failed_solve_is_its_row_error(self, tmp_path, capsys, monkeypatch):
+        """A solve that raises leaves its row with the error and converged 0,
+        the instance's other rows stand, and ``parssm bench`` counts the run."""
+        solve = bench.fixed_point_solve
+
+        def jacobi_fails(sys_, cfg, method):
+            if method.kind == "jacobi":
+                raise P.NumericalFailure("injected failure", t=3)
+            return solve(sys_, cfg, method)
+
+        monkeypatch.setattr(bench, "fixed_point_solve", jacobi_fails)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_tiny_config(tmp_path, sweep={}, seeds=[0])))
+        assert cli.main(["bench", "--config", str(p)]) == 0
+        assert "1 runs recorded errors (see the error column)" in capsys.readouterr().out
+        with open(tmp_path / "out.csv", newline="") as f:
+            rows = {row["method"]: row for row in csv.DictReader(f)}
+        assert sorted(rows) == ["jacobi", "kalman", "newton", "quasi+clip"]
+        failed = rows.pop("jacobi")
+        assert failed["error"] == "NumericalFailure: injected failure (at time index t=3)"
+        assert failed["converged"] == "0"
+        assert all(row["error"] == "" and row["converged"] == "1" for row in rows.values())
+
     def test_diagnostic_failure_is_recorded(self, tmp_path):
         """alpha = 0 makes the Jacobian chain vanish, so the exponent estimate
         fails; the solve columns still stand and the failure is named."""
@@ -377,6 +400,22 @@ class TestOutputs:
         assert len(payload[0]["merit_history"]) == records[0].iterations
         assert payload[0]["front_history"] == records[0].front_history
         assert len(records[0].front_history) == records[0].iterations
+
+    def test_sidecar_entries_carry_lambda(self, tmp_path):
+        """Each kalman entry of a lambda sweep names its lambda, so no two
+        sidecar entries share their coordinates; a fixed-point entry has none."""
+        doc = _tiny_config(tmp_path, record_history=True, sweep={"lambda": [0.5, 1.0]},
+                           methods=[{"method": "newton"}, {"method": "kalman"}], seeds=[0])
+        records, _, sidecar = bench.run_and_write(bench.ExperimentConfig.from_dict(doc))
+        payload = json.loads(open(sidecar).read())
+        keys = [(e["model_params"], e["method"], e["T"], e["seed"], e["lambda"]) for e in payload]
+        assert len(set(keys)) == len(keys) == len(records) == 3
+        by_lambda = {e["lambda"]: e for e in payload}
+        assert set(by_lambda) == {None, 0.5, 1.0}
+        for rec in records:
+            entry = by_lambda[None if np.isnan(rec.lam) else rec.lam]
+            assert entry["method"] == rec.method
+            assert entry["merit_history"] == rec.merit_history
 
     def test_quoting_is_rfc4180(self, tmp_path):
         """Fields containing commas (the params JSON) survive a round trip."""

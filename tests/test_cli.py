@@ -83,6 +83,15 @@ class TestDiagnose:
                      "-T", "32", "--method", "jacobi"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.3, abs=1e-10)
 
+    def test_mismatch_prints_jacobian_mismatch(self, capsys):
+        assert main(["diagnose", "mismatch", "--model", "gru", "--D", "3", "-T", "16",
+                     "--method", "quasi"]) == 0
+        sys_ = P.models.build("gru", 16, D=3)
+        want = P.diagnostics.jacobian_mismatch(sys_, P.rollout_sequential(sys_),
+                                               P.SolverMethod.parse("quasi"))
+        assert want > 0.0
+        assert float(capsys.readouterr().out) == want
+
 
 class TestOracle:
     def test_lm_smoother(self, capsys):

@@ -209,6 +209,14 @@ class TestJacobiInit:
         expected = sys_.step_batch(np.arange(1, 21), np.zeros((20, 4)))
         np.testing.assert_array_equal(warm.states, expected)
 
+    def test_one_jacobi_pass_from_zeros(self):
+        """init="zeros" starts from the zero trajectory: one Jacobi pass from
+        it gives jacobi_init's states (the GRU starts at s_0 = 0)."""
+        sys_ = P.models.build("gru", 20, D=4, seed=6)
+        rep = fixed_point_solve(sys_, SolverConfig(init="zeros", max_iters=1), JACOBI)
+        assert rep.iterations == 1
+        np.testing.assert_array_equal(rep.trajectory.states, jacobi_init(sys_).states)
+
     def test_affine_with_inputs_returns_inputs(self):
         u = np.arange(1.0, 9.0)
         sys_ = P.models.build("affine", 8, alpha=0.5, inputs=u)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import parssm as P
-from parssm import models
+from parssm import jacutils, models
 from parssm.jacutils import fd_jacobian_batch
 
 
@@ -190,3 +190,20 @@ class TestFdFallbacks:
         a = fd_jacobian_batch(m, [1], s[None], h=1e-6)[0]
         b = fd_jacobian_batch(m, [1], s[None], h=1e-5)[0]
         assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, np.max(np.abs(a)))
+
+
+class TestFunctionSystem:
+    def test_diagonal_read_off_jac_fn(self, monkeypatch):
+        """With a jac_fn and no diag_fn, the Jacobian diagonals are those of
+        jac_fn's matrices; no Hutchinson estimate is made."""
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("Hutchinson estimate made")
+
+        monkeypatch.setattr(jacutils, "hutchinson_diag_batch", no_estimate)
+        W = np.arange(9.0).reshape(3, 3) / 10.0
+        m = models.FunctionSystem(
+            3, 4, np.zeros(3), lambda t, s: np.tanh(W @ s + t),
+            jac_fn=lambda t, s: (1.0 - np.tanh(W @ s + t) ** 2)[:, None] * W)
+        ts, S = np.arange(1, 5), np.random.default_rng(0).standard_normal((4, 3))
+        want = np.diagonal(m.jacobian_batch(ts, S), axis1=1, axis2=2)
+        np.testing.assert_array_equal(m.diag_jacobian_batch(ts, S), want)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import parssm as P
 from parssm.pscan import (AffineOp, ComposeCounter, Transition, affine_compose,
                           evaluate_lds, lane_apply, lane_matrices, lane_transitions,
-                          parallel_scan, scan_stacked)
+                          parallel_scan, scan_stacked, tree_scan)
 
 
 def _rand_dense(rng, d, scale=0.6):
@@ -186,24 +186,33 @@ class TestParallelScan:
             assert counter.up_levels == int(np.log2(T))
 
     def test_schedule_is_exact(self):
-        """Levels and compositions of the tree schedule, in closed form, for
-        every T in 1..1100: floor(log2 T) up-sweep levels with T - popcount(T)
+        """Levels and compositions of ``tree_scan``, in closed form, for every
+        T in 1..1100: floor(log2 T) up-sweep levels with T - popcount(T)
         compositions; down-sweep level l runs for l <= ceil(log2 T) - 2 with
-        3 2^l <= T and composes floor((T - 3 2^l) / 2^(l+1)) + 1 slots."""
+        3 2^l <= T and composes floor((T - 3 2^l) / 2^(l+1)) + 1 slots. The
+        top up-sweep level and every down-sweep level are closing. The counts
+        hold for the driver alone and through ``scan_stacked``'s counter."""
         seen = {}
         for T in range(1, 1101):
             down = [lv for lv in range(max(0, (T - 1).bit_length() - 1)) if 3 * 2 ** lv <= T]
-            compositions = (T - bin(T).count("1")) + sum(
-                (T - 3 * 2 ** lv) // 2 ** (lv + 1) + 1 for lv in down)
+            up = T.bit_length() - 1
+            want = ((T - bin(T).count("1")) + sum(
+                (T - 3 * 2 ** lv) // 2 ** (lv + 1) + 1 for lv in down), up, len(down))
+            closing, counter = [], ComposeCounter()
+            tree_scan(T, lambda hi, lo, flag: closing.append(flag), counter)
+            assert (counter.compositions, counter.up_levels, counter.down_levels) == want, T
+            assert closing == ([False] * (up - 1) + [True] * (1 + len(down)) if up else []), T
             counter = ComposeCounter()
             scan_stacked("scalar", np.ones(T), np.zeros((T, 1)), counter=counter)
             seen[T] = (counter.compositions, counter.up_levels, counter.down_levels)
-            assert seen[T] == (compositions, T.bit_length() - 1, len(down)), T
+            assert seen[T] == want, T
         assert (seen[8], seen[100], seen[1000]) == ((11, 3, 2), (190, 6, 6), (1984, 9, 9))
 
     def test_empty_rejected(self):
         with pytest.raises(P.ContractError):
             parallel_scan([])
+        with pytest.raises(P.ContractError, match="at least one element"):
+            tree_scan(0, lambda hi, lo, closing: None)
 
     @pytest.mark.parametrize("make", [lambda: Transition.dense(2.0 * np.eye(2)),
                                       lambda: Transition.diagonal(2.0 * np.ones(2))])

@@ -7,7 +7,7 @@ import pytest
 
 import parssm as P
 from parssm.fixedpoint import NEWTON, SolverConfig, linearize
-from parssm.pscan import evaluate_lds, evaluate_stacked, lane_algebra, tree_schedule
+from parssm.pscan import evaluate_lds, evaluate_stacked, lane_algebra, tree_scan
 from parssm.trustregion import (TrustRegionConfig, _check_covariances, _default_max_iters,
                                 _filter_covariances, _forward, _smooth, attenuation,
                                 kalman_solve, kalman_step, lm_step_dense)
@@ -121,21 +121,23 @@ class TestScanEqualsSequentialOracle:
 
 def _filter_covariances_every_level(lane, A, lam):
     """The covariance scan with the full element combine (Abar, C and J) on
-    every level, the form ``_filter_covariances`` cuts to C alone on the levels
-    whose Abar and J are never read."""
+    every level, ignoring ``closing``: the form ``_filter_covariances`` cuts to
+    C alone on the closing levels, whose Abar and J are never read."""
     mul, tr, inv, one = lane_algebra(lane, A.shape[1])
     Ab = A / (1.0 + lam)
     C = np.broadcast_to(one / (1.0 + lam), A.shape).copy()
     J = (lam / (1.0 + lam)) * mul(tr(A), A)
     Ab[0] = 0.0
     J[0] = 0.0
-    up, down = tree_schedule(len(A))
-    for hi, lo in up + down:
+
+    def combine(hi, lo, closing):
         M = inv(one + mul(C[lo], J[hi]))
         AM = mul(Ab[hi], M)
         C[hi] = mul(mul(AM, C[lo]), tr(Ab[hi])) + C[hi]
         J[hi] = mul(mul(tr(Ab[lo]), mul(tr(M), J[hi])), Ab[lo]) + J[lo]
         Ab[hi] = mul(AM, Ab[lo])
+
+    tree_scan(len(A), combine)
     return C
 
 
@@ -262,6 +264,31 @@ class TestKalmanStep:
             lhs = np.linalg.norm(gamma @ A[t], 2)
             assert lhs <= np.linalg.norm(A[t], 2) / (1.0 + lam) + 1e-10
             Sigma = sig_post[t]
+
+    def test_filter_gain_is_attenuation(self, monkeypatch):
+        """On the dense lane at lam = 0.5, whose reciprocal 2 is exact, the
+        Gamma_t that ``_forward`` applies equals attenuation(A_t,
+        Sigma_post_{t-1}, 1/lam) bit for bit, with Sigma_post_0 = 0. Both come
+        from the one ``_gain``: the filter calls it once for its whole stack,
+        and attenuation once per step."""
+        import parssm.trustregion as tr_mod
+
+        gains, real_gain = [], tr_mod._gain
+
+        def spy(lane, sig_pred, lam):
+            gains.append(real_gain(lane, sig_pred, lam))
+            return gains[-1]
+
+        monkeypatch.setattr(tr_mod, "_gain", spy)
+        lam, T = 0.5, 40
+        A, b, emissions, s0 = _lorenz96_linearization(T, "dense")
+        _, sig_post, _ = _forward("dense", A, b, emissions, s0, lam)
+        [gamma] = gains
+        assert gamma.shape == A.shape
+        sig_prev = np.concatenate([np.zeros_like(sig_post[:1]), sig_post[:-1]])
+        for t in range(T):
+            assert np.array_equal(attenuation(A[t], sig_prev[t], 1.0 / lam), gamma[t]), t
+        assert len(gains) == 1 + T
 
     def test_covariance_pass_is_data_independent(self):
         """Permuting the emissions leaves every filtered covariance bitwise
