@@ -14,7 +14,6 @@ import csv
 import itertools
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -26,17 +25,6 @@ from .fixedpoint import (Damping, SolveReport, SolverConfig, SolverMethod, check
 from .trustregion import TrustRegionConfig, kalman_solve
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "PARSSM_WORKERS"
-
-
-def default_workers() -> int:
-    """The pool width PARSSM_WORKERS sets: 1 when it is unset or empty."""
-    raw = os.environ.get(WORKERS_ENV, "")
-    if not raw:
-        return 1
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ContractError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -286,9 +274,9 @@ def _run_instance(cfg: ExperimentConfig, T: int, params: dict) -> list:
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the full sweep; returns records sorted by coordinates. Model
     instances, each rolling out its own oracle, run in a thread pool as wide
-    as the config's workers or PARSSM_WORKERS; rows carry full coordinates,
-    so scheduling order never matters."""
-    with ThreadPoolExecutor(max_workers=cfg.workers or default_workers()) as pool:
+    as the config's workers, 1 when unset; rows carry full coordinates, so
+    scheduling order never matters."""
+    with ThreadPoolExecutor(max_workers=cfg.workers or 1) as pool:
         per_instance = pool.map(lambda inst: _run_instance(cfg, *inst), _instances(cfg))
     return sorted(itertools.chain.from_iterable(per_instance),
                   key=lambda r: (r.model_params, r.T, r.seed, r.method))

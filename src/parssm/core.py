@@ -93,9 +93,6 @@ class Trajectory:
         """Predecessor matrix: row t-1 holds s_{t-1} (row 0 is s_0)."""
         return np.vstack([self.initial[None, :], self.states[:-1]])
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.initial.copy(), self.states.copy())
-
 
 class DynamicsSystem(ABC):
     """Interface for a discrete-time system s_{t+1} = f_t(s_t), t = 1..T.
@@ -108,19 +105,16 @@ class DynamicsSystem(ABC):
 
     Subclasses set ``dim``, ``horizon`` and ``initial_state`` and implement
     ``step_batch``. ``jacobian_batch`` defaults to central finite
-    differences, ``diag_jacobian_batch`` to a Hutchinson estimate with
-    ``diag_samples`` probes per row seeded ``(diag_seed, t)``, and
-    ``jvp_batch`` to a central difference; override any of them with
-    analytic forms. The single-row ``step``, ``jacobian``, ``diag_jacobian``
-    and ``jvp`` are the batch forms applied to one row, so both paths share
-    one code path.
+    differences, ``diag_jacobian_batch`` to a one-probe Hutchinson estimate
+    seeded ``(0, t)`` for row t, and ``jvp_batch`` to a central difference;
+    override any of them with analytic forms. The single-row ``step``,
+    ``jacobian``, ``diag_jacobian`` and ``jvp`` are the batch forms applied
+    to one row, so both paths share one code path.
     """
 
     dim: int
     horizon: int
     initial_state: np.ndarray
-    diag_samples: int = 1
-    diag_seed: int = 0
 
     @abstractmethod
     def step_batch(self, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -136,9 +130,7 @@ class DynamicsSystem(ABC):
         """(n, D) Jacobian diagonals of f_t at each row."""
         from . import jacutils
 
-        return jacutils.hutchinson_diag_batch(
-            self, np.asarray(ts), np.asarray(S), n=self.diag_samples,
-            seed_base=self.diag_seed)
+        return jacutils.hutchinson_diag_batch(self, np.asarray(ts), np.asarray(S))
 
     def jvp_batch(self, ts: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
         """(n, D) Jacobian-vector products A_t(S[i]) V[i]."""

@@ -18,7 +18,8 @@ import numpy as np
 from .core import (ContractError, DynamicsSystem, Trajectory, as_state,
                    exact_rows_and_merit, max_abs_diff, require_int, require_real)
 from .core import merit  # noqa: F401  (tracing tools patch fixedpoint.merit by name)
-from .pscan import ZERO, AffineOp, evaluate_stacked, lane_apply, lane_transitions
+from .pscan import (DENSE, DIAGONAL, IDENTITY, SCALAR, ZERO, AffineOp, evaluate_stacked,
+                    lane_apply, lane_transitions)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
     if method.kind == "newton":
         with np.errstate(all="ignore"):
             A = sys.jacobian_batch(ts, prev)
-        return ("dense", A if scale == 1.0 else scale * A)
+        return (DENSE, A if scale == 1.0 else scale * A)
     if method.kind == "quasi":
         with np.errstate(all="ignore"):
             d = sys.diag_jacobian_batch(ts, prev)
@@ -194,14 +195,14 @@ def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
             d = scale * d
         if damping.kind == "clip":
             d = np.clip(d, damping.lo, damping.hi)
-        return ("diagonal", d)
+        return (DIAGONAL, d)
     if method.kind == "jacobi":
-        return ("zero", None)
+        return (ZERO, None)
     a = 1.0 if method.kind == "picard" else method.coeff
     a = a * scale
     if a == 1.0:
-        return ("identity", None)
-    return ("scalar", np.full(len(ts), a))
+        return (IDENTITY, None)
+    return (SCALAR, np.full(len(ts), a))
 
 
 def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None):
@@ -229,11 +230,8 @@ def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None):
         lane, A = _method_transitions(sys, ts, prev, method, damping)
         if A is not None and not np.isfinite(A).all():
             abad = ~np.all(np.isfinite(A.reshape(len(ts), -1)), axis=1)
-            if abad.any():
-                sub_ts = np.asarray(ts)[abad]
-                zeros = np.zeros((int(abad.sum()), prev.shape[1]))
-                _, A_sub = _method_transitions(sys, sub_ts, zeros, method, damping)
-                A[abad] = A_sub
+            zeros = np.zeros((int(abad.sum()), prev.shape[1]))
+            A[abad] = _method_transitions(sys, np.asarray(ts)[abad], zeros, method, damping)[1]
         # zero transitions: the update is a pure map, with nothing to subtract
         b = fvals if lane == ZERO else fvals - lane_apply(lane, A, prev)
     return lane, A, b

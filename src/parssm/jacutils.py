@@ -1,10 +1,11 @@
 """Jacobian access when analytic forms are absent.
 
-One central-difference kernel serves the finite-difference Jacobians and the
-default ``DynamicsSystem.jvp_batch``; one Hutchinson core (Rademacher probes,
-one JVP per probe through ``jvp_batch``) serves the stochastic diagonal
-estimates. The ``_batch`` forms return overflowed rows as non-finite values
-for the solvers' reset heuristic; the single-row ``hutchinson_diag`` raises.
+One central-difference kernel, the only home of the step rule, serves the
+finite-difference Jacobians and the default ``DynamicsSystem.jvp_batch``; one
+Hutchinson core (Rademacher probes, one JVP per probe through ``jvp_batch``)
+serves the stochastic diagonal estimates. The ``_batch`` forms return
+overflowed rows as non-finite values for the solvers' reset heuristic; the
+single-row ``hutchinson_diag`` raises.
 """
 
 from __future__ import annotations
@@ -17,19 +18,17 @@ import numpy as np
 from .core import ContractError, NumericalFailure
 
 
-def _central_diff(sys, ts: np.ndarray, S: np.ndarray, V: np.ndarray,
-                  hs: np.ndarray | None = None) -> np.ndarray:
+def _central_diff(sys, ts: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """(f_t(s + h v) - f_t(s - h v)) / 2h along k tangents per row.
 
     S is (n, D) and V broadcasts to (n, k, D); the 2 n k perturbed states go
-    through one ``step_batch`` call, the +h rows first. ``hs`` holds one step
-    per row and defaults to h = 1e-6 (1 + ||s||_inf) / max(||v||_inf, 1) over
-    the row's tangents. Non-finite results are returned, not raised.
+    through one ``step_batch`` call, the +h rows first. Each row takes the
+    step h = 1e-6 (1 + ||s||_inf) / max(||v||_inf, 1) over its tangents.
+    Non-finite results are returned, not raised.
     """
     n, d = S.shape
     k = V.shape[-2]
-    if hs is None:
-        hs = 1e-6 * (1.0 + np.max(np.abs(S), axis=1)) / np.abs(V).max(axis=(1, 2), initial=1.0)
+    hs = 1e-6 * (1.0 + np.max(np.abs(S), axis=1)) / np.abs(V).max(axis=(1, 2), initial=1.0)
     h = hs[:, None, None]
     ts_rep = np.tile(np.repeat(np.asarray(ts), k), 2)
     with np.errstate(all="ignore"):
@@ -39,22 +38,16 @@ def _central_diff(sys, ts: np.ndarray, S: np.ndarray, V: np.ndarray,
         return (fp - fm) / (2.0 * h)
 
 
-def fd_jacobian_batch(sys, ts: np.ndarray, S: np.ndarray, h: float | None = None) -> np.ndarray:
+def fd_jacobian_batch(sys, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Non-strict central-difference Jacobians for a batch of (t, s) pairs.
 
-    Routes all 2 n D perturbed evaluations through ``step_batch`` so systems
-    with vectorized dynamics pay one batched pass instead of n D loop steps.
+    The D unit tangents of ``_central_diff`` give the columns, so the step is
+    h = 1e-6 (1 + ||s||_inf), and all 2 n D perturbed evaluations go through
+    one ``step_batch`` call instead of n D loop steps.
     """
-    if h is not None and h <= 0:
-        raise ContractError("finite-difference step h must be positive")
     S = np.asarray(S, dtype=np.float64)
-    n, d = S.shape
-    if h is None:
-        hs = 1e-6 * (1.0 + np.max(np.abs(S), axis=1))  # unit basis probes: ||v||_inf = 1
-    else:
-        hs = np.full(n, float(h))
     # axis 1 of the differences indexes the perturbed coordinate, i.e. the Jacobian column
-    return np.swapaxes(_central_diff(sys, ts, S, np.eye(d)[None, :, :], hs), 1, 2)
+    return np.swapaxes(_central_diff(sys, ts, S, np.eye(S.shape[1])[None, :, :]), 1, 2)
 
 
 @dataclass
@@ -78,9 +71,9 @@ def _rademacher(rng, n, d):
 
 
 @lru_cache(maxsize=16)
-def _probe_table(seed_base, n: int, d: int, tmax: int) -> np.ndarray:
-    """(tmax, n, d) probes, row t-1 from default_rng((seed_base, t)); shared, so read-only."""
-    table = np.stack([_rademacher(np.random.default_rng((seed_base, t)), n, d)
+def _probe_table(d: int, tmax: int) -> np.ndarray:
+    """(tmax, 1, d) probes, row t-1 from default_rng((0, t)); shared, so read-only."""
+    table = np.stack([_rademacher(np.random.default_rng((0, t)), 1, d)
                       for t in range(1, tmax + 1)])
     table.flags.writeable = False
     return table
@@ -95,40 +88,30 @@ def _hutchinson(sys, ts: np.ndarray, S: np.ndarray, probes: np.ndarray) -> np.nd
         return np.mean(probes * np.asarray(jvps).reshape(m, k, d), axis=1)
 
 
-def hutchinson_diag(sys, t: int, s: np.ndarray, n: int = 1, seed=0,
-                    probes: np.ndarray | None = None) -> DiagEstimate:
+def hutchinson_diag(sys, t: int, s: np.ndarray, n: int = 1, seed=0) -> DiagEstimate:
     """Unbiased diagonal estimate: mean over n Rademacher probes of v * (A_t v).
 
-    Exact whenever A_t is diagonal, for any n and any probes. ``probes`` may
-    supply an explicit (n, D) matrix of +-1 vectors, overriding sampling;
-    otherwise probes are drawn from ``numpy.random.default_rng(seed)``.
+    Exact whenever A_t is diagonal, for any n and any seed. The probes are
+    drawn from ``numpy.random.default_rng(seed)``.
     """
     if n < 1:
         raise ContractError("hutchinson_diag needs n >= 1")
     s = np.asarray(s, dtype=np.float64)
-    d = s.shape[0]
-    if probes is None:
-        probes = _rademacher(np.random.default_rng(seed), n, d)
-    else:
-        probes = np.asarray(probes, dtype=np.float64)
-        if probes.shape != (n, d):
-            raise ContractError(f"probes must have shape ({n}, {d})")
+    probes = _rademacher(np.random.default_rng(seed), n, s.shape[0])
     values = _hutchinson(sys, np.array([t]), s[None, :], probes[None, :, :])[0]
     return DiagEstimate(values, samples=n, seed=seed)
 
 
-def hutchinson_diag_batch(sys, ts: np.ndarray, S: np.ndarray, n: int = 1,
-                          seed_base=0) -> np.ndarray:
-    """Non-strict Hutchinson estimates for a batch of (t, s) pairs.
+def hutchinson_diag_batch(sys, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Non-strict one-probe Hutchinson estimates for a batch of (t, s) pairs.
 
-    Probes for row t are drawn from default_rng((seed_base, t)), so row t
-    equals ``hutchinson_diag(..., seed=(seed_base, t))``. They are drawn once,
-    as one table over t = 1 .. max(horizon, max ts) per (seed_base, n, d),
-    and every later call gathers its rows from it. Used by the default
+    The probe for row t is drawn from default_rng((0, t)), so row t equals
+    ``hutchinson_diag(..., n=1, seed=(0, t))``. The probes are drawn once, as
+    one table over t = 1 .. max(horizon, max ts) per state size, and every
+    later call gathers its rows from it. Used by the default
     ``diag_jacobian_batch``.
     """
     ts = np.asarray(ts)
     S = np.asarray(S, dtype=np.float64)
-    n, d = max(1, n), S.shape[1]
     tmax = max(sys.horizon, int(ts.max(initial=0)))
-    return _hutchinson(sys, ts, S, _probe_table(seed_base, n, d, tmax)[ts - 1])
+    return _hutchinson(sys, ts, S, _probe_table(S.shape[1], tmax)[ts - 1])

@@ -88,11 +88,11 @@ class MeanFieldRNN(DynamicsSystem):
     """s_{t+1} = W tanh(s_t) + u_t with W_ij ~ N(0, g^2/D), zero self-coupling.
 
     The gain g sweeps the system from predictable to chaotic. Inputs are mild
-    sinusoids u_t = 0.1 sin(2 pi t / T) 1. Draw order from the seed: W, then
-    the initial state.
+    sinusoids u_t = 0.1 sin(2 pi t / T) 1, of fixed amplitude. Draw order
+    from the seed: W, then the initial state.
     """
 
-    def __init__(self, D, g, T, seed=0, input_amplitude=0.1):
+    def __init__(self, D, g, T, seed=0):
         if not 0 < g < np.inf:
             raise ContractError(f"gain g must be positive and finite, got {g!r}")
         require_int("state size D", D, 1)
@@ -104,7 +104,7 @@ class MeanFieldRNN(DynamicsSystem):
         np.fill_diagonal(self.W, 0.0)
         self.initial_state = rng.standard_normal(self.dim)
         t = np.arange(1, self.horizon + 1)
-        self.inputs = input_amplitude * np.sin(2.0 * np.pi * t / self.horizon)
+        self.inputs = 0.1 * np.sin(2.0 * np.pi * t / self.horizon)
 
     def step_batch(self, ts, S):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -363,8 +363,7 @@ def build(kind: str, T: int, **params) -> DynamicsSystem:
     """Construct a zoo model by kind name; parameter ranges are validated."""
     if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r}; choose from {sorted(MODEL_KINDS)}")
-    if T < 1:
-        raise ContractError("horizon T must be >= 1")
+    require_int("horizon T", T, 1)
     cls = MODEL_KINDS[kind]
     try:
         return cls(T=T, **params)

@@ -72,16 +72,21 @@ def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
     Symmetric positive definite with ||Gamma||_2 <= sigma^2/(1 + sigma^2)
     = 1/(1 + lam); consequently ||Gamma A||_2 <= ||A||_2 / (1 + lam). The
     inverse cannot be singular: the bracketed matrix dominates (sigma^2 + 1) I.
+    sigma^2 = inf gives I; a NaN sigma^2, or one whose reciprocal overflows,
+    is refused.
     """
     A = np.asarray(A, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
-    if sigma2 <= 0:
+    if not sigma2 > 0:  # NaN > 0 is False
         raise ContractError("sigma2 must be positive")
+    lam = 1.0 / float(sigma2)
+    if not np.isfinite(lam):
+        raise ContractError(f"1/sigma2 must be a finite float, got sigma2={sigma2!r}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Sigma))):
         raise ContractError("attenuation inputs must be finite")
     mul, tr, _, one = lane_algebra(DENSE, A.shape[0])
     sig_pred = one + mul(mul(A[None], Sigma[None]), tr(A[None]))
-    return _gain(DENSE, sig_pred, 1.0 / sigma2)[0]
+    return _gain(DENSE, sig_pred, lam)[0]
 
 
 def _filter_covariances(lane, A, lam):

@@ -129,22 +129,31 @@ class TestConfigParsing:
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5"])
-    def test_bad_workers_environment_exits_2(self, tmp_path, capsys, monkeypatch, raw):
-        monkeypatch.setenv(bench.WORKERS_ENV, raw)
+    @pytest.mark.parametrize("raw", ["abc", "-2", "2.5"])
+    def test_bad_workers_flag_exits_2(self, tmp_path, capsys, raw):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(_tiny_config(tmp_path)))
-        assert cli.main(["bench", "--config", str(p)]) == 2
-        assert bench.WORKERS_ENV in capsys.readouterr().err
+        assert cli.main(["bench", "--config", str(p), f"--workers={raw}"]) == 2
+        assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("raw, width", [(None, 1), ("", 1), ("3", 3)])
-    def test_workers_environment_default(self, monkeypatch, raw, width):
-        if raw is None:
-            monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(bench.WORKERS_ENV, raw)
-        assert bench.default_workers() == width
+    def test_environment_does_not_set_workers(self, tmp_path, monkeypatch):
+        """The pool is as wide as the config's workers or --workers, 1 when
+        both are unset; no environment variable is read or checked."""
+        widths, pool = [], bench.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            widths.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setenv("PARSSM_WORKERS", "abc")
+        monkeypatch.setattr(bench, "ThreadPoolExecutor", recorded)
+        doc = _tiny_config(tmp_path, sweep={}, seeds=[0])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["bench", "--config", str(p)]) == 0
+        assert widths == [1]
+        assert (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("quoted", [
         {"tolerance": "1e-8"}, {"methods": [{"method": "kalman", "lambda": "0.5"}]},

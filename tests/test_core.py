@@ -111,7 +111,7 @@ class TestMaxAbsDiff:
 
     def test_single_entry(self):
         a = P.Trajectory(np.zeros(2), np.zeros((3, 2)))
-        b = a.copy()
+        b = P.Trajectory(np.zeros(2), np.zeros((3, 2)))
         b.states[1, 0] = 0.3
         assert P.max_abs_diff(a, b) == pytest.approx(0.3)
 
@@ -230,7 +230,7 @@ class TestJacobianConsistency:
             if kind == "logistic":
                 s = rng.uniform(0.05, 0.95, 1)
             a = sys_.jacobian(t, s)
-            fd = fd_jacobian_batch(sys_, [t], s[None], h=1e-6)[0]
+            fd = fd_jacobian_batch(sys_, [t], s[None])[0]
             scale = max(1.0, float(np.max(np.abs(a))))
             assert np.max(np.abs(a - fd)) <= 1e-5 * scale
 
@@ -273,8 +273,6 @@ class TestCurrying:
 class TanhMap(P.DynamicsSystem):
     """s_{t+1} = tanh(W s_t + b_t), defining nothing but step_batch."""
 
-    diag_seed = 17
-
     def __init__(self, D=4, T=64, seed=0):
         rng = np.random.default_rng(seed)
         self.dim, self.horizon = D, T
@@ -300,7 +298,7 @@ class TestBatchFirstContract:
                                           fd_jacobian_batch(sys_, [t], s[None])[0])
             np.testing.assert_array_equal(sys_.step(t, s), np.tanh(sys_.W @ s + sys_.b[t - 1]))
 
-    def test_diag_default_is_hutchinson_seeded_by_diag_seed(self):
+    def test_diag_default_is_hutchinson(self):
         from parssm.jacutils import hutchinson_diag_batch
 
         sys_ = TanhMap()
@@ -308,7 +306,7 @@ class TestBatchFirstContract:
         S = np.random.default_rng(2).standard_normal((64, sys_.dim))
         np.testing.assert_array_equal(
             sys_.diag_jacobian_batch(ts, S),
-            hutchinson_diag_batch(sys_, ts, S, n=sys_.diag_samples, seed_base=sys_.diag_seed))
+            hutchinson_diag_batch(sys_, ts, S))
 
     @pytest.mark.parametrize("method", [P.NEWTON, P.QUASI_DIAGONAL])
     def test_solvers_converge_to_rollout(self, method):

@@ -31,6 +31,17 @@ class TestBuildValidation:
         with pytest.raises(P.ContractError):
             models.build(kind, 8, **params)
 
+    @pytest.mark.parametrize("kind,T,params", [
+        ("rnn", 8.7, dict(D=4, g=0.5)), ("affine", True, dict(alpha=0.5)),
+        ("affine", 0, dict(alpha=0.5)),
+    ], ids=["fractional", "boolean", "zero"])
+    def test_horizon_must_be_an_integer_at_least_1(self, kind, T, params):
+        with pytest.raises(P.ContractError, match="horizon T"):
+            models.build(kind, T, **params)
+
+    def test_numpy_integer_horizon(self):
+        assert models.build("affine", np.int64(5), alpha=0.5).horizon == 5
+
     def test_missing_required(self):
         with pytest.raises(P.ContractError):
             models.build("rnn", 8, D=4)  # no g
@@ -183,12 +194,15 @@ class TestLogisticMap:
 
 class TestFdFallbacks:
     def test_lorenz96_fd_jacobian_consistency(self):
-        """The FD default agrees with itself across step sizes (no analytic
-        form is shipped for this model)."""
+        """The FD default agrees with a central difference at ten times its
+        step (no analytic form is shipped for this model)."""
         m = models.build("lorenz96", 8, seed=0)
         s = m.initial_state
-        a = fd_jacobian_batch(m, [1], s[None], h=1e-6)[0]
-        b = fd_jacobian_batch(m, [1], s[None], h=1e-5)[0]
+        a = fd_jacobian_batch(m, [1], s[None])[0]
+        h = 1e-5 * (1.0 + np.max(np.abs(s)))
+        cols = m.step_batch(np.ones(2 * m.dim, dtype=int),
+                            np.concatenate([s + h * np.eye(m.dim), s - h * np.eye(m.dim)]))
+        b = ((cols[:m.dim] - cols[m.dim:]) / (2.0 * h)).T
         assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, np.max(np.abs(a)))
 
 

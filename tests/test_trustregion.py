@@ -196,6 +196,15 @@ class TestAttenuation:
         assert np.all(eig > 0.0)
         assert np.all(eig <= sigma2 / (1.0 + sigma2) + 1e-12)
 
+    @pytest.mark.parametrize("sigma2", [1e-310, float("nan")], ids=["reciprocal-overflows", "nan"])
+    def test_refuses_sigma2_without_finite_reciprocal(self, sigma2):
+        with pytest.raises(P.ContractError, match="sigma2"):
+            attenuation(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), sigma2)
+
+    def test_infinite_sigma2_is_identity(self):
+        np.testing.assert_array_equal(
+            attenuation(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), float("inf")), np.eye(2))
+
 
 class TestKalmanStep:
     def test_smoother_equals_dense_lm(self):
