@@ -25,21 +25,16 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-_MODEL_PARAM_FLAGS = ("alpha", "g", "D", "eps", "r", "F", "dt", "s0")
+_MODEL_PARAM_FLAGS = {"alpha": float, "g": float, "D": int, "eps": float, "r": float,
+                      "F": float, "dt": float, "s0": float}
 
 
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--model", "-m", required=True, choices=sorted(models.MODEL_KINDS))
     p.add_argument("-T", type=int, default=256, help="horizon (default 256)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--D", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--F", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--s0", type=float)
+    for name, kind in _MODEL_PARAM_FLAGS.items():
+        p.add_argument(f"--{name}", type=kind)
 
 
 def _build_model(args):
@@ -127,7 +122,7 @@ def _cmd_diagnose(args) -> int:
         return EXIT_OK
     if args.what == "pl-bounds":
         b = diagnostics.pl_bounds(args.lle, a_burn=args.a_burn, b_burn=args.b_burn,
-                                  T=args.T, D=args.D or 1)
+                                  T=args.T, D=args.D)
         print(json.dumps({"lower": b.lower, "upper": b.upper, "lle": b.lle,
                           "a_burn": b.a_burn, "b_burn": b.b_burn, "T": b.T, "D": b.D}))
         return EXIT_OK

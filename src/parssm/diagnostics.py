@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, DynamicsSystem, NumericalFailure, Trajectory
+from .core import ContractError, DynamicsSystem, NumericalFailure, Trajectory, require_int
 from .fixedpoint import NO_DAMPING, SolverMethod, _method_transitions
-from .pscan import IDENTITY, ZERO, lane_apply, lane_matrices
+from .pscan import IDENTITY, ZERO, lane_matrices
 
 DENSE_GUARD = 4096  # largest T*D the cubic-cost oracle paths accept
 LLE_BLOCK = 512  # Jacobians evaluated at once by estimate_lle, to bound memory
@@ -51,8 +51,8 @@ def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
     are evaluated at the trajectory's predecessor states in blocks to bound
     memory.
     """
-    if probes < 1:
-        raise ContractError("probes must be >= 1")
+    require_int("probes", probes, 1)
+    require_int("the probe seed", seed, 0)
     sys._check_traj(traj)
     T, D = traj.horizon, traj.dim
     rng = np.random.default_rng(seed)
@@ -139,12 +139,14 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
     exponent makes the lower bound asymptotically independent of T; a
     positive one collapses conditioning exponentially.
     """
-    if a_burn < 1.0:
+    if not np.isfinite(lle):
+        raise ContractError(f"the exponent must be finite, got {lle!r}")
+    if not a_burn >= 1.0:
         raise ContractError("burn-in constant a must be >= 1")
     if not (0.0 < b_burn <= 1.0):
         raise ContractError("burn-in constant b must lie in (0, 1]")
-    if T < 1:
-        raise ContractError("T must be >= 1")
+    require_int("T", T, 1)
+    require_int("D", D, 1)
     lam = float(lle)
     if lam == 0.0:
         lower = 1.0 / (a_burn * T)
@@ -189,31 +191,30 @@ def picard_inverse_norm(T: int) -> float:
     Grows linearly in T (small-angle regime), which is why identity-transition
     iterations pay a sequence-length factor in their rate.
     """
-    if T < 1:
-        raise ContractError("T must be >= 1")
+    require_int("T", T, 1)
     return float(1.0 / (2.0 * np.sin(np.pi / (2.0 * (2.0 * T + 1.0)))))
 
 
 def rate_factor(sys: DynamicsSystem, traj_star: Trajectory,
                 method: SolverMethod) -> float:
     """||J~(s*)^{-1}||_2, the factor that turns the mismatch into the rate: 1
-    for zero transitions, the closed form above for identity ones (Picard, or
-    scaled by 1). Diagonal and scaled transitions decouple coordinatewise into
-    T x T bidiagonal blocks, so their factor needs only T <= 4096; it is the
-    largest over the bitwise-distinct coordinate chains, each solved once.
-    Newton's factor is 0, as its rate is."""
+    for zero transitions (Jacobi, or scaled by 0), the closed form above for
+    identity ones (Picard, or scaled by 1). Diagonal and scaled transitions,
+    both on the diagonal lane, decouple coordinatewise into T x T bidiagonal
+    blocks, so their factor needs only T <= 4096; it is the largest over the
+    bitwise-distinct coordinate chains, each solved once. Newton's factor is
+    0, as its rate is."""
     if method.kind == "newton":
         return 0.0
-    T, D = traj_star.horizon, traj_star.dim
+    T = traj_star.horizon
     lane, A = _transitions_at(sys, traj_star, method)
     if lane == ZERO:
         return 1.0
     if lane == IDENTITY:
         return picard_inverse_norm(T)
-    # the diagonal and scalar lanes, the only others a non-Newton method gives
+    # the diagonal lane, the only other a non-Newton method gives
     _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
-    diag = lane_apply(lane, A, np.ones((T, D)))
-    chains = np.unique(diag.T.view(np.int64), axis=0).view(np.float64)
+    chains = np.unique(A.T.view(np.int64), axis=0).view(np.float64)
     return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
                      for c in chains))
 
@@ -230,10 +231,10 @@ def basin_radius(mu: float, L: float) -> float:
 
     L = 0 (affine dynamics) makes the basin infinite.
     """
-    if mu <= 0:
-        raise ContractError("mu must be positive")
-    if L < 0:
-        raise ContractError("L must be nonnegative")
+    if not mu > 0:
+        raise ContractError(f"mu must be positive, got {mu!r}")
+    if not L >= 0:
+        raise ContractError(f"L must be nonnegative, got {L!r}")
     if L == 0.0:
         return float("inf")
     return 2.0 * mu / L

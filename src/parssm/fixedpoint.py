@@ -18,8 +18,8 @@ import numpy as np
 from .core import (ContractError, DynamicsSystem, Trajectory, as_state,
                    exact_rows_and_merit, max_abs_diff, require_int, require_real)
 from .core import merit  # noqa: F401  (tracing tools patch fixedpoint.merit by name)
-from .pscan import (DENSE, DIAGONAL, IDENTITY, SCALAR, ZERO, AffineOp, evaluate_stacked,
-                    lane_apply, lane_transitions)
+from .pscan import (DENSE, DIAGONAL, IDENTITY, SCALED, ZERO, AffineOp, evaluate_stacked,
+                    lane_apply, row_transition)
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,7 @@ class SolverConfig:
             raise ContractError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.max_iters is not None:
             require_int("max_iters", self.max_iters, 1)
+        require_int("seed", self.seed, 0)
         if self.init not in ("jacobi", "zeros", "normal"):
             raise ContractError(f"unknown init {self.init!r}")
         if self.metric not in ("diff", "merit"):
@@ -181,7 +182,11 @@ def check_damping(method: SolverMethod, damping: Damping):
 
 
 def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
-    """Stacked transition lane and array for the given method and damping."""
+    """Stacked transition lane and array for the given method and damping.
+
+    Picard, Jacobi and ``scaled:<a>`` all scan a scaled identity, a = 1, 0 or
+    the coefficient, times the damping scale: the zero map when a = 0, the
+    prefix sum when a = 1, and otherwise the constant diagonal a 1."""
     check_damping(method, damping)
     scale = 1.0 - damping.k if damping.kind == "scale" else 1.0
     if method.kind == "newton":
@@ -196,13 +201,12 @@ def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
         if damping.kind == "clip":
             d = np.clip(d, damping.lo, damping.hi)
         return (DIAGONAL, d)
-    if method.kind == "jacobi":
+    a = {"picard": 1.0, "jacobi": 0.0}.get(method.kind, method.coeff) * scale
+    if a == 0.0:
         return (ZERO, None)
-    a = 1.0 if method.kind == "picard" else method.coeff
-    a = a * scale
     if a == 1.0:
         return (IDENTITY, None)
-    return (SCALAR, np.full(len(ts), a))
+    return (DIAGONAL, np.full(prev.shape, a))
 
 
 def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None):
@@ -245,12 +249,17 @@ def linearize(sys: DynamicsSystem, traj: Trajectory, method: SolverMethod,
     A~_t is the method's transition at s_{t-1}. Scale damping multiplies A~_t
     by (1 - k); clip damping clips diagonal entries into [lo, hi] and is
     rejected for non-diagonal methods. Non-finite iterate entries are
-    substituted with the reset value 0 before linearizing.
+    substituted with the reset value 0 before linearizing. Newton's A~_t is
+    Dense and quasi-Newton's Diagonal; Picard, Jacobi and ``scaled:<a>`` give
+    the ScaledIdentity of their coefficient a, as Zero when a = 0 and as
+    Identity when a = 1.
     """
     sys._check_traj(traj)
     ts = np.arange(1, sys.horizon + 1)
     lane, A, b = _linearize_stacked(sys, traj.prev_states(), ts, method, damping)
-    return [AffineOp(A_t, b_t) for A_t, b_t in zip(lane_transitions(lane, A, sys.horizon), b)]
+    kind = SCALED if lane == DIAGONAL and method.kind != "quasi" else lane
+    rows = [None] * sys.horizon if A is None else A
+    return [AffineOp(row_transition(kind, a), b_t) for a, b_t in zip(rows, b)]
 
 
 def jacobi_init(sys: DynamicsSystem) -> Trajectory:

@@ -364,6 +364,8 @@ def build(kind: str, T: int, **params) -> DynamicsSystem:
     if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r}; choose from {sorted(MODEL_KINDS)}")
     require_int("horizon T", T, 1)
+    if "seed" in params:
+        require_int("seed", params["seed"], 0)
     cls = MODEL_KINDS[kind]
     try:
         return cls(T=T, **params)

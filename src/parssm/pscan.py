@@ -1,19 +1,18 @@
 """Parallel associative scan over closed classes of affine maps x -> A x + b.
 
-The transition slot carries one of five representations. A whole sequence is
-scanned as stacked arrays in one lane, the least of
-
-    zero / identity  <  scalar (Zero, Identity, ScaledIdentity)  <  diagonal  <  dense
-
-that holds every element, so per-element cost stays O(D) for the structured
-classes and O(D^3) only for dense. This module alone converts lanes to
-matrices, Transitions and products A_t x_t and holds their algebra
-(``lane_algebra``: product, transpose, inverse). The object API
-(``Transition``, ``affine_compose``, ``parallel_scan``) runs on the same lane
-code. Each prefix keeps the class of its own elements: Zero absorbs (a prefix
-is Zero once a Zero has entered it), Identity holds while every element so
-far is Identity, and otherwise the prefix is in the least lane holding the
-kinds seen so far. Scan and pairwise fold therefore agree on every class.
+A transition is one of five kinds (Zero, Identity, ScaledIdentity, Diagonal,
+Dense), and a whole sequence is scanned as stacked arrays in one of four
+lanes: zero or identity when every element is that kind, dense when any
+element is dense, and diagonal otherwise. The diagonal lane holds every
+elementwise kind as its diagonal (a scaled identity a as the constant a 1),
+so per-element cost stays O(D) for the structured kinds and O(D^3) only for
+dense. This module alone converts lanes to matrices, Transitions and
+products A_t x_t and holds their algebra (``lane_algebra``: product,
+transpose, inverse). The object API (``Transition``, ``affine_compose``,
+``parallel_scan``) runs on the same lane code. Each prefix keeps the class
+of its own elements: Zero once a Zero has entered it, and otherwise the
+greatest kind seen so far in the order identity < scaled < diagonal < dense.
+Scan and pairwise fold therefore agree on every class.
 
 The scan is a two-phase tree (up-sweep, then down-sweep) that one driver,
 ``tree_scan``, walks for any associative combine: the affine one here, the
@@ -37,9 +36,9 @@ IDENTITY = "identity"
 SCALED = "scaled"
 DIAGONAL = "diagonal"
 DENSE = "dense"
-SCALAR = "scalar"
 
-_LANE = {ZERO: ZERO, IDENTITY: IDENTITY, SCALED: SCALAR, DIAGONAL: DIAGONAL, DENSE: DENSE}
+_LANE = {ZERO: ZERO, IDENTITY: IDENTITY, SCALED: DIAGONAL, DIAGONAL: DIAGONAL, DENSE: DENSE}
+_ORDER = (IDENTITY, SCALED, DIAGONAL, DENSE)  # a prefix's kind is the greatest it has seen
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class Transition:
 
     @property
     def dim(self) -> int | None:
-        """Intrinsic dimension, or None for the dimension-free scalar kinds."""
+        """Intrinsic dimension, or None for Zero, Identity and ScaledIdentity."""
         return None if np.ndim(self.value) == 0 else self.value.shape[0]
 
     def _row(self):
@@ -145,10 +144,9 @@ class ComposeCounter:
 # stacked-array engine
 #
 # A lane is the promoted representation of a whole sequence:
-#   "zero"     -> every transition is Zero      A is None or (T,) zeros
-#   "identity" -> every transition is Identity  A is None or (T,) ones
-#   "scalar"   -> A has shape (T,)        covers Zero/Identity/ScaledIdentity
-#   "diagonal" -> A has shape (T, D)
+#   "zero"     -> every transition is Zero      A is None or zeros
+#   "identity" -> every transition is Identity  A is None or ones
+#   "diagonal" -> A has shape (T, D)    covers every kind but Dense
 #   "dense"    -> A has shape (T, D, D)
 # b always has shape (T, D). The lane_* helpers are the only code that turns
 # a lane into matrices, Transitions or products A_t x_t, or does its algebra.
@@ -161,8 +159,6 @@ def lane_apply(lane: str, A, X: np.ndarray) -> np.ndarray:
         return np.zeros_like(X)
     if lane == IDENTITY:
         return X
-    if lane == SCALAR:
-        return A[:, None] * X
     if lane == DIAGONAL:
         return A * X
     return np.einsum("tij,tj->ti", A, X)
@@ -178,15 +174,17 @@ def lane_matrices(lane: str, A, T: int, D: int) -> np.ndarray:
     return out
 
 
-def lane_transitions(lane: str, A, T: int) -> list:
-    """The lane's transitions as T ``Transition`` objects. The rows are computed,
-    so they skip the constructors' input checks: an overflow stays non-finite."""
-    if lane == ZERO:
-        return [Transition.zero()] * T
-    if lane == IDENTITY:
-        return [Transition.identity()] * T
-    kind = {SCALAR: SCALED, DIAGONAL: DIAGONAL, DENSE: DENSE}[lane]
-    return [Transition(kind, float(a) if lane == SCALAR else a) for a in A]
+def row_transition(kind: str, row) -> Transition:
+    """One row of a lane stack as a Transition of ``kind``, a class the row
+    lies in (its off-diagonals, and for "scaled" the spread of its diagonal,
+    are zero): a dense row is narrowed to its diagonal, and Zero and Identity
+    read nothing. The row is computed, so it skips the constructors' input
+    checks: an overflow stays non-finite."""
+    if kind in (ZERO, IDENTITY):
+        return Transition(kind)
+    if kind != DENSE and np.ndim(row) == 2:
+        row = np.diagonal(row)
+    return Transition(kind, float(row[0]) if kind == SCALED else row)
 
 
 @functools.lru_cache(maxsize=64)
@@ -272,57 +270,38 @@ def evaluate_stacked(lane: str, A: np.ndarray, b: np.ndarray, s0: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def _join(kinds) -> str:
-    """The least lane holding transitions of every kind in ``kinds``."""
-    lanes = {_LANE[k] for k in kinds}
-    if len(lanes) == 1:
-        return lanes.pop()
-    return DENSE if DENSE in lanes else DIAGONAL if DIAGONAL in lanes else SCALAR
-
-
 def _stack(ops):
-    """(lane, A, b) of an op list, in the least lane holding every transition.
-
-    The zero, identity and scalar lanes carry the per-step scalars as A.
-    """
+    """(lane, A, b) of an op list: the zero or identity lane when every
+    transition is that kind, the dense lane when any is dense, and otherwise
+    the diagonal lane. Below dense, A stacks each transition's diagonal."""
     if len(ops) == 0:
         raise ContractError("a scan needs at least one element")
     D = ops[0].dim
     if any(op.dim != D for op in ops):
         raise ContractError("all scan elements must share one state size")
-    lane = _join({op.A.kind for op in ops})
+    kinds = {op.A.kind for op in ops}
+    lane = kinds.pop() if kinds in ({ZERO}, {IDENTITY}) else DENSE if DENSE in kinds else DIAGONAL
     b = np.stack([op.b for op in ops])
     if lane == DENSE:
         return lane, np.stack([op.A.matrix(D) for op in ops]), b
-    # a diagonal is the transition applied to ones; a scalar, to a single one
-    A = np.stack([op.A.diag_vector(D if lane == DIAGONAL else 1) for op in ops])
-    return lane, A if lane == DIAGONAL else A[:, 0], b
-
-
-def _narrow(lane: str, A, to: str):
-    """Stack ``A`` of ``lane`` re-expressed in the lane ``to`` below it, for
-    rows that already lie in that class (off-diagonals and spread are zero)."""
-    if lane == DENSE and to != DENSE:
-        lane, A = DIAGONAL, np.diagonal(A, axis1=1, axis2=2)
-    return A[:, 0] if lane == DIAGONAL and to != DIAGONAL else A
+    return lane, np.stack([op.A.diag_vector(D) for op in ops]), b
 
 
 def parallel_scan(ops):
     """All inclusive prefixes: element t is ops_t o ... o ops_1.
 
-    The sequence is scanned in the least lane holding every element. Prefix t
-    is returned in the class of ops_1 .. ops_t: Zero once a Zero has entered
-    it, Identity while every element so far is Identity, and otherwise the
-    least lane holding the kinds seen so far.
+    The sequence is scanned in the lane ``_stack`` picks. Prefix t is returned
+    in the class of ops_1 .. ops_t: Zero once a Zero has entered it, and
+    otherwise the greatest kind among them, in the order identity < scaled <
+    diagonal < dense.
     """
     ops = list(ops)
     lane, A, b = _stack(ops)
     pA, pb = scan_stacked(lane, A, b)
-    out, seen = [], set()
-    for t, op in enumerate(ops):
-        seen.add(op.A.kind)
-        cls = ZERO if ZERO in seen else _join(seen)
-        out.append(AffineOp(lane_transitions(cls, _narrow(lane, pA[t:t + 1], cls), 1)[0], pb[t]))
+    out, kind = [], IDENTITY
+    for op, a, b_t in zip(ops, pA, pb):
+        kind = ZERO if ZERO in (kind, op.A.kind) else max(kind, op.A.kind, key=_ORDER.index)
+        out.append(AffineOp(row_transition(kind, a), b_t))
     return out
 
 

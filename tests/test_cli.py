@@ -160,6 +160,18 @@ class TestExitCodes:
     def test_non_finite_model_parameter_is_2(self, argv, capsys):
         assert main([*argv, "-T", "16"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "pl-bounds", "--lle", "-0.3", "-T", "512", "-D", "0"],
+        ["diagnose", "pl-bounds", "--lle", "0", "-T", "512", "-D", "-3"],
+        ["diagnose", "pl-bounds", "--lle", "nan", "-T", "512"],
+        ["diagnose", "basin", "--mu", "nan", "--L", "1"],
+        ["solve", "--model", "rnn", "--D", "4", "--g", "0.5", "-T", "8", "--seed", "-1"],
+        ["lle", "--model", "rnn", "--D", "4", "--g", "0.5", "-T", "8", "--probe-seed", "-3"],
+    ], ids=" ".join)
+    def test_bad_diagnostic_number_or_seed_is_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "usage"
+
     @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--mode", "filter"],
                                        ["--jac", "full"], ["--damping", "scale:0.5"]])
     def test_setting_the_method_ignores_is_2(self, flags, capsys):

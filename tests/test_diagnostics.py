@@ -45,6 +45,13 @@ class TestEstimateLle:
         singles = [P.estimate_lle(sys_, tr, probes=1, seed=s).lam for s in range(3)]
         assert max(singles) - min(singles) < 1e-3
 
+    @pytest.mark.parametrize("kwargs", [dict(probes=2.5), dict(probes=0), dict(seed=-1),
+                                        dict(seed=1.5)], ids=lambda k: str(k))
+    def test_probes_and_seed_must_be_integers(self, kwargs):
+        sys_ = P.models.build("affine", 8, alpha=0.5)
+        with pytest.raises(P.ContractError):
+            P.estimate_lle(sys_, P.rollout_sequential(sys_), **kwargs)
+
     def test_zero_norm_chain_errors(self):
         sys_ = FunctionSystem(dim=1, horizon=4, initial_state=np.zeros(1),
                               step_fn=lambda t, s: 0.0 * s,
@@ -175,6 +182,24 @@ class TestPlBounds:
             dg.pl_bounds(0.0, b_burn=1.5, T=2, D=1)
 
 
+@pytest.mark.parametrize("fn,args,kwargs", [
+    (dg.pl_bounds, (-np.inf,), dict(T=10)),
+    (dg.pl_bounds, (np.nan,), dict(T=10)),
+    (dg.pl_bounds, (-0.1,), dict(T=2.5)),
+    (dg.pl_bounds, (-0.3,), dict(T=512, D=0)),
+    (dg.pl_bounds, (0.0,), dict(T=512, D=-3)),
+    (dg.pl_bounds, (0.0,), dict(T=4, D=1.5)),
+    (dg.pl_bounds, (0.0,), dict(a_burn=np.nan, T=4)),
+    (dg.picard_inverse_norm, (2.5,), {}),
+    (dg.picard_inverse_norm, (0,), {}),
+    (dg.basin_radius, (np.nan, 1.0), {}),
+    (dg.basin_radius, (1.0, np.nan), {}),
+], ids=lambda v: getattr(v, "__name__", None) or repr(v))
+def test_diagnostics_refuse_bad_numbers(fn, args, kwargs):
+    with pytest.raises(P.ContractError):
+        fn(*args, **kwargs)
+
+
 class TestJacobianMismatch:
     def test_newton_zero(self):
         sys_ = P.models.build("gru", 16, D=3, seed=2)
@@ -229,6 +254,14 @@ class TestAsymptoticRate:
             sys_ = P.models.build("affine", 32, alpha=alpha)
             tr = P.rollout_sequential(sys_)
             assert dg.asymptotic_rate(sys_, tr, JACOBI) == pytest.approx(alpha, abs=1e-12)
+
+    def test_scaled_by_zero_is_jacobi_past_the_dense_guard(self):
+        """scaled:0 has zero transitions, so its factor is 1 at any T, as
+        Jacobi's is, with no per-coordinate path and its T <= 4096 guard."""
+        sys_ = P.models.build("s5", 5000, seed=0)
+        tr = P.rollout_sequential(sys_)
+        zero = dg.asymptotic_rate(sys_, tr, SolverMethod("scaled", 0.0))
+        assert zero == dg.asymptotic_rate(sys_, tr, JACOBI) == 1.0
 
     def test_newton_rate_zero(self):
         sys_ = P.models.build("gru", 16, D=3, seed=4)

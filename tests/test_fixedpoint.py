@@ -37,6 +37,11 @@ class TestMethodAndDampingTypes:
         with pytest.raises(P.ContractError, match="must be a real number"):
             make(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(P.ContractError, match="seed"):
+            SolverConfig(seed=seed, init="normal")
+
 
 class TestLinearize:
     def test_newton_exact_on_linear_dynamics(self):
@@ -72,6 +77,23 @@ class TestLinearize:
         got = evaluate_lds(ops, sys_.initial_state).states
         expected = sys_.step_batch(np.arange(1, 13), guess.prev_states())
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("method,damping,kind,coeff", [
+        (SolverMethod("scaled", 0.5), NO_DAMPING, "scaled", 0.5),
+        (PICARD, Damping.scale(0.3), "scaled", 1.0 * (1.0 - 0.3)),
+        (SolverMethod("scaled", 0.0), NO_DAMPING, "zero", None),
+        (PICARD, NO_DAMPING, "identity", None),
+        (QUASI_DIAGONAL, NO_DAMPING, "diagonal", None),
+        (NEWTON, NO_DAMPING, "dense", None),
+    ], ids=["scaled:0.5", "picard+scale:0.3", "scaled:0", "picard", "quasi", "newton"])
+    def test_transition_class_per_method(self, method, damping, kind, coeff):
+        """Each method's A~_t comes back in its own class: the scaled family
+        as ScaledIdentity of its coefficient, Zero at 0 and Identity at 1."""
+        sys_ = P.models.build("gru", 8, D=3, seed=1)
+        ops = linearize(sys_, P.rollout_sequential(sys_), method, damping)
+        assert {op.A.kind for op in ops} == {kind}
+        if coeff is not None:
+            assert all(type(op.A.value) is float and op.A.value == coeff for op in ops)
 
     def test_scale_damping_shrinks_transitions(self):
         sys_ = P.models.build("rnn", 10, D=4, g=1.2, seed=0)

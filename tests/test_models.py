@@ -39,6 +39,11 @@ class TestBuildValidation:
         with pytest.raises(P.ContractError, match="horizon T"):
             models.build(kind, T, **params)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(P.ContractError, match="seed"):
+            models.build("rnn", 8, D=4, g=0.5, seed=seed)
+
     def test_numpy_integer_horizon(self):
         assert models.build("affine", np.int64(5), alpha=0.5).horizon == 5
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import parssm as P
 from parssm.pscan import (AffineOp, ComposeCounter, Transition, affine_compose,
-                          evaluate_lds, lane_apply, lane_matrices, lane_transitions,
-                          parallel_scan, scan_stacked, tree_scan)
+                          evaluate_lds, lane_apply, lane_matrices, parallel_scan,
+                          row_transition, scan_stacked, tree_scan)
 
 
 def _rand_dense(rng, d, scale=0.6):
@@ -113,8 +113,8 @@ class TestParallelScan:
             assert pre.A.kind == "identity"
 
     def test_prefix_class_is_that_of_its_own_elements(self):
-        """Identity while every element is Identity, Zero once a Zero has
-        entered, otherwise the least lane of the kinds seen so far."""
+        """Zero once a Zero has entered, otherwise the greatest kind seen so
+        far in the order identity < scaled < diagonal < dense."""
         rng = np.random.default_rng(6)
         kinds = ["identity", "scaled", "identity", "diagonal", "dense", "zero", "dense"]
         ops = [AffineOp(_transition(k, rng, 3), rng.standard_normal(3)) for k in kinds]
@@ -203,7 +203,7 @@ class TestParallelScan:
             assert (counter.compositions, counter.up_levels, counter.down_levels) == want, T
             assert closing == ([False] * (up - 1) + [True] * (1 + len(down)) if up else []), T
             counter = ComposeCounter()
-            scan_stacked("scalar", np.ones(T), np.zeros((T, 1)), counter=counter)
+            scan_stacked("diagonal", np.ones((T, 1)), np.zeros((T, 1)), counter=counter)
             seen[T] = (counter.compositions, counter.up_levels, counter.down_levels)
             assert seen[T] == want, T
         assert (seen[8], seen[100], seen[1000]) == ((11, 3, 2), (190, 6, 6), (1984, 9, 9))
@@ -228,10 +228,11 @@ class TestParallelScan:
 
     def test_scan_runs_on_one_worker(self):
         with pytest.raises(P.ContractError):
-            scan_stacked("scalar", np.ones(4), np.zeros((4, 2)), workers=2)
+            scan_stacked("diagonal", np.ones((4, 1)), np.zeros((4, 1)), workers=2)
 
     def test_mixed_promotes_and_matches_dense(self):
-        """Mixed scalar/diagonal sequences equal the dense-promoted scan."""
+        """Mixed zero/identity/scaled/diagonal sequences, all on the diagonal
+        lane, equal the dense-promoted scan."""
         rng = np.random.default_rng(5)
         D = 3
         ops = []
@@ -253,24 +254,36 @@ class TestParallelScan:
             np.testing.assert_allclose(got.b, ref.b, atol=1e-10)
 
 
-@pytest.mark.parametrize("lane,kind", [("zero", "zero"), ("identity", "identity"),
-                                       ("scalar", "scaled"), ("diagonal", "diagonal"),
-                                       ("dense", "dense")])
-def test_lane_helpers_match_transitions(lane, kind):
+@pytest.mark.parametrize("lane", ["zero", "identity", "diagonal", "dense"])
+def test_lane_helpers_match_transitions(lane):
     """Per row, the lane helpers agree with the Transition they stand for."""
     rng = np.random.default_rng(21)
     T, D = 6, 3
-    shape = {"scalar": (T,), "diagonal": (T, D), "dense": (T, D, D)}.get(lane)
+    shape = {"diagonal": (T, D), "dense": (T, D, D)}.get(lane)
     A = rng.standard_normal(shape) if shape else None
     X = rng.standard_normal((T, D))
-    trans = lane_transitions(lane, A, T)
+    trans = [row_transition(lane, a) for a in (A if shape else [None] * T)]
     applied = lane_apply(lane, A, X)
     mats = lane_matrices(lane, A, T, D)
     assert len(trans) == T and mats.shape == (T, D, D)
     for t, tr in enumerate(trans):
-        assert tr.kind == kind
+        assert tr.kind == lane
         np.testing.assert_allclose(applied[t], tr.apply(X[t]), rtol=1e-15, atol=1e-15)
         np.testing.assert_array_equal(mats[t], tr.matrix(D))
+
+
+@pytest.mark.parametrize("row,kind,value", [
+    (np.diag([0.5, -2.0]), "diagonal", np.array([0.5, -2.0])),
+    (0.7 * np.eye(2), "scaled", 0.7),
+    (np.full(2, 0.7), "scaled", 0.7),
+    (np.full(2, np.inf), "scaled", np.inf),
+])
+def test_row_transition_narrows(row, kind, value):
+    """A row in a class below its lane comes back in that class: a dense row
+    as its diagonal, a constant diagonal as the scaled identity, unchecked."""
+    tr = row_transition(kind, row)
+    assert tr.kind == kind and type(tr.value) is type(value)
+    np.testing.assert_array_equal(tr.value, value)
 
 
 class TestEvaluateLds:
