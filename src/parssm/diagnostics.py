@@ -141,8 +141,8 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
     """
     if not np.isfinite(lle):
         raise ContractError(f"the exponent must be finite, got {lle!r}")
-    if not a_burn >= 1.0:
-        raise ContractError("burn-in constant a must be >= 1")
+    if not 1.0 <= a_burn < np.inf:
+        raise ContractError("burn-in constant a must be finite and >= 1")
     if not (0.0 < b_burn <= 1.0):
         raise ContractError("burn-in constant b must lie in (0, 1]")
     require_int("T", T, 1)

@@ -164,6 +164,7 @@ class TestExitCodes:
         ["diagnose", "pl-bounds", "--lle", "-0.3", "-T", "512", "-D", "0"],
         ["diagnose", "pl-bounds", "--lle", "0", "-T", "512", "-D", "-3"],
         ["diagnose", "pl-bounds", "--lle", "nan", "-T", "512"],
+        ["diagnose", "pl-bounds", "--lle", "0.5", "-T", "512", "--a-burn", "inf"],
         ["diagnose", "basin", "--mu", "nan", "--L", "1"],
         ["solve", "--model", "rnn", "--D", "4", "--g", "0.5", "-T", "8", "--seed", "-1"],
         ["lle", "--model", "rnn", "--D", "4", "--g", "0.5", "-T", "8", "--probe-seed", "-3"],

@@ -190,6 +190,7 @@ class TestPlBounds:
     (dg.pl_bounds, (0.0,), dict(T=512, D=-3)),
     (dg.pl_bounds, (0.0,), dict(T=4, D=1.5)),
     (dg.pl_bounds, (0.0,), dict(a_burn=np.nan, T=4)),
+    (dg.pl_bounds, (0.5,), dict(a_burn=np.inf, T=512)),
     (dg.picard_inverse_norm, (2.5,), {}),
     (dg.picard_inverse_norm, (0,), {}),
     (dg.basin_radius, (np.nan, 1.0), {}),

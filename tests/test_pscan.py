@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parssm as P
+from parssm import pscan
 from parssm.pscan import (AffineOp, ComposeCounter, Transition, affine_compose,
-                          evaluate_lds, lane_apply, lane_matrices, parallel_scan,
-                          row_transition, scan_stacked, tree_scan)
+                          doubling_scan, evaluate_lds, evaluate_stacked, lane_apply,
+                          lane_matrices, parallel_scan, row_transition, scan_stacked,
+                          tree_scan)
 
 
 def _rand_dense(rng, d, scale=0.6):
@@ -329,3 +331,120 @@ class TestEvaluateLds:
         ops = [AffineOp(Transition.zero(), b) for b in bvals]
         tr = evaluate_lds(ops, rng.standard_normal(2))
         np.testing.assert_array_equal(tr.states, bvals)
+
+
+def _sequential_states(lane, A, b, s0):
+    """The recursion s_t = A_t s_{t-1} + b_t, one step at a time."""
+    out, s = np.empty_like(b), s0
+    for t in range(len(b)):
+        s = (A[t] * s if lane == "diagonal" else A[t] @ s) + b[t]
+        out[t] = s
+    return out
+
+
+def _random_lds(lane, T, D, seed):
+    rng = np.random.default_rng(seed)
+    if lane == "diagonal":
+        A = rng.uniform(-1.1, 1.1, (T, D))
+    else:
+        A = rng.standard_normal((T, D, D)) * (0.9 / np.sqrt(D))
+    return A, rng.standard_normal((T, D)), rng.standard_normal(D)
+
+
+# T = 4097 at D >= 4 exceeds DOUBLING_MAX_ELEMENTS: the diagonal lane walks
+# the tree there and recursive doubling at the smaller T.
+EVAL_T = [1, 2, 3, 5, 8, 100, 128, 129, 1000, 4097]
+
+
+class TestStatesOnlyEvaluation:
+    """``evaluate_stacked`` scans the diagonal lane's states alone and applies
+    ``scan_stacked``'s prefixes on the dense lane."""
+
+    @pytest.mark.parametrize("lane", ["diagonal", "dense"])
+    @pytest.mark.parametrize("T", EVAL_T)
+    def test_matches_sequential_recursion(self, T, lane):
+        A, b, s0 = _random_lds(lane, T, 4, T)
+        got = evaluate_stacked(lane, A, b, s0)
+        want = _sequential_states(lane, A, b, s0)
+        scale = np.maximum(1.0, np.abs(want).max(axis=1))
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize("lane", ["diagonal", "dense"])
+    @pytest.mark.parametrize("T", EVAL_T)
+    def test_exact_on_integer_inputs(self, T, lane):
+        """0/1 diagonals and permutation matrices with integer offsets: every
+        product and sum is an integer below 2^53, so the scan is exact."""
+        rng = np.random.default_rng(T + 1)
+        D = 5
+        if lane == "diagonal":
+            A = rng.integers(0, 2, (T, D)).astype(float)
+        else:
+            A = np.eye(D)[np.array([rng.permutation(D) for _ in range(T)])]
+        b = rng.integers(-3, 4, (T, D)).astype(float)
+        s0 = rng.integers(-9, 10, D).astype(float)
+        np.testing.assert_array_equal(evaluate_stacked(lane, A, b, s0),
+                                      _sequential_states(lane, A, b, s0))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("lane", ["diagonal", "dense"])
+    @pytest.mark.parametrize("T,k", [(1, 0), (8, 0), (8, 5), (129, 64), (129, 128), (1000, 337),
+                                     (6000, 2500)])
+    def test_non_finite_offset_leaves_earlier_states(self, T, k, lane, bad):
+        """A non-finite b_k leaves every state before k bitwise as it was,
+        and every state from k on holds a non-finite entry."""
+        A, b, s0 = _random_lds(lane, T, 3, T + k)
+        clean = evaluate_stacked(lane, A, b, s0)
+        b[k, 1] = bad
+        with np.errstate(all="ignore"):
+            got = evaluate_stacked(lane, A, b, s0)
+        np.testing.assert_array_equal(got[:k], clean[:k])
+        assert not np.any(np.all(np.isfinite(got[k:]), axis=1))
+
+    def test_inputs_are_not_written(self):
+        for lane in ("diagonal", "dense"):
+            A, b, s0 = _random_lds(lane, 9, 2, 0)
+            copies = [x.copy() for x in (A, b, s0)]
+            evaluate_stacked(lane, A, b, s0)
+            for x, c in zip((A, b, s0), copies):
+                np.testing.assert_array_equal(x, c)
+
+    def test_doubling_levels(self):
+        """ceil(log2 T) calls for every T in 1..1100: level s combines slots
+        s..T-1 with slots 0..T-1-s, and only the last call is closing."""
+        for T in range(1, 1101):
+            calls = []
+            doubling_scan(T, lambda hi, lo, closing: calls.append((hi, lo, closing)))
+            levels = (T - 1).bit_length()
+            assert len(calls) == levels, T
+            assert [c[2] for c in calls] == [False] * (levels - 1) + [True] * (levels > 0), T
+            for i, (hi, lo, _) in enumerate(calls):
+                assert (hi, lo) == (slice(2 ** i, T), slice(0, T - 2 ** i)), T
+
+    @pytest.mark.parametrize("T,D,driver", [(1000, 5, "doubling_scan"), (4096, 4, "doubling_scan"),
+                                            (4097, 4, "tree_scan"), (4096, 8, "tree_scan")])
+    def test_diagonal_schedule_by_size(self, T, D, driver, monkeypatch):
+        """Doubling up to DOUBLING_MAX_ELEMENTS stacked entries, the tree above."""
+        used = []
+        for name in ("doubling_scan", "tree_scan"):
+            real = getattr(pscan, name)
+            monkeypatch.setattr(pscan, name, lambda T, combine, name=name, real=real:
+                                (used.append(name), real(T, combine))[1])
+        evaluate_stacked("diagonal", *_random_lds("diagonal", T, D, 0))
+        assert used == [driver]
+
+    def test_dense_runs_scan_stacked(self, monkeypatch):
+        """The dense lane's compositions go through ``scan_stacked``, the
+        module attribute a tracer wraps to count them."""
+        calls = []
+        real = pscan.scan_stacked
+        monkeypatch.setattr(pscan, "scan_stacked", lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+        A, b, s0 = _random_lds("dense", 9, 3, 0)
+        evaluate_stacked("dense", A, b, s0)
+        assert calls == [1]
+
+    def test_empty_rejected(self):
+        with pytest.raises(P.ContractError, match="at least one element"):
+            doubling_scan(0, lambda hi, lo, closing: None)
+        for lane, shape in (("diagonal", (0, 2)), ("dense", (0, 2, 2))):
+            with pytest.raises(P.ContractError, match="at least one element"):
+                evaluate_stacked(lane, np.zeros(shape), np.zeros((0, 2)), np.zeros(2))
