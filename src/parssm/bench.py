@@ -81,7 +81,9 @@ KALMAN_RATE_NOTE = "mismatch and gamma are defined for the fixed-point methods o
 
 
 def _reject_unknown(d: dict, known: set, where: str):
-    """A key no setting reads is a usage error, so a misspelt one is never ignored."""
+    """A part that is no JSON object, or a key no setting reads, is a usage error."""
+    if not isinstance(d, dict):
+        raise ContractError(f"a {where} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - known)
     if unknown:
         raise ContractError(f"unknown {where} key {', '.join(map(repr, unknown))}")
@@ -105,6 +107,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise ContractError("experiment needs a nonempty methods list")
+        if "seed" in self.model_params or "seed" in self.sweep:
+            raise ContractError("an instance's seed comes from 'seeds', not 'model' or 'sweep'")
         for key, values in [("seeds", self.seeds), *self.sweep.items()]:
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ContractError(f"{key!r} must be a nonempty array, got {values!r}")
@@ -121,9 +125,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
+        _reject_unknown(doc, _CONFIG_KEYS, "config")
         if doc.get("schema") != SCHEMA_VERSION:
             raise ContractError(f"config schema must be {SCHEMA_VERSION}, got {doc.get('schema')!r}")
-        _reject_unknown(doc, _CONFIG_KEYS, "config")
+        for key, kind, name in [("model", dict, "object"), ("methods", list, "array"),
+                                ("sweep", dict, "object")]:
+            if key in doc and not isinstance(doc[key], kind):
+                raise ContractError(f"{key!r} must be a JSON {name}, got {doc[key]!r}")
         model = doc.get("model") or {}
         kind = model.get("kind")
         if kind not in models.MODEL_KINDS:

@@ -165,7 +165,8 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
 def _transitions_at(sys, traj, method):
     """(lane, A) of the method's undamped A~_t at the trajectory, t = 1..T."""
     ts = np.arange(1, traj.horizon + 1)
-    return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
+    with np.errstate(all="ignore"):
+        return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
 
 
 def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,

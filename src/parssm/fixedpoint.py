@@ -186,16 +186,15 @@ def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
 
     Picard, Jacobi and ``scaled:<a>`` all scan a scaled identity, a = 1, 0 or
     the coefficient, times the damping scale: the zero map when a = 0, the
-    prefix sum when a = 1, and otherwise the constant diagonal a 1."""
+    prefix sum when a = 1, and otherwise the constant diagonal a 1, all
+    under the caller's numpy error state."""
     check_damping(method, damping)
     scale = 1.0 - damping.k if damping.kind == "scale" else 1.0
     if method.kind == "newton":
-        with np.errstate(all="ignore"):
-            A = sys.jacobian_batch(ts, prev)
+        A = sys.jacobian_batch(ts, prev)
         return (DENSE, A if scale == 1.0 else scale * A)
     if method.kind == "quasi":
-        with np.errstate(all="ignore"):
-            d = sys.diag_jacobian_batch(ts, prev)
+        d = sys.diag_jacobian_batch(ts, prev)
         if scale != 1.0:
             d = scale * d
         if damping.kind == "clip":
@@ -213,27 +212,26 @@ def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None):
     """(lane, A, b) with op_t = (A_t, f_t(s_{t-1}) - A_t s_{t-1}).
 
     ``fvals``, when given, holds f_t(s_{t-1}) at these rows already, and is
-    read but never written. Rows whose predecessor state has overflowed
-    (non-finite step value or magnitude beyond the overflow guard) are
-    linearized at the reset value 0 instead, with f evaluated afresh there,
-    so the returned operators are the method transition at a point the
-    dynamics can actually evaluate. Both checks first test the whole block
-    at once and build their per-row masks only when that test fails.
+    read but never written. A row whose f is not finite, or whose predecessor
+    has an entry past the overflow guard or NaN, is linearized at the reset
+    value 0 instead, with f evaluated afresh there, so the operators are the
+    method transition at a point the dynamics can evaluate. A row whose
+    transition alone is not finite takes that transition at 0. Each check
+    reads its verdict and its rows from one elementwise mask.
     """
     prev = np.asarray(states_prev, dtype=np.float64)
     with np.errstate(all="ignore"):
         fvals = sys.step_batch(ts, prev) if fvals is None else fvals
-        if not (np.isfinite(fvals).all() and np.abs(prev).max(initial=0.0) <= OVERFLOW_GUARD):
-            bad = ~np.all(np.isfinite(fvals), axis=1)
-            bad |= np.max(np.abs(prev), axis=1) > OVERFLOW_GUARD
-            if bad.any():
-                prev = np.where(bad[:, None], 0.0, prev)
-                fvals = fvals.copy()
-                fvals[bad] = sys.step_batch(np.asarray(ts)[bad],
-                                            np.zeros((int(bad.sum()), prev.shape[1])))
+        usable = np.isfinite(fvals) & (np.abs(prev) <= OVERFLOW_GUARD)  # False at NaN
+        if not usable.all():
+            bad = ~usable.all(axis=1)
+            prev = np.where(bad[:, None], 0.0, prev)
+            fvals = fvals.copy()
+            fvals[bad] = sys.step_batch(np.asarray(ts)[bad],
+                                        np.zeros((int(bad.sum()), prev.shape[1])))
         lane, A = _method_transitions(sys, ts, prev, method, damping)
-        if A is not None and not np.isfinite(A).all():
-            abad = ~np.all(np.isfinite(A.reshape(len(ts), -1)), axis=1)
+        if A is not None and not (finite := np.isfinite(A).reshape(len(ts), -1)).all():
+            abad = ~finite.all(axis=1)
             zeros = np.zeros((int(abad.sum()), prev.shape[1]))
             A[abad] = _method_transitions(sys, np.asarray(ts)[abad], zeros, method, damping)[1]
         # zero transitions: the update is a pure map, with nothing to subtract
@@ -248,11 +246,11 @@ def linearize(sys: DynamicsSystem, traj: Trajectory, method: SolverMethod,
     Returns T AffineOps with op_t = (A~_t, f_t(s_{t-1}) - A~_t s_{t-1}), where
     A~_t is the method's transition at s_{t-1}. Scale damping multiplies A~_t
     by (1 - k); clip damping clips diagonal entries into [lo, hi] and is
-    rejected for non-diagonal methods. Non-finite iterate entries are
-    substituted with the reset value 0 before linearizing. Newton's A~_t is
-    Dense and quasi-Newton's Diagonal; Picard, Jacobi and ``scaled:<a>`` give
-    the ScaledIdentity of their coefficient a, as Zero when a = 0 and as
-    Identity when a = 1.
+    rejected for non-diagonal methods. A row whose predecessor has an entry
+    past ``OVERFLOW_GUARD`` or NaN, or whose f is not finite, is linearized at
+    the reset value 0. Newton's A~_t is Dense and quasi-Newton's Diagonal;
+    Picard, Jacobi and ``scaled:<a>`` give the ScaledIdentity of their
+    coefficient a, as Zero when a = 0 and as Identity when a = 1.
     """
     sys._check_traj(traj)
     ts = np.arange(1, sys.horizon + 1)
@@ -328,40 +326,40 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     converged = False
     iters = 0
     start = time.perf_counter()
-    while iters < max_iters:
-        window = path[front:]
-        active = window[1:]
-        bad = ~np.isfinite(active)
-        if bad.any():
-            active[bad] = 0.0
-            resets += 1
-            fvals = None
-        iters += 1
-        new_rows = chunk_step(window, ts[front:], fvals)
-        diff = max_abs_diff(new_rows, active)
-        active[:] = new_rows
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # once per solve: the passes overflow by design
+        while iters < max_iters:
+            window = path[front:]
+            active = window[1:]
+            bad = ~np.isfinite(active)
+            if bad.any():
+                active[bad] = 0.0
+                resets += 1
+                fvals = None
+            iters += 1
+            new_rows = chunk_step(window, ts[front:], fvals)
+            diff = max_abs_diff(new_rows, active)
+            active[:] = new_rows
             fvals = sys.step_batch(ts[front:], window[:-1])
             r = active - fvals
-        settled, active_merit = exact_rows_and_merit(r, eps_front)
-        current_merit = frozen_merit + active_merit
-        settled += front  # rows within eps_front from the front on extend it
-        new_front = T if settled == T else settled // FRONT_BLOCK * FRONT_BLOCK
-        if new_front > front:
-            frozen = r[:new_front - front].ravel()
-            frozen_merit += 0.5 * float(np.dot(frozen, frozen))
-            fvals = fvals[new_front - front:]
-            front = new_front
-        if cfg.record_history:
-            diff_hist.append(diff)
-            merit_hist.append(current_merit)
-            front_hist.append(front)
-        if iterates is not None:
-            iterates.append(path[1:].copy())
-        measured = current_merit / T if cfg.metric == "merit" else diff
-        if measured <= cfg.tol or diff == 0.0 or front == T:
-            converged = True
-            break
+            settled, active_merit = exact_rows_and_merit(r, eps_front)
+            current_merit = frozen_merit + active_merit
+            settled += front  # rows within eps_front from the front on extend it
+            new_front = T if settled == T else settled // FRONT_BLOCK * FRONT_BLOCK
+            if new_front > front:
+                frozen = r[:new_front - front].ravel()
+                frozen_merit += 0.5 * float(np.dot(frozen, frozen))
+                fvals = fvals[new_front - front:]
+                front = new_front
+            if cfg.record_history:
+                diff_hist.append(diff)
+                merit_hist.append(current_merit)
+                front_hist.append(front)
+            if iterates is not None:
+                iterates.append(path[1:].copy())
+            measured = current_merit / T if cfg.metric == "merit" else diff
+            if measured <= cfg.tol or diff == 0.0 or front == T:
+                converged = True
+                break
     elapsed = time.perf_counter() - start
     return SolveReport(
         trajectory=Trajectory(sys.initial_state, path[1:]),
@@ -387,8 +385,7 @@ def fixed_point_solve(sys: DynamicsSystem, cfg: SolverConfig,
 
     def chunk_step(window, ts, fvals):
         lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, cfg.damping, fvals)
-        with np.errstate(all="ignore"):
-            return evaluate_stacked(lane, A, b, window[0])
+        return evaluate_stacked(lane, A, b, window[0])
 
     return solve_loop(sys, cfg, chunk_step)
 

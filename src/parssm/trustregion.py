@@ -217,7 +217,10 @@ def _default_max_iters(T: int, lam: float, tol: float) -> int:
     """``kalman_solve``'s iteration budget when ``max_iters`` is unset."""
     if lam == 0.0:
         return T
-    passes = (1.0 + lam) * (2 * T + np.log(1.0 / tol) / np.log1p(1.0 / lam))
+    with np.errstate(over="ignore"):
+        passes = (1.0 + lam) * (2 * T + np.log(1.0 / tol) / np.log1p(1.0 / lam))
+    if not np.isfinite(passes):
+        raise ContractError(f"no finite default pass budget at lam={lam!r}: set max_iters")
     return int(np.ceil(passes)) + 8
 
 

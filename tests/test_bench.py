@@ -52,6 +52,17 @@ BAD_SETTINGS = [
     {"methods": [{"method": "newton", "damping": "clip"}]},
 ]
 
+# config parts of the wrong JSON type, and seeds that 'seeds' would overwrite,
+# each with the message that names it
+BAD_SHAPES = [
+    ({"model": "affine"}, "'model' must be a JSON object"),
+    ({"sweep": [1]}, "'sweep' must be a JSON object"),
+    ({"methods": [5]}, "a method-entry must be a JSON object"),
+    ({"methods": "newton"}, "'methods' must be a JSON array"),
+    ({"model": {"kind": "affine", "alpha": 0.5, "seed": 7}}, "'seeds'"),
+    ({"sweep": {"T": [8], "seed": [1, 2]}}, "'seeds'"),
+]
+
 
 def _tiny_config(tmp_path, **overrides):
     doc = {
@@ -114,13 +125,30 @@ class TestConfigParsing:
         with pytest.raises(P.ContractError, match=key):
             bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
 
-    @pytest.mark.parametrize("bad", [{"init": "bogus"}, {"workers": "2"}, {"seeds": 3}],
-                             ids=json.dumps)
+    @pytest.mark.parametrize("bad", [{"init": "bogus"}, {"workers": "2"}, {"seeds": 3},
+                                     *(bad for bad, _ in BAD_SHAPES)], ids=json.dumps)
     def test_bad_setting_exits_2(self, tmp_path, capsys, bad):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(_tiny_config(tmp_path, **bad)))
         assert cli.main(["bench", "--config", str(p)]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("bad, message", BAD_SHAPES,
+                             ids=[json.dumps(bad) for bad, _ in BAD_SHAPES])
+    def test_bad_shape_is_named(self, tmp_path, bad, message):
+        """A part of the wrong JSON type fails at load with its name, not with
+        an AttributeError or TypeError; a seed that 'seeds' would overwrite
+        is refused, not dropped."""
+        with pytest.raises(P.ContractError, match=message):
+            bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        with pytest.raises(P.ContractError, match="a config must be a JSON object"):
+            bench.ExperimentConfig.from_dict([1])
+        p = tmp_path / "cfg.json"
+        p.write_text("[1]")
+        assert cli.main(["bench", "--config", str(p)]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_workers_flag_below_1_exits_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -149,6 +149,7 @@ class TestExitCodes:
         ["--model", "affine", "--alpha", "0.5", "--tol", "inf"],
         ["--model", "lorenz96", "--method", "kalman", "--lambda", "nan"],
         ["--model", "lorenz96", "--method", "kalman", "--lambda", "inf"],
+        ["--model", "lorenz96", "--method", "kalman", "--lambda", "1e300"],
     ], ids=" ".join)
     def test_bad_flag_value_is_2(self, flags, capsys):
         assert main(["solve", *flags, "-T", "16"]) == 2

@@ -147,12 +147,17 @@ class MarkedExp(P.DynamicsSystem):
         return out
 
 
+def _flagged_rows(prev, fvals):
+    """Reference row rule: f is not finite, or the predecessor has an entry
+    past the guard or NaN."""
+    return ~np.all(np.isfinite(fvals), axis=1) | ~np.all(np.abs(prev) <= OVERFLOW_GUARD, axis=1)
+
+
 def _linearize_per_row(sys_, prev, ts, method, damping, fvals=None):
-    """The per-row guards ``_linearize_stacked``'s whole-array tests bypass."""
+    """Reference guards, each reckoned per row."""
     with np.errstate(all="ignore"):
         fvals = sys_.step_batch(ts, prev) if fvals is None else fvals
-        bad = ~np.all(np.isfinite(fvals), axis=1)
-        bad |= np.max(np.abs(prev), axis=1) > OVERFLOW_GUARD
+        bad = _flagged_rows(prev, fvals)
         if bad.any():
             prev = np.where(bad[:, None], 0.0, prev)
             fvals = fvals.copy()
@@ -176,8 +181,8 @@ MARKS = {"guard": (3, [-2e100, 0.5]), "guard-and-f": (5, [1e101, 0.5]),
 
 
 class TestWholeArrayGuards:
-    """``_linearize_stacked`` tests the whole block first; whether or not that
-    test passes, it returns what the per-row guards return."""
+    """``_linearize_stacked`` reads each guard's verdict and rows from one
+    elementwise mask, and returns what the per-row guards return."""
 
     @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL, PICARD, JACOBI,
                                         SolverMethod("scaled", 0.5)], ids=lambda m: m.kind)
@@ -222,6 +227,43 @@ class TestWholeArrayGuards:
         clean = np.setdiff1d(np.arange(T), [r for r, _ in MARKS.values()])
         np.testing.assert_array_equal(A[clean], np.broadcast_to(0.5 * np.exp(0.25) * np.eye(2),
                                                                 (len(clean), 2, 2)))
+
+
+def _fmin_system(T=8):
+    """f_t(s) = min(s, 1)/2 elementwise: ``fmin`` skips NaN, so f is finite
+    at a NaN entry and only the predecessor guard can flag the row."""
+    return P.models.FunctionSystem(2, T, np.zeros(2), lambda t, s: 0.5 * np.fmin(s, 1.0))
+
+
+def _states_with(row, T=8, k=3):
+    """A T-step trajectory of 0.25s whose state s_{k+1} is ``row``."""
+    states = np.full((T, 2), 0.25)
+    states[k] = row
+    return P.Trajectory(np.zeros(2), states)
+
+
+class TestNanPredecessor:
+    """A predecessor with a NaN entry is a flagged row even where f stays
+    finite: it is linearized at 0, exactly as if that state were 0."""
+
+    @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL, PICARD], ids=lambda m: m.kind)
+    def test_linearize(self, method):
+        sys_ = _fmin_system()
+        got = linearize(sys_, _states_with([np.nan, 0.5]), method)
+        want = linearize(sys_, _states_with([0.0, 0.0]), method)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.A.matrix(2), w.A.matrix(2))
+            np.testing.assert_array_equal(g.b, w.b)
+            assert np.all(np.isfinite(g.b))
+        np.testing.assert_array_equal(got[4].b, [0.0, 0.0])  # f(0) - A 0
+
+    @pytest.mark.parametrize("jacobian", ["full", "diagonal"])
+    def test_kalman_step(self, jacobian):
+        """The step linearizes through the same guard, and reads the NaN
+        emission as 0, so every filtered mean is finite."""
+        sys_ = _fmin_system()
+        cfg = P.TrustRegionConfig(lam=1.0, jacobian=jacobian)
+        assert np.all(np.isfinite(P.kalman_step(sys_, _states_with([np.nan, 0.5]), cfg).states))
 
 
 class TestJacobiInit:
@@ -355,6 +397,57 @@ def _spy_step_batch(sys_):
 
     sys_.step_batch = spy
     return calls
+
+
+class TestGuardedSolve:
+    """Solves whose iterates overflow: the guard's rows and the error state."""
+
+    def test_s5_picard_through_the_guard_is_exact(self, monkeypatch):
+        """Picard's iterates on the S5 word problem pass 1e100 before they
+        lock, so most passes linearize rows at 0. The solve still returns the
+        sequential rollout exactly. ``resets`` counts only the passes where
+        the loop zeroed non-finite entries, so it reads 0 here."""
+        sys_ = P.models.build("s5", 1000, seed=3)
+        flagged = []
+        inner = fp._linearize_stacked
+
+        def spy(system, prev, ts, method, damping, fvals=None):
+            with np.errstate(all="ignore"):
+                f = system.step_batch(ts, prev) if fvals is None else fvals
+            flagged.append(int(_flagged_rows(prev, f).sum()))
+            return inner(system, prev, ts, method, damping, fvals)
+
+        monkeypatch.setattr(fp, "_linearize_stacked", spy)
+        rep = fixed_point_solve(sys_, SolverConfig(tol=1e-18, metric="merit"), PICARD)
+        assert rep.converged
+        np.testing.assert_array_equal(rep.trajectory.states, P.rollout_sequential(sys_).states)
+        assert sum(n > 0 for n in flagged) > len(flagged) / 2
+        assert rep.resets == 0
+
+    @pytest.mark.parametrize("solve, c, k", [
+        (lambda s, cfg: fixed_point_solve(s, cfg, QUASI_DIAGONAL), 0.05, 4.0),
+        (lambda s, cfg: fixed_point_solve(s, cfg, NEWTON), 0.05, 4.0),
+        (lambda s, cfg: P.kalman_solve(s, P.TrustRegionConfig(lam=1.0, solver=cfg)), 1e-300, 800.0),
+    ], ids=["quasi", "newton", "kalman"])
+    def test_overflowing_f_under_warnings_as_errors(self, solve, c, k):
+        """f = c exp(k s) handles no error state itself, and overflows on rows
+        the solve evaluates after a pass: Newton-type passes step to entries
+        where it overflows, and the Kalman filter, which keeps its means near
+        the iterate, keeps some of the normal guess's overflowing entries. The
+        suite turns RuntimeWarning into an error, so these solves pass only
+        if one error state covers the whole solve loop."""
+        finite = []
+
+        def step(t, s):
+            out = c * np.exp(k * s)
+            finite.append(bool(np.all(np.isfinite(out))))
+            return out
+
+        sys_ = P.models.FunctionSystem(2, 64, np.zeros(2), step)
+        oracle = P.rollout_sequential(sys_)
+        rep = solve(sys_, SolverConfig(tol=1e-10, init="normal", seed=0))
+        assert not all(finite)
+        assert rep.converged and P.max_abs_diff(rep.trajectory, oracle) <= 1e-9
 
 
 class TestCausalFront:

@@ -458,6 +458,23 @@ class TestKalmanSolve:
     def test_default_budget_without_damping_is_T(self):
         assert _default_max_iters(37, 0.0, 1e-8) == 37
 
+    @pytest.mark.parametrize("lam", [1e155, 1e300])
+    def test_budget_past_the_float_range_names_max_iters(self, lam):
+        """(1 + lam) ln(1/tol) / ln(1 + 1/lam) overflows once lam^2 passes the
+        float range: the default budget is refused as a usage error, with no
+        overflow warning on the way."""
+        sys_ = P.models.build("lorenz96", 16, seed=0)
+        with pytest.raises(P.ContractError, match="max_iters"):
+            kalman_solve(sys_, TrustRegionConfig(lam=lam))
+
+    def test_explicit_budget_runs_at_huge_lambda(self):
+        """An explicit budget needs no default: every pass runs, and the
+        solve reports that it did not converge."""
+        sys_ = P.models.build("lorenz96", 16, seed=0)
+        rep = kalman_solve(sys_, TrustRegionConfig(lam=1e300, solver=SolverConfig(
+            max_iters=3, init="zeros", tol=1e-18, metric="merit")))
+        assert rep.iterations == 3 and not rep.converged
+
 
 class TestLmStepDense:
     def test_guard(self):
