@@ -178,6 +178,7 @@ class RunRecord:
     converged: bool = False
     iterations: int = 0
     resets: int = 0
+    guard_rows: int = 0
     final_err: float = float("nan")
     final_diff: float = float("nan")
     final_merit: float = float("nan")
@@ -203,7 +204,7 @@ class RunRecord:
 _RECORD_FIELDS = ["lambda" if f.name == "lam" else f.name for f in fields(RunRecord)
                   if not f.name.endswith("_history")]
 # the SolveReport fields a row copies, and those it copies when histories are recorded
-_REPORT_FIELDS = ("converged", "iterations", "resets", "elapsed", "final_diff")
+_REPORT_FIELDS = ("converged", "iterations", "resets", "guard_rows", "elapsed", "final_diff")
 _HISTORIES = ("merit_history", "diff_history", "front_history")
 
 

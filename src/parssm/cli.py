@@ -79,7 +79,7 @@ def _cmd_solve(args) -> int:
     payload = {
         "model": args.model, "method": args.method, "T": sys_.horizon, "D": sys_.dim,
         "converged": report.converged, "iterations": report.iterations,
-        "resets": report.resets, "final_diff": report.final_diff,
+        "resets": report.resets, "guard_rows": report.guard_rows, "final_diff": report.final_diff,
         "final_err_vs_oracle": err, "merit": merit(sys_, report.trajectory),
         "rows_worked_frac": _rows_worked_frac(report, sys_.horizon),
         "elapsed_s": report.elapsed,

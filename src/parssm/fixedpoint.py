@@ -140,7 +140,14 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: the iterate, counters, and optional histories."""
+    """Outcome of one solve: the iterate, counters, and optional histories.
+
+    ``resets`` counts the passes that zeroed non-finite entries before they
+    ran. ``guard_rows`` counts the rows the overflow guard linearized at 0
+    (f not finite, or a predecessor entry past ``OVERFLOW_GUARD`` or NaN),
+    summed over passes; a row whose transition alone was taken at 0 is not
+    among them.
+    """
 
     trajectory: Trajectory
     converged: bool
@@ -148,6 +155,7 @@ class SolveReport:
     merit_history: list
     diff_history: list
     resets: int
+    guard_rows: int
     elapsed: float
     # the last pass's successive difference, recorded or not; it can be above
     # tol when the pass that froze every row stopped the solve
@@ -208,27 +216,54 @@ def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
     return (DIAGONAL, np.full(prev.shape, a))
 
 
-def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None):
+class ResetTable:
+    """f_t at the reset value 0 for t = 1..T, and the rows linearized there.
+
+    ``step_batch`` is a pure function of each row's (t, s), so f_t(0) is a
+    constant of the solve. ``values`` is given when the caller already holds
+    it (the Jacobi guess is f_t(0) on every row); otherwise the first call to
+    ``take`` fills it with one evaluation of all T rows, and a table never
+    asked is never filled. ``rows`` sums the flagged rows over the calls.
+    """
+
+    def __init__(self, sys: DynamicsSystem, values: np.ndarray | None = None):
+        self.sys = sys
+        self.values = values
+        self.rows = 0
+
+    def take(self, ts, flagged: np.ndarray) -> np.ndarray:
+        """f_t(0) at steps ``ts``, counting the rows ``flagged`` marks."""
+        self.rows += int(np.count_nonzero(flagged))
+        if self.values is None:
+            self.values = jacobi_init(self.sys).states
+        # take gathers the rows in about a third of a fancy index's time
+        return self.values.take(np.asarray(ts) - 1, axis=0)
+
+
+def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None, reset=None):
     """(lane, A, b) with op_t = (A_t, f_t(s_{t-1}) - A_t s_{t-1}).
 
     ``fvals``, when given, holds f_t(s_{t-1}) at these rows already, and is
     read but never written. A row whose f is not finite, or whose predecessor
     has an entry past the overflow guard or NaN, is linearized at the reset
-    value 0 instead, with f evaluated afresh there, so the operators are the
-    method transition at a point the dynamics can evaluate. A row whose
-    transition alone is not finite takes that transition at 0. Each check
-    reads its verdict and its rows from one elementwise mask.
+    value 0 instead, so the operators are the method transition at a point
+    the dynamics can evaluate; f there comes from ``reset``, the solve's
+    ``ResetTable``, or, when none is given, from a fresh table, which
+    evaluates all T rows at 0. A row whose transition alone is not finite
+    takes that transition at 0. Each check reads its verdict and its rows
+    from one elementwise mask.
     """
     prev = np.asarray(states_prev, dtype=np.float64)
     with np.errstate(all="ignore"):
         fvals = sys.step_batch(ts, prev) if fvals is None else fvals
         usable = np.isfinite(fvals) & (np.abs(prev) <= OVERFLOW_GUARD)  # False at NaN
         if not usable.all():
-            bad = ~usable.all(axis=1)
-            prev = np.where(bad[:, None], 0.0, prev)
-            fvals = fvals.copy()
-            fvals[bad] = sys.step_batch(np.asarray(ts)[bad],
-                                        np.zeros((int(bad.sum()), prev.shape[1])))
+            # reduced along the rows of its transpose, the mask is ANDed
+            # elementwise, several times faster than along each short row
+            bad = ~usable.T.copy().all(axis=0)[:, None]
+            f_zero = (ResetTable(sys) if reset is None else reset).take(ts, bad)
+            prev = np.where(bad, 0.0, prev)
+            fvals = np.where(bad, f_zero, fvals)
         lane, A = _method_transitions(sys, ts, prev, method, damping)
         if A is not None and not (finite := np.isfinite(A).reshape(len(ts), -1)).all():
             abad = ~finite.all(axis=1)
@@ -280,11 +315,14 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     """Generic driver shared by the scan solvers and the Kalman solver.
 
     One (T+1) x D array holds s_0 in row 0 and the iterate s_1..s_T in rows
-    1..T. Each pass calls ``chunk_step(window, ts, fvals) -> new rows`` with
-    ``window`` = rows front..T and ``ts`` = steps front+1..T: ``window[0]`` is
-    the fixed left boundary, ``window[:-1]`` the predecessors and ``window[1:]``
-    the rows to update, which the chunk step does not write. ``fvals`` holds
-    f_t(s_{t-1}) at those rows, or None when the chunk step must evaluate f.
+    1..T. Each pass calls ``chunk_step(window, ts, fvals, reset) -> new rows``
+    with ``window`` = rows front..T and ``ts`` = steps front+1..T:
+    ``window[0]`` is the fixed left boundary, ``window[:-1]`` the predecessors
+    and ``window[1:]`` the rows to update, which the chunk step does not
+    write. ``fvals`` holds f_t(s_{t-1}) at those rows, or None when the chunk
+    step must evaluate f. ``reset`` is the solve's one ``ResetTable``: the
+    overflow guard reads f_t(0) from it, and its row count becomes
+    ``guard_rows``.
 
     The causal front is the number of leading rows whose residual
     max_i |s_t,i - f_t(s_{t-1})_i| is at most eps_front (``front_tolerance``);
@@ -302,6 +340,9 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     whole trajectory's. Frozen rows report a difference of 0. Non-finite
     entries past the front are reset to 0 before a pass (one reset event per
     pass where that happens), and that pass's chunk step evaluates f afresh.
+    Only the first pass, and a pass after one whose merit came back +inf,
+    look for them: a finite merit makes every residual finite, so every row
+    it covers, and the next pass works on some of those rows.
 
     The loop stops as converged when the stopping metric is met, when a pass
     freezes all T rows (the trajectory is then final), or when a pass comes
@@ -314,11 +355,14 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     max_iters = cfg.max_iters or T
     eps_front = front_tolerance(cfg)
     ts = np.arange(1, T + 1)
-    path = np.vstack([as_state(sys.initial_state, sys.dim), initial_guess(sys, cfg)])
+    guess = initial_guess(sys, cfg)
+    path = np.vstack([as_state(sys.initial_state, sys.dim), guess])
     front = 0           # frozen prefix: leading rows with residual within eps_front
     frozen_merit = 0.0  # merit of the frozen rows
     fvals = None  # f_t(s_{t-1}) on rows front+1 .. T of the current iterate
+    reset = ResetTable(sys, guess if cfg.init == "jacobi" else None)
     resets = 0
+    scan = True  # whether the active rows may hold a non-finite entry
     merit_hist: list = []
     diff_hist: list = []
     front_hist: list = []
@@ -330,18 +374,22 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
         while iters < max_iters:
             window = path[front:]
             active = window[1:]
-            bad = ~np.isfinite(active)
-            if bad.any():
-                active[bad] = 0.0
-                resets += 1
-                fvals = None
+            if scan:
+                bad = ~np.isfinite(active)
+                if bad.any():
+                    active[bad] = 0.0
+                    resets += 1
+                    fvals = None
             iters += 1
-            new_rows = chunk_step(window, ts[front:], fvals)
+            new_rows = chunk_step(window, ts[front:], fvals, reset)
             diff = max_abs_diff(new_rows, active)
             active[:] = new_rows
             fvals = sys.step_batch(ts[front:], window[:-1])
             r = active - fvals
             settled, active_merit = exact_rows_and_merit(r, eps_front)
+            # a finite merit needs every r = active - f finite, so every
+            # active entry, and the next pass's rows are a part of these
+            scan = active_merit == np.inf
             current_merit = frozen_merit + active_merit
             settled += front  # rows within eps_front from the front on extend it
             new_front = T if settled == T else settled // FRONT_BLOCK * FRONT_BLOCK
@@ -368,6 +416,7 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
         merit_history=merit_hist,
         diff_history=diff_hist,
         resets=resets,
+        guard_rows=reset.rows,
         elapsed=elapsed,
         final_diff=diff,
         iterates=iterates,
@@ -383,8 +432,8 @@ def fixed_point_solve(sys: DynamicsSystem, cfg: SolverConfig,
     T iterations regardless of the initial guess or transition choice.
     """
 
-    def chunk_step(window, ts, fvals):
-        lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, cfg.damping, fvals)
+    def chunk_step(window, ts, fvals, reset):
+        lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, cfg.damping, fvals, reset)
         return evaluate_stacked(lane, A, b, window[0])
 
     return solve_loop(sys, cfg, chunk_step)

@@ -145,13 +145,19 @@ class Gru(DynamicsSystem):
         self.Wh_h, self.Wh_x = wh[:, : self.dim], wh[:, self.dim:]
         self.inputs = rng.standard_normal((self.horizon, self.dim))
         self.initial_state = np.zeros(self.dim)
+        # the input drives Wz_x x_t, Wr_x x_t, Wh_x x_t, each from one matmul
+        # over all T steps, so a row's drive does not depend on the batch it
+        # is evaluated in: numpy sends a one-row product to gemv, which
+        # rounds differently from the multi-row gemm
+        self._drives = [self.inputs @ W.T for W in (self.Wz_x, self.Wr_x, self.Wh_x)]
 
     def _gates(self, ts, H):
-        X = self.inputs[np.asarray(ts) - 1]
+        i = np.asarray(ts) - 1
+        xz, xr, xh = (drive[i] for drive in self._drives)
         with np.errstate(over="ignore", invalid="ignore"):
-            Z = _sigmoid(H @ self.Wz_h.T + X @ self.Wz_x.T)
-            R = _sigmoid(H @ self.Wr_h.T + X @ self.Wr_x.T)
-            Htil = np.tanh((R * H) @ self.Wh_h.T + X @ self.Wh_x.T)
+            Z = _sigmoid(H @ self.Wz_h.T + xz)
+            R = _sigmoid(H @ self.Wr_h.T + xr)
+            Htil = np.tanh((R * H) @ self.Wh_h.T + xh)
         return Z, R, Htil
 
     def step_batch(self, ts, S):

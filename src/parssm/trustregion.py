@@ -190,10 +190,10 @@ def _smooth(lane, A, b, means, sig_post, sig_pred):
     return evaluate_stacked(lane, G[::-1], offset[::-1], np.zeros(b.shape[1]))[::-1]
 
 
-def _kalman_chunk(sys, window, ts, cfg: TrustRegionConfig, fvals=None):
+def _kalman_chunk(sys, window, ts, cfg: TrustRegionConfig, fvals=None, reset=None):
     """Trust-region update of rows ``window[1:]`` (steps ``ts``) from boundary ``window[0]``."""
     method = QUASI_DIAGONAL if cfg.jacobian == "diagonal" else NEWTON
-    lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, NO_DAMPING, fvals)
+    lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, NO_DAMPING, fvals, reset)
     emissions = np.where(np.isfinite(window[1:]), window[1:], 0.0)
     means, sig_post, sig_pred = _forward(lane, A, b, emissions, window[0], cfg.lam)
     return _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
@@ -241,8 +241,8 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     if solver.max_iters is None:
         solver = replace(solver, max_iters=_default_max_iters(sys.horizon, cfg.lam, solver.tol))
 
-    def chunk_step(window, ts, fvals):
-        return _kalman_chunk(sys, window, ts, cfg, fvals=fvals)
+    def chunk_step(window, ts, fvals, reset):
+        return _kalman_chunk(sys, window, ts, cfg, fvals, reset)
 
     return solve_loop(sys, solver, chunk_step)
 

@@ -14,7 +14,7 @@ from parssm import bench, cli
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 COLUMNS = [
     "experiment", "model", "model_params", "method", "T", "D", "seed", "lambda",
-    "tolerance", "converged", "iterations", "resets", "final_err", "final_diff",
+    "tolerance", "converged", "iterations", "resets", "guard_rows", "final_err", "final_diff",
     "final_merit", "lle", "gamma", "mismatch", "pl_lower", "pl_upper",
     "elapsed", "error", "diag_error",
 ]

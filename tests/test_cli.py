@@ -57,6 +57,16 @@ class TestSolve:
         assert payload["rows_worked_frac"] == sum(128 - f for f in started) / (rep.iterations * 128)
         assert 0.0 < payload["rows_worked_frac"] < 1.0
 
+    def test_guard_rows(self, capsys):
+        """Picard's iterates on S5 pass the overflow guard: the count of rows
+        linearized at 0 is printed next to ``resets``, which stays 0."""
+        main(["solve", "--model", "s5", "--method", "picard", "-T", "1000",
+              "--metric", "merit", "--tol", "1e-18", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        rep = P.fixed_point_solve(P.models.build("s5", 1000, seed=0),
+                                  P.SolverConfig(tol=1e-18, metric="merit"), P.PICARD)
+        assert payload["resets"] == 0 and payload["guard_rows"] == rep.guard_rows > 0
+
     def test_human_readable_default(self, capsys):
         code = main(["solve", "--model", "affine", "--alpha", "0.5", "-T", "16"])
         assert code == 0

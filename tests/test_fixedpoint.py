@@ -180,6 +180,48 @@ MARKS = {"guard": (3, [-2e100, 0.5]), "guard-and-f": (5, [1e101, 0.5]),
          "jacobian": (12, [0.3, -60.0])}
 
 
+ZOO = [("affine", dict(alpha=0.9)), ("rnn", dict(D=8, g=1.5)), ("gru", dict(D=8)),
+       ("lorenz96", {}), ("twowell", {}), ("s5", {}), ("logistic", dict(r=3.7))]
+
+
+class TestResetTable:
+    """f_t(0) from one evaluation of all T rows equals f_t(0) evaluated on
+    any subset of them: the table may stand in for a fresh evaluation."""
+
+    @pytest.mark.parametrize("kind, params", ZOO, ids=[k for k, _ in ZOO])
+    def test_rows_equal_a_fresh_evaluation(self, kind, params):
+        T = 300
+        sys_ = P.models.build(kind, T, seed=4, **params)
+        self._check(sys_, T)
+
+    def test_function_system(self):
+        T = 64
+        sys_ = P.models.FunctionSystem(3, T, np.ones(3), lambda t, s: np.cos(s + 0.1 * t) - 0.5)
+        self._check(sys_, T)
+
+    @staticmethod
+    def _check(sys_, T):
+        table = fp.ResetTable(sys_)
+        for ts in ([1], [T], [2, 7, 8, 30, T - 1], np.arange(3, T, 11)):
+            ts = np.asarray(ts)
+            fresh = sys_.step_batch(ts, np.zeros((len(ts), sys_.dim)))
+            taken = table.take(ts, np.zeros((len(ts), 1), dtype=bool))
+            assert taken.tobytes() == fresh.tobytes()  # bit for bit, signed zeros too
+
+    def test_fills_once_and_counts_flagged_rows(self):
+        T = 40
+        sys_ = P.models.build("lorenz96", T, seed=0)
+        calls = _spy_step_batch(sys_)
+        table = fp.ResetTable(sys_)
+        flagged = np.zeros((30, 1), dtype=bool)
+        flagged[[2, 5, 19]] = True
+        run = table.take(np.arange(11, 41), flagged)
+        again = table.take(np.arange(21, 41), flagged[10:])
+        assert calls == [T] and table.rows == 4
+        np.testing.assert_array_equal(run[10:], again)
+        np.testing.assert_array_equal(run, sys_.step_batch(np.arange(11, 41), np.zeros((30, 5))))
+
+
 class TestWholeArrayGuards:
     """``_linearize_stacked`` reads each guard's verdict and rows from one
     elementwise mask, and returns what the per-row guards return."""
@@ -406,16 +448,17 @@ class TestGuardedSolve:
         """Picard's iterates on the S5 word problem pass 1e100 before they
         lock, so most passes linearize rows at 0. The solve still returns the
         sequential rollout exactly. ``resets`` counts only the passes where
-        the loop zeroed non-finite entries, so it reads 0 here."""
+        the loop zeroed non-finite entries, so it reads 0 here, and
+        ``guard_rows`` counts every flagged row."""
         sys_ = P.models.build("s5", 1000, seed=3)
         flagged = []
         inner = fp._linearize_stacked
 
-        def spy(system, prev, ts, method, damping, fvals=None):
+        def spy(system, prev, ts, method, damping, fvals=None, reset=None):
             with np.errstate(all="ignore"):
                 f = system.step_batch(ts, prev) if fvals is None else fvals
             flagged.append(int(_flagged_rows(prev, f).sum()))
-            return inner(system, prev, ts, method, damping, fvals)
+            return inner(system, prev, ts, method, damping, fvals, reset)
 
         monkeypatch.setattr(fp, "_linearize_stacked", spy)
         rep = fixed_point_solve(sys_, SolverConfig(tol=1e-18, metric="merit"), PICARD)
@@ -423,6 +466,45 @@ class TestGuardedSolve:
         np.testing.assert_array_equal(rep.trajectory.states, P.rollout_sequential(sys_).states)
         assert sum(n > 0 for n in flagged) > len(flagged) / 2
         assert rep.resets == 0
+        assert rep.guard_rows == sum(flagged)
+
+    def test_one_table_fill_per_solve(self):
+        """f at the reset value comes from one ``step_batch`` call per solve,
+        however many passes the guard trips on: the default Jacobi guess,
+        which is f_t(0) on every row and so fills the table."""
+        T = 1000
+        sys_ = P.models.build("s5", T, seed=3)
+        inner = sys_.step_batch
+        at_zero = []
+
+        def spy(ts, S):
+            if not np.any(S):
+                at_zero.append(len(ts))
+            return inner(ts, S)
+
+        sys_.step_batch = spy
+        rep = fixed_point_solve(sys_, SolverConfig(tol=1e-18, metric="merit"), PICARD)
+        assert rep.converged and rep.guard_rows > 0
+        assert at_zero == [T]
+
+    def test_kalman_through_the_guard_matches_fresh_evaluation(self, monkeypatch):
+        """A Kalman solve whose f overflows returns, bit for bit, the
+        trajectory of the reference guards, which evaluate f at 0 afresh on
+        the flagged rows of every pass."""
+        from parssm import trustregion
+
+        def solve():
+            sys_ = P.models.FunctionSystem(2, 64, np.zeros(2),
+                                           lambda t, s: 1e-300 * np.exp(800.0 * s))
+            cfg = P.TrustRegionConfig(lam=1.0, solver=SolverConfig(tol=1e-10, init="normal"))
+            return P.kalman_solve(sys_, cfg)
+
+        rep = solve()
+        monkeypatch.setattr(trustregion, "_linearize_stacked",
+                            lambda *args: _linearize_per_row(*args[:6]))
+        want = solve()
+        assert rep.converged and rep.guard_rows > 0 and rep.iterations == want.iterations
+        assert rep.trajectory.states.tobytes() == want.trajectory.states.tobytes()
 
     @pytest.mark.parametrize("solve, c, k", [
         (lambda s, cfg: fixed_point_solve(s, cfg, QUASI_DIAGONAL), 0.05, 4.0),
@@ -511,11 +593,11 @@ class TestCausalFront:
         seen = []
         inner = fp._linearize_stacked
 
-        def spy(system, prev, ts, method, damping, fvals=None):
+        def spy(system, prev, ts, method, damping, fvals=None, reset=None):
             if fvals is not None:
                 np.testing.assert_array_equal(fvals, system.step_batch(ts, prev))
             seen.append(fvals is None)
-            return inner(system, prev, ts, method, damping, fvals)
+            return inner(system, prev, ts, method, damping, fvals, reset)
 
         monkeypatch.setattr(fp, "_linearize_stacked", spy)
         cfg = SolverConfig(tol=1e-10, init="normal", seed=0, record_iterates=True)
