@@ -189,7 +189,8 @@ def residual(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
 def merit(sys: DynamicsSystem, traj: Trajectory) -> float:
     """Half the squared Frobenius norm of the residual; +inf if non-finite.
 
-    Zero exactly at the sequential rollout and nowhere else.
+    Zero exactly where each row equals ``step_batch`` of its predecessor; the
+    ``step`` rollout reads ~1e-31 where gemv rounds apart from gemm (GRU, RNN).
     """
     return exact_rows_and_merit(residual(sys, traj))[1]
 

@@ -20,10 +20,9 @@ closing)``: the affine one here, the Kalman filtering-element one in
 than 2T combines over at most 2 ceil(log2 T) - 1 levels of strided slices.
 ``doubling_scan`` is recursive doubling: at most T ceil(log2 T) combines over
 ceil(log2 T) levels of contiguous slices. Nothing is padded or gathered, and
-all runs on one worker. ``scan_stacked`` forms every prefix on the tree.
-``evaluate_stacked`` computes the states alone on the diagonal lane, by
-doubling while the stack is small and on the tree above that; the dense lane
-applies ``scan_stacked``'s prefixes to s0.
+all runs on one worker. ``evaluate_stacked`` folds s0 into the first element
+and scans the states alone: by doubling on small diagonal stacks, and on the
+tree (``scan_stacked``) otherwise. Only ``parallel_scan`` forms every prefix.
 """
 
 from __future__ import annotations
@@ -264,48 +263,43 @@ DOUBLING_MAX_ELEMENTS = 1 << 14
 
 
 def scan_stacked(lane: str, A: np.ndarray, b: np.ndarray, workers: int = 1,
-                 counter: ComposeCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """All inclusive prefix compositions of a stacked affine sequence: the
-    affine composition of two slices on each level of ``tree_scan``.
+                 counter: ComposeCounter | None = None) -> np.ndarray:
+    """States of s_t = A_t s_{t-1} + b_t from s_0 = 0, on ``tree_scan``.
 
-    ``workers`` must be 1: the scan runs on one worker. The keyword remains
-    because the benchmark's span tracer (``perfbench/spans.py``) still passes
-    it by name; any other value raises ContractError.
+    Every level runs b[hi] += A[hi] b[lo], and A[hi] A[lo] is formed only on
+    levels that are not closing, since no later level reads it. Works in
+    place: b is returned holding the states, and A is left scratch.
+
+    ``workers`` must be 1; the benchmark's span tracer still passes it.
     """
     if workers != 1:
         raise ContractError(f"scan_stacked runs on one worker, got workers={workers}")
-    A = np.array(A, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    tree_scan(b.shape[0], lambda hi, lo, closing: _compose_into(lane, A, b, hi, lo), counter)
-    return A, b
+    tree_scan(len(b), lambda hi, lo, closing: _compose_into(
+        lane, A, b, hi, lo, transitions=not closing), counter)
+    return b
 
 
 def evaluate_stacked(lane: str, A: np.ndarray, b: np.ndarray, s0: np.ndarray) -> np.ndarray:
     """States of the LDS s_t = A_t s_{t-1} + b_t, from stacked arrays.
 
     Zero transitions bypass the scan (embarrassingly parallel map); identity
-    transitions reduce to a prefix sum. Dense transitions apply the prefixes
-    of ``scan_stacked``, the scan whose compositions the benchmark's tracer
-    counts, to s0. Diagonal ones scan the states alone: s0 is folded into the
-    first element (b_1 <- A_1 s0 + b_1), every level runs b[hi] += A[hi] b[lo],
-    and A[hi] A[lo] is formed only on levels that are not closing, since no
-    later level reads it. They walk ``doubling_scan`` up to
-    ``DOUBLING_MAX_ELEMENTS`` stacked entries and ``tree_scan`` above.
+    transitions reduce to a prefix sum. The others scan the states alone, on
+    copies with s0 folded into the first element (b_1 <- A_1 s0 + b_1):
+    diagonal stacks of up to ``DOUBLING_MAX_ELEMENTS`` entries by
+    ``doubling_scan``, the rest by ``scan_stacked``, which the tracer counts.
     """
     if lane == ZERO:
         return b.copy()
     if lane == IDENTITY:
         return s0[None, :] + np.cumsum(b, axis=0)
-    if lane == DENSE:
-        pA, pb = scan_stacked(lane, A, b)
-        return lane_apply(lane, pA, np.broadcast_to(s0, pb.shape)) + pb
     A = np.array(A, dtype=np.float64)
     b = np.array(b, dtype=np.float64)
     if len(b) == 0:
         raise ContractError("parallel scan needs at least one element")
-    b[0] += A[0] * s0
-    scan = doubling_scan if b.size <= DOUBLING_MAX_ELEMENTS else tree_scan
-    scan(len(b), lambda hi, lo, closing: _compose_into(
+    b[0] += A[0] @ s0 if lane == DENSE else A[0] * s0
+    if lane == DENSE or b.size > DOUBLING_MAX_ELEMENTS:
+        return scan_stacked(lane, A, b)
+    doubling_scan(len(b), lambda hi, lo, closing: _compose_into(
         lane, A, b, hi, lo, transitions=not closing))
     return b
 
@@ -342,9 +336,9 @@ def parallel_scan(ops):
     """
     ops = list(ops)
     lane, A, b = _stack(ops)
-    pA, pb = scan_stacked(lane, A, b)
+    tree_scan(len(b), lambda hi, lo, closing: _compose_into(lane, A, b, hi, lo))
     out, kind = [], IDENTITY
-    for op, a, b_t in zip(ops, pA, pb):
+    for op, a, b_t in zip(ops, A, b):
         kind = ZERO if ZERO in (kind, op.A.kind) else max(kind, op.A.kind, key=_ORDER.index)
         out.append(AffineOp(row_transition(kind, a), b_t))
     return out

@@ -236,6 +236,10 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     lam = 0: the damping slows both the sweep along the horizon and that
     contraction by about 1 + lam, and 2T covers solves whose converged
     prefix grows by less than one row per pass.
+
+    Known false stop (lorenz96 T=16, seed 0): at lam = 1e10 the difference stop
+    reports converged after pass 1 (update 8.6e-10, merit 159; the merit stop
+    runs on), and at lam = 1e300 an unchanged iterate ends either stop.
     """
     solver = cfg.solver
     if solver.max_iters is None:

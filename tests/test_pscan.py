@@ -27,6 +27,25 @@ def _transition(kind, rng, d):
     return Transition(kind)
 
 
+def _tree_counts(T):
+    """(compositions, up levels, down levels) of ``tree_scan`` over T slots,
+    in closed form: floor(log2 T) up-sweep levels with T - popcount(T)
+    compositions; down-sweep level l runs for l <= ceil(log2 T) - 2 with
+    3 2^l <= T and composes floor((T - 3 2^l) / 2^(l+1)) + 1 slots."""
+    down = [lv for lv in range(max(0, (T - 1).bit_length() - 1)) if 3 * 2 ** lv <= T]
+    return ((T - bin(T).count("1")) + sum((T - 3 * 2 ** lv) // 2 ** (lv + 1) + 1 for lv in down),
+            T.bit_length() - 1, len(down))
+
+
+def _full_prefix_scan(lane, A, b):
+    """Every inclusive prefix (A_{1:t}, b_{1:t}) by the full affine composition
+    on each ``tree_scan`` level: the reference the object API must match."""
+    A = np.array(A, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
+    tree_scan(b.shape[0], lambda hi, lo, closing: pscan._compose_into(lane, A, b, hi, lo))
+    return A, b
+
+
 def _fold(ops):
     acc = ops[0]
     out = [acc]
@@ -140,7 +159,8 @@ class TestParallelScan:
 
     def test_upsweep_table_walkthrough(self):
         """T=8: after the up-sweep, positions 2, 4, 8 hold the products
-        A_{1:2}, A_{1:4}, A_{1:8} exactly as in the tree schedule."""
+        A_{1:2}, A_{1:4}, A_{1:8} exactly as in the tree schedule that
+        ``parallel_scan`` walks."""
         rng = np.random.default_rng(8)
         A = rng.standard_normal((8, 2, 2)) * 0.7
         b = rng.standard_normal((8, 2))
@@ -157,7 +177,7 @@ class TestParallelScan:
 
         pscan_mod._compose_into = spy
         try:
-            scan_stacked("dense", A, b)
+            parallel_scan([AffineOp(Transition.dense(a), b_t) for a, b_t in zip(A, b)])
         finally:
             pscan_mod._compose_into = orig
 
@@ -188,22 +208,18 @@ class TestParallelScan:
             assert counter.up_levels == int(np.log2(T))
 
     def test_schedule_is_exact(self):
-        """Levels and compositions of ``tree_scan``, in closed form, for every
-        T in 1..1100: floor(log2 T) up-sweep levels with T - popcount(T)
-        compositions; down-sweep level l runs for l <= ceil(log2 T) - 2 with
-        3 2^l <= T and composes floor((T - 3 2^l) / 2^(l+1)) + 1 slots. The
-        top up-sweep level and every down-sweep level are closing. The counts
-        hold for the driver alone and through ``scan_stacked``'s counter."""
+        """Levels and compositions of ``tree_scan`` equal ``_tree_counts``'s
+        closed form for every T in 1..1100. The top up-sweep level and every
+        down-sweep level are closing. The counts hold for the driver alone
+        and through ``scan_stacked``'s counter."""
         seen = {}
         for T in range(1, 1101):
-            down = [lv for lv in range(max(0, (T - 1).bit_length() - 1)) if 3 * 2 ** lv <= T]
-            up = T.bit_length() - 1
-            want = ((T - bin(T).count("1")) + sum(
-                (T - 3 * 2 ** lv) // 2 ** (lv + 1) + 1 for lv in down), up, len(down))
+            want = _tree_counts(T)
+            up, down = want[1], want[2]
             closing, counter = [], ComposeCounter()
             tree_scan(T, lambda hi, lo, flag: closing.append(flag), counter)
             assert (counter.compositions, counter.up_levels, counter.down_levels) == want, T
-            assert closing == ([False] * (up - 1) + [True] * (1 + len(down)) if up else []), T
+            assert closing == ([False] * (up - 1) + [True] * (1 + down) if up else []), T
             counter = ComposeCounter()
             scan_stacked("diagonal", np.ones((T, 1)), np.zeros((T, 1)), counter=counter)
             seen[T] = (counter.compositions, counter.up_levels, counter.down_levels)
@@ -231,6 +247,24 @@ class TestParallelScan:
     def test_scan_runs_on_one_worker(self):
         with pytest.raises(P.ContractError):
             scan_stacked("diagonal", np.ones((4, 1)), np.zeros((4, 1)), workers=2)
+
+    @pytest.mark.parametrize("kinds", [
+        ["zero"], ["identity"], ["scaled"], ["diagonal"], ["dense"],
+        ["identity", "scaled"], ["scaled", "diagonal", "identity"], ["zero", "diagonal"],
+        ["zero", "identity", "scaled", "diagonal"], ["dense", "identity", "scaled"],
+        ["zero", "identity", "scaled", "diagonal", "dense"]])
+    @pytest.mark.parametrize("T", [1, 2, 7, 8, 29, 100])
+    def test_prefixes_equal_full_prefix_tree_walk(self, kinds, T):
+        """Every prefix of ``parallel_scan`` is, bit for bit, the reference
+        full-prefix tree walk's on the lane ``_stack`` picks."""
+        rng = np.random.default_rng(T * 31 + len(kinds))
+        ops = [AffineOp(_transition(kinds[t % len(kinds)], rng, 3), rng.standard_normal(3))
+               for t in range(T)]
+        lane, A, b = pscan._stack(ops)
+        ref_A, ref_b = _full_prefix_scan(lane, A, b)
+        for got, a, b_t in zip(parallel_scan(ops), ref_A, ref_b):
+            np.testing.assert_array_equal(got.b, b_t)
+            np.testing.assert_array_equal(got.A.value, row_transition(got.A.kind, a).value)
 
     def test_mixed_promotes_and_matches_dense(self):
         """Mixed zero/identity/scaled/diagonal sequences, all on the diagonal
@@ -357,8 +391,9 @@ EVAL_T = [1, 2, 3, 5, 8, 100, 128, 129, 1000, 4097]
 
 
 class TestStatesOnlyEvaluation:
-    """``evaluate_stacked`` scans the diagonal lane's states alone and applies
-    ``scan_stacked``'s prefixes on the dense lane."""
+    """``evaluate_stacked`` folds s0 into the first element and scans the
+    states alone on every lane that scans: small diagonal stacks by doubling,
+    dense and large diagonal ones on the tree, through ``scan_stacked``."""
 
     @pytest.mark.parametrize("lane", ["diagonal", "dense"])
     @pytest.mark.parametrize("T", EVAL_T)
@@ -427,20 +462,55 @@ class TestStatesOnlyEvaluation:
         used = []
         for name in ("doubling_scan", "tree_scan"):
             real = getattr(pscan, name)
-            monkeypatch.setattr(pscan, name, lambda T, combine, name=name, real=real:
-                                (used.append(name), real(T, combine))[1])
+            monkeypatch.setattr(pscan, name, lambda T, combine, *rest, name=name, real=real:
+                                (used.append(name), real(T, combine, *rest))[1])
         evaluate_stacked("diagonal", *_random_lds("diagonal", T, D, 0))
         assert used == [driver]
 
-    def test_dense_runs_scan_stacked(self, monkeypatch):
-        """The dense lane's compositions go through ``scan_stacked``, the
-        module attribute a tracer wraps to count them."""
-        calls = []
+    @pytest.mark.parametrize("lane,T,D,calls", [("dense", 9, 3, 1), ("diagonal", 4097, 4, 1),
+                                                ("diagonal", 4096, 4, 0)])
+    def test_tree_runs_scan_stacked(self, lane, T, D, calls, monkeypatch):
+        """Every tree walk goes through ``scan_stacked``, the module attribute
+        a tracer wraps to count its compositions; doubling does not."""
+        seen = []
         real = pscan.scan_stacked
-        monkeypatch.setattr(pscan, "scan_stacked", lambda *a, **k: (calls.append(1), real(*a, **k))[1])
-        A, b, s0 = _random_lds("dense", 9, 3, 0)
-        evaluate_stacked("dense", A, b, s0)
-        assert calls == [1]
+        monkeypatch.setattr(pscan, "scan_stacked", lambda *a, **k: (seen.append(1), real(*a, **k))[1])
+        evaluate_stacked(lane, *_random_lds(lane, T, D, 0))
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 8, 13, 100, 128])
+    def test_dense_skips_transitions_on_closing_levels(self, T, monkeypatch):
+        """A dense evaluation forms A[hi] A[lo] on exactly the levels of
+        ``tree_scan`` that are not closing."""
+        closing, flags = [], []
+        tree_scan(T, lambda hi, lo, flag: closing.append(flag))
+        real = pscan._compose_into
+
+        def spy(lane, A, b, hi, lo, transitions=True):
+            flags.append(transitions)
+            real(lane, A, b, hi, lo, transitions)
+
+        monkeypatch.setattr(pscan, "_compose_into", spy)
+        evaluate_stacked("dense", *_random_lds("dense", T, 2, T))
+        assert flags == [not c for c in closing]
+
+    def test_dense_counts_survive_the_tracer(self, monkeypatch):
+        """A ``ComposeCounter`` injected into ``scan_stacked`` the way the
+        benchmark's tracer does it reads ``tree_scan``'s closed-form counts
+        for a dense evaluation at every T in 1..300."""
+        counters = []
+        real = pscan.scan_stacked
+
+        def traced(lane, A, b, workers=1, counter=None):
+            counters.append(ComposeCounter())
+            return real(lane, A, b, workers=1, counter=counters[-1])
+
+        monkeypatch.setattr(pscan, "scan_stacked", traced)
+        for T in range(1, 301):
+            evaluate_stacked("dense", *_random_lds("dense", T, 2, T))
+            c = counters[-1]
+            assert (c.compositions, c.up_levels, c.down_levels) == _tree_counts(T), T
+        assert len(counters) == 300
 
     def test_empty_rejected(self):
         with pytest.raises(P.ContractError, match="at least one element"):
