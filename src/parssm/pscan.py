@@ -268,7 +268,7 @@ def scan_stacked(lane: str, A: np.ndarray, b: np.ndarray, workers: int = 1,
 
     Every level runs b[hi] += A[hi] b[lo], and A[hi] A[lo] is formed only on
     levels that are not closing, since no later level reads it. Works in
-    place: b is returned holding the states, and A is left scratch.
+    place: b is returned holding the states, and A holds partial products.
 
     ``workers`` must be 1; the benchmark's span tracer still passes it.
     """

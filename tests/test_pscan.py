@@ -210,7 +210,7 @@ class TestParallelScan:
     def test_schedule_is_exact(self):
         """Levels and compositions of ``tree_scan`` equal ``_tree_counts``'s
         closed form for every T in 1..1100. The top up-sweep level and every
-        down-sweep level are closing. The counts hold for the driver alone
+        down-sweep level are closing. The counts hold for ``tree_scan`` alone
         and through ``scan_stacked``'s counter."""
         seen = {}
         for T in range(1, 1101):
