@@ -129,7 +129,8 @@ class ExperimentConfig:
         if doc.get("schema") != SCHEMA_VERSION:
             raise ContractError(f"config schema must be {SCHEMA_VERSION}, got {doc.get('schema')!r}")
         for key, kind, name in [("model", dict, "object"), ("methods", list, "array"),
-                                ("sweep", dict, "object")]:
+                                ("sweep", dict, "object"), ("name", str, "string"),
+                                ("output", str, "string")]:
             if key in doc and not isinstance(doc[key], kind):
                 raise ContractError(f"{key!r} must be a JSON {name}, got {doc[key]!r}")
         model = doc.get("model") or {}

@@ -113,7 +113,8 @@ class SolverConfig:
     setting ``metric="merit"`` instead stops when merit/T <= tol, which
     registers one-step-exact solves as a single iteration. ``max_iters``
     defaults to the horizon T, making the worst-case global-convergence
-    guarantee the stopping point rather than a failure mode.
+    guarantee the stopping point rather than a failure mode; ``kalman_solve``
+    sets its own default.
     """
 
     tol: float = 1e-4
@@ -136,6 +137,11 @@ class SolverConfig:
             raise ContractError(f"unknown init {self.init!r}")
         if self.metric not in ("diff", "merit"):
             raise ContractError(f"unknown metric {self.metric!r}")
+        if not isinstance(self.damping, Damping):
+            raise ContractError(f"damping must be a Damping, got {self.damping!r}")
+        for flag in ("record_history", "record_iterates"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ContractError(f"{flag} must be true or false, got {getattr(self, flag)!r}")
 
 
 @dataclass
@@ -251,26 +257,25 @@ def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None, reset=
     ``ResetTable``, or, when none is given, from a fresh table, which
     evaluates all T rows at 0. A row whose transition alone is not finite
     takes that transition at 0. Each check reads its verdict and its rows
-    from one elementwise mask.
+    from one elementwise mask. Runs under the caller's numpy error state.
     """
     prev = np.asarray(states_prev, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        fvals = sys.step_batch(ts, prev) if fvals is None else fvals
-        usable = np.isfinite(fvals) & (np.abs(prev) <= OVERFLOW_GUARD)  # False at NaN
-        if not usable.all():
-            # reduced along the rows of its transpose, the mask is ANDed
-            # elementwise, several times faster than along each short row
-            bad = ~usable.T.copy().all(axis=0)[:, None]
-            f_zero = (ResetTable(sys) if reset is None else reset).take(ts, bad)
-            prev = np.where(bad, 0.0, prev)
-            fvals = np.where(bad, f_zero, fvals)
-        lane, A = _method_transitions(sys, ts, prev, method, damping)
-        if A is not None and not (finite := np.isfinite(A).reshape(len(ts), -1)).all():
-            abad = ~finite.all(axis=1)
-            zeros = np.zeros((int(abad.sum()), prev.shape[1]))
-            A[abad] = _method_transitions(sys, np.asarray(ts)[abad], zeros, method, damping)[1]
-        # zero transitions: the update is a pure map, with nothing to subtract
-        b = fvals if lane == ZERO else fvals - lane_apply(lane, A, prev)
+    fvals = sys.step_batch(ts, prev) if fvals is None else fvals
+    usable = np.isfinite(fvals) & (np.abs(prev) <= OVERFLOW_GUARD)  # False at NaN
+    if not usable.all():
+        # reduced along the rows of its transpose, the mask is ANDed
+        # elementwise, several times faster than along each short row
+        bad = ~usable.T.copy().all(axis=0)[:, None]
+        f_zero = (ResetTable(sys) if reset is None else reset).take(ts, bad)
+        prev = np.where(bad, 0.0, prev)
+        fvals = np.where(bad, f_zero, fvals)
+    lane, A = _method_transitions(sys, ts, prev, method, damping)
+    if A is not None and not (finite := np.isfinite(A).reshape(len(ts), -1)).all():
+        abad = ~finite.all(axis=1)
+        zeros = np.zeros((int(abad.sum()), prev.shape[1]))
+        A[abad] = _method_transitions(sys, np.asarray(ts)[abad], zeros, method, damping)[1]
+    # zero transitions: the update is a pure map, with nothing to subtract
+    b = fvals if lane == ZERO else fvals - lane_apply(lane, A, prev)
     return lane, A, b
 
 
@@ -285,14 +290,15 @@ def linearize(sys: DynamicsSystem, traj: Trajectory, method: SolverMethod,
     past ``OVERFLOW_GUARD`` or NaN, or whose f is not finite, is linearized at
     the reset value 0. Newton's A~_t is Dense and quasi-Newton's Diagonal;
     Picard, Jacobi and ``scaled:<a>`` give the ScaledIdentity of their
-    coefficient a, as Zero when a = 0 and as Identity when a = 1.
+    coefficient a, as Zero when a = 0 and as Identity when a = 1. Holds one numpy error state.
     """
-    sys._check_traj(traj)
-    ts = np.arange(1, sys.horizon + 1)
-    lane, A, b = _linearize_stacked(sys, traj.prev_states(), ts, method, damping)
-    kind = SCALED if lane == DIAGONAL and method.kind != "quasi" else lane
-    rows = [None] * sys.horizon if A is None else A
-    return [AffineOp(row_transition(kind, a), b_t) for a, b_t in zip(rows, b)]
+    with np.errstate(all="ignore"):
+        sys._check_traj(traj)
+        ts = np.arange(1, sys.horizon + 1)
+        lane, A, b = _linearize_stacked(sys, traj.prev_states(), ts, method, damping)
+        kind = SCALED if lane == DIAGONAL and method.kind != "quasi" else lane
+        rows = [None] * sys.horizon if A is None else A
+        return [AffineOp(row_transition(kind, a), b_t) for a, b_t in zip(rows, b)]
 
 
 def jacobi_init(sys: DynamicsSystem) -> Trajectory:

@@ -332,16 +332,17 @@ def parallel_scan(ops):
     The sequence is scanned in the lane ``_stack`` picks. Prefix t is returned
     in the class of ops_1 .. ops_t: Zero once a Zero has entered it, and
     otherwise the greatest kind among them, in the order identity < scaled <
-    diagonal < dense.
+    diagonal < dense. Holds one numpy error state for the call.
     """
-    ops = list(ops)
-    lane, A, b = _stack(ops)
-    tree_scan(len(b), lambda hi, lo, closing: _compose_into(lane, A, b, hi, lo))
-    out, kind = [], IDENTITY
-    for op, a, b_t in zip(ops, A, b):
-        kind = ZERO if ZERO in (kind, op.A.kind) else max(kind, op.A.kind, key=_ORDER.index)
-        out.append(AffineOp(row_transition(kind, a), b_t))
-    return out
+    with np.errstate(all="ignore"):
+        ops = list(ops)
+        lane, A, b = _stack(ops)
+        tree_scan(len(b), lambda hi, lo, closing: _compose_into(lane, A, b, hi, lo))
+        out, kind = [], IDENTITY
+        for op, a, b_t in zip(ops, A, b):
+            kind = ZERO if ZERO in (kind, op.A.kind) else max(kind, op.A.kind, key=_ORDER.index)
+            out.append(AffineOp(row_transition(kind, a), b_t))
+        return out
 
 
 def evaluate_lds(ops, s0) -> Trajectory:

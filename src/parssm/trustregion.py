@@ -54,6 +54,8 @@ class TrustRegionConfig:
             raise ContractError(f"unknown jacobian variant {self.jacobian!r}")
         if self.lam == 0.0 and self.mode != "smoother":
             raise ContractError("lam = 0 is permitted only in smoother-oracle comparisons")
+        if not isinstance(self.solver, SolverConfig):
+            raise ContractError(f"solver must be a SolverConfig, got {self.solver!r}")
         if self.solver.damping.kind != "none":
             raise ContractError("the trust region takes no damping: lam sets its step")
 
@@ -160,11 +162,10 @@ def _forward(lane, A, b, emissions, s_left, lam):
     Returns (filtered_means, Sigma_post, Sigma_pred), stacked over t. The
     filtered means solve the affine recursion mu_t = Gamma_t A_t mu_{t-1}
     + Gamma_t b_t + (I - Gamma_t) y_t, with Gamma_t = (lam Sigma_pred_t + I)^-1
-    and the current iterate y_t as emission.
+    and the current iterate y_t as emission, under the caller's numpy error state.
     """
     mul, tr, _, one = lane_algebra(lane, b.shape[1])
-    with np.errstate(all="ignore"):
-        sig_post = _check_covariances(lane, _filter_covariances(lane, A, lam))
+    sig_post = _check_covariances(lane, _filter_covariances(lane, A, lam))
     sig_pred = np.broadcast_to(one, sig_post.shape).copy()
     sig_pred[1:] += mul(mul(A[1:], sig_post[:-1]), tr(A[1:]))
     gamma = _gain(lane, sig_pred, lam)
@@ -190,11 +191,11 @@ def _smooth(lane, A, b, means, sig_post, sig_pred):
     return evaluate_stacked(lane, G[::-1], offset[::-1], np.zeros(b.shape[1]))[::-1]
 
 
-def _kalman_chunk(sys, window, ts, cfg: TrustRegionConfig, fvals=None, reset=None):
-    """Trust-region update of rows ``window[1:]`` (steps ``ts``) from boundary ``window[0]``."""
+def _kalman_chunk(sys, window, emissions, ts, cfg: TrustRegionConfig, fvals=None, reset=None):
+    """Trust-region update of rows ``window[1:]`` (steps ``ts``) from boundary ``window[0]``
+    toward the finite ``emissions``, under the caller's numpy error state."""
     method = QUASI_DIAGONAL if cfg.jacobian == "diagonal" else NEWTON
     lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, NO_DAMPING, fvals, reset)
-    emissions = np.where(np.isfinite(window[1:]), window[1:], 0.0)
     means, sig_post, sig_pred = _forward(lane, A, b, emissions, window[0], cfg.lam)
     return _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
 
@@ -202,15 +203,18 @@ def _kalman_chunk(sys, window, ts, cfg: TrustRegionConfig, fvals=None, reset=Non
 def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -> Trajectory:
     """One trust-region update of the whole trajectory.
 
-    Builds the per-step Newton linearization about ``traj``, runs the Kalman
-    pass on the constructed LGSSM (process noise I, emissions = current
-    iterate with covariance (1/lam) I), and returns filtered means (mode
-    "filter") or RTS-smoothed means (mode "smoother"). With
-    jacobian="diagonal" all matrix algebra specializes elementwise.
+    Builds the per-step Newton linearization about ``traj``, runs the Kalman pass on
+    the constructed LGSSM (process noise I, emissions = current iterate, its
+    non-finite entries as 0, with covariance (1/lam) I), and returns filtered means
+    (mode "filter") or RTS-smoothed means (mode "smoother"). With jacobian="diagonal"
+    all matrix algebra specializes elementwise. Holds one numpy error state for the call.
     """
-    sys._check_traj(traj)
-    window = np.vstack([as_state(sys.initial_state, sys.dim), traj.states])
-    return Trajectory(window[0], _kalman_chunk(sys, window, np.arange(1, sys.horizon + 1), cfg))
+    with np.errstate(all="ignore"):
+        sys._check_traj(traj)
+        window = np.vstack([as_state(sys.initial_state, sys.dim), traj.states])
+        emissions = np.where(np.isfinite(traj.states), traj.states, 0.0)
+        means = _kalman_chunk(sys, window, emissions, np.arange(1, sys.horizon + 1), cfg)
+        return Trajectory(window[0], means)
 
 
 def _default_max_iters(T: int, lam: float, tol: float) -> int:
@@ -225,8 +229,8 @@ def _default_max_iters(T: int, lam: float, tol: float) -> int:
 
 
 def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
-    """Fixed-point loop around ``kalman_step``; same stopping and reporting
-    contract as ``fixed_point_solve`` (metric, reset heuristic, causal front).
+    """The pass of ``kalman_step``, run on the rows past the causal front to the
+    stopping and reporting contract of ``fixed_point_solve`` (metric, reset heuristic).
 
     Unlike the undamped family, the trust region pins each update toward the
     previous iterate (the already-correct coordinate contracts by
@@ -245,8 +249,8 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     if solver.max_iters is None:
         solver = replace(solver, max_iters=_default_max_iters(sys.horizon, cfg.lam, solver.tol))
 
-    def chunk_step(window, ts, fvals, reset):
-        return _kalman_chunk(sys, window, ts, cfg, fvals, reset)
+    def chunk_step(window, ts, fvals, reset):  # solve_loop hands over finite rows
+        return _kalman_chunk(sys, window, window[1:], ts, cfg, fvals, reset)
 
     return solve_loop(sys, solver, chunk_step)
 

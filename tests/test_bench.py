@@ -50,6 +50,7 @@ BAD_SETTINGS = [
     {"sweep": {"lambda": ["0.5"]}}, {"sweep": {"lambda": [True]}},
     {"methods": [{"method": "newton"}], "sweep": {"lambda": [0.5]}},
     {"methods": [{"method": "newton", "damping": "clip"}]},
+    {"record_history": "false"}, {"record_history": 0},
 ]
 
 # config parts of the wrong JSON type, and seeds that 'seeds' would overwrite,
@@ -62,6 +63,12 @@ BAD_SHAPES = [
     ({"model": {"kind": "affine", "alpha": 0.5, "seed": 7}}, "'seeds'"),
     ({"sweep": {"T": [8], "seed": [1, 2]}}, "'seeds'"),
 ]
+
+# names that must be JSON strings: open() takes an integer 'output' (or true)
+# as a file descriptor, and would write the CSV to stderr (or stdout)
+BAD_STRINGS = [({"output": 2}, "'output' must be a JSON string"),
+               ({"output": True}, "'output' must be a JSON string"),
+               ({"name": 2}, "'name' must be a JSON string")]
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -126,6 +133,7 @@ class TestConfigParsing:
             bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
 
     @pytest.mark.parametrize("bad", [{"init": "bogus"}, {"workers": "2"}, {"seeds": 3},
+                                     {"record_history": "false"},
                                      *(bad for bad, _ in BAD_SHAPES)], ids=json.dumps)
     def test_bad_setting_exits_2(self, tmp_path, capsys, bad):
         p = tmp_path / "cfg.json"
@@ -141,6 +149,20 @@ class TestConfigParsing:
         is refused, not dropped."""
         with pytest.raises(P.ContractError, match=message):
             bench.ExperimentConfig.from_dict(_tiny_config(tmp_path, **bad))
+
+    @pytest.mark.parametrize("bad, message", BAD_STRINGS,
+                             ids=[json.dumps(bad) for bad, _ in BAD_STRINGS])
+    def test_bad_string_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, bad, message):
+        """The config fails at load, naming the key, and the sweep never
+        starts, so no file descriptor is written or closed."""
+        def no_run(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(bench, "run_experiment", no_run)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_tiny_config(tmp_path, **bad)))
+        assert cli.main(["bench", "--config", str(p)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         with pytest.raises(P.ContractError, match="a config must be a JSON object"):

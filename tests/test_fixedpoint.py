@@ -37,6 +37,18 @@ class TestMethodAndDampingTypes:
         with pytest.raises(P.ContractError, match="must be a real number"):
             make(**kwargs)
 
+    @pytest.mark.parametrize("flag", ["record_history", "record_iterates"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_record_flags_must_be_booleans(self, flag, value):
+        with pytest.raises(P.ContractError, match=f"{flag} must be true or false"):
+            SolverConfig(**{flag: value})
+
+    @pytest.mark.parametrize("damping", ["scale:0.3", None, 0.3])
+    def test_damping_must_be_a_damping(self, damping):
+        """A damping string is parsed by ``Damping.parse``, not read by a pass."""
+        with pytest.raises(P.ContractError, match="damping must be a Damping"):
+            SolverConfig(damping=damping)
+
     @pytest.mark.parametrize("seed", [1.5, -1, True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(P.ContractError, match="seed"):
@@ -239,10 +251,10 @@ class TestWholeArrayGuards:
         for name in marks:
             row, value = MARKS[name]
             prev[row] = value
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # the pass runs under its solve's error state
             fvals = sys_.step_batch(ts, prev) if given_f else None
+            got = _linearize_stacked(sys_, prev, ts, method, NO_DAMPING, fvals)
         want = _linearize_per_row(sys_, prev, ts, method, NO_DAMPING, fvals)
-        got = _linearize_stacked(sys_, prev, ts, method, NO_DAMPING, fvals)
         assert got[0] == want[0]
         for g, w in zip(got[1:], want[1:]):
             assert (g is None and w is None) or np.array_equal(g, w, equal_nan=True)
@@ -257,7 +269,8 @@ class TestWholeArrayGuards:
         prev = np.full((T, 2), 0.25)
         for row, value in MARKS.values():
             prev[row] = value
-        lane, A, b = _linearize_stacked(sys_, prev, ts, NEWTON, NO_DAMPING)
+        with np.errstate(all="ignore"):  # as a solve holds it
+            lane, A, b = _linearize_stacked(sys_, prev, ts, NEWTON, NO_DAMPING)
         at_zero = 0.5 * np.eye(2)
         for name, (row, _) in MARKS.items():
             np.testing.assert_array_equal(A[row], at_zero)

@@ -1,5 +1,7 @@
 """Parallel scan: closure, associativity, tree structure, lane algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,19 @@ class TestParallelScan:
         assert not np.all(np.isfinite(last.A.value))
         with pytest.raises(P.ContractError):
             Transition.dense([[np.inf]])
+
+    @pytest.mark.parametrize("scan", [parallel_scan, lambda ops: [affine_compose(*ops)]],
+                             ids=["parallel_scan", "affine_compose"])
+    def test_overflow_is_quiet(self, scan):
+        """An entry of 1e200 squared overflows: like ``evaluate_lds``, the
+        scan returns the inf prefix under its own error state, and warns
+        nothing."""
+        ops = [AffineOp(Transition.dense(np.full((2, 2), 1e200)), np.ones(2))] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            last = scan(ops)[-1]
+            states = evaluate_lds(ops, np.ones(2)).states
+        assert np.all(np.isinf(last.A.value)) and np.all(np.isinf(states[-1]))
 
     def test_scan_runs_on_one_worker(self):
         with pytest.raises(P.ContractError):

@@ -1,5 +1,7 @@
 """Kalman trust-region steps: attenuation bound, MAP oracle, solve loop."""
 
+import warnings
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -167,6 +169,11 @@ class TestConfig:
         """The trust region never reads the damping; lam sets its step."""
         with pytest.raises(P.ContractError):
             TrustRegionConfig(solver=SolverConfig(damping=P.Damping.scale(0.9)))
+
+    @pytest.mark.parametrize("solver", ["x", None, {"tol": 1e-6}])
+    def test_solver_must_be_a_solver_config(self, solver):
+        with pytest.raises(P.ContractError, match="solver must be a SolverConfig"):
+            TrustRegionConfig(solver=solver)
 
 
 class TestAttenuation:
@@ -350,6 +357,41 @@ class TestKalmanStep:
         with np.errstate(all="ignore"), pytest.raises(P.NumericalFailure) as err:
             kalman_step(sys_, guess, TrustRegionConfig(lam=1.0, jacobian=jacobian))
         assert err.value.t == 6
+
+
+class TestStepIsOneSolvePass:
+    """``kalman_step`` runs the pass ``kalman_solve`` runs, under one numpy
+    error state for its call: from the same guess, it returns one solve
+    pass's iterate bit for bit, and an overflowing pass raises no warning."""
+
+    @staticmethod
+    def _one_pass(sys_, cfg, init, guess):
+        solver = SolverConfig(init=init, max_iters=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = kalman_step(sys_, P.Trajectory(sys_.initial_state, guess), cfg)
+            solved = kalman_solve(sys_, replace(cfg, solver=solver))
+        assert solved.iterations == 1
+        assert step.states.tobytes() == solved.trajectory.states.tobytes()
+        return step.states
+
+    @pytest.mark.parametrize("jacobian", ["full", "diagonal"])
+    def test_overflowing_pass_is_quiet(self, jacobian):
+        """f(s) = 1e150 s from zeros: the predicted covariances overflow."""
+        from parssm.models import FunctionSystem
+        sys_ = FunctionSystem(dim=1, horizon=6, initial_state=np.ones(1),
+                              step_fn=lambda t, s: 1e150 * s)
+        cfg = TrustRegionConfig(lam=1e-10, jacobian=jacobian)
+        self._one_pass(sys_, cfg, "zeros", np.zeros((6, 1)))
+
+    @pytest.mark.parametrize("mode", ["filter", "smoother"])
+    @pytest.mark.parametrize("jacobian", ["full", "diagonal"])
+    def test_finite_pass(self, mode, jacobian):
+        sys_ = P.models.build("lorenz96", 32, seed=3)
+        cfg = TrustRegionConfig(lam=0.5, mode=mode, jacobian=jacobian)
+        guess = np.random.default_rng(0).standard_normal((32, sys_.dim))  # init="normal", seed 0
+        states = self._one_pass(sys_, cfg, "normal", guess)
+        assert np.all(np.isfinite(states))
 
 
 def _covariance_stack(steps=(), T=12, D=5):
