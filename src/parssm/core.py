@@ -110,6 +110,10 @@ class DynamicsSystem(ABC):
     override any of them with analytic forms. The single-row ``step``,
     ``jacobian``, ``diag_jacobian`` and ``jvp`` are the batch forms applied
     to one row, so both paths share one code path.
+
+    A system's methods, the zoo's and the finite-difference and Hutchinson
+    defaults alike, set no numpy error state: they run under their caller's.
+    Every library call into a system holds one that ignores every error.
     """
 
     dim: int
@@ -166,13 +170,14 @@ def rollout_sequential(sys: DynamicsSystem) -> Trajectory:
     """Evaluate s_{1:T} left to right. This is the ground-truth oracle s*.
 
     Non-finite states are propagated, not masked: a diverging system reports
-    its divergence through the returned rows.
+    its divergence through the returned rows, under one numpy error state.
     """
     states = np.empty((sys.horizon, sys.dim))
     s = as_state(sys.initial_state, sys.dim)
-    for t in range(1, sys.horizon + 1):
-        s = np.asarray(sys.step(t, s), dtype=np.float64)
-        states[t - 1] = s
+    with np.errstate(all="ignore"):
+        for t in range(1, sys.horizon + 1):
+            s = np.asarray(sys.step(t, s), dtype=np.float64)
+            states[t - 1] = s
     return Trajectory(sys.initial_state, states)
 
 

@@ -49,7 +49,7 @@ def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
     divided by T, averaged over probes. Renormalizing every step keeps the
     computation stable for both contracting and expanding chains. Jacobians
     are evaluated at the trajectory's predecessor states in blocks to bound
-    memory.
+    memory, under one numpy error state.
     """
     require_int("probes", probes, 1)
     require_int("the probe seed", seed, 0)
@@ -60,17 +60,17 @@ def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
     U /= np.linalg.norm(U, axis=0, keepdims=True)
     acc = np.zeros(probes)
     prev = traj.prev_states()
-    for start in range(0, T, LLE_BLOCK):
-        stop = min(start + LLE_BLOCK, T)
-        ts = np.arange(start + 1, stop + 1)
-        jacs = sys.jacobian_batch(ts, prev[start:stop])
-        for j in jacs:
-            U = j @ U
-            norms = np.linalg.norm(U, axis=0)
-            if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
-                raise NumericalFailure("degenerate Jacobian chain: evolved vector has zero norm")
-            acc += np.log(norms)
-            U /= norms
+    with np.errstate(all="ignore"):
+        for start in range(0, T, LLE_BLOCK):
+            stop = min(start + LLE_BLOCK, T)
+            for j in sys.jacobian_batch(np.arange(start + 1, stop + 1), prev[start:stop]):
+                U = j @ U
+                norms = np.linalg.norm(U, axis=0)
+                if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
+                    raise NumericalFailure(
+                        "degenerate Jacobian chain: evolved vector has zero norm")
+                acc += np.log(norms)
+                U /= norms
     return LleEstimate(float(np.mean(acc) / T), horizon=T, probes=probes)
 
 
@@ -90,14 +90,13 @@ def assemble_big_j(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
 
     Unit lower triangular, hence always invertible with every eigenvalue one;
     its inverse collects the Jacobian chain products A_t ... A_{tau+1} in
-    block (t, tau). Guarded to T*D <= 4096.
+    block (t, tau). Guarded to T*D <= 4096; holds one numpy error state.
     """
     sys._check_traj(traj)
     T, D = traj.horizon, traj.dim
     _check_dense_guard(T, D, "assemble_big_j")
-    ts = np.arange(1, T + 1)
-    blocks = sys.jacobian_batch(ts, traj.prev_states())
-    return assemble_blocks(blocks)
+    with np.errstate(all="ignore"):
+        return assemble_blocks(sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states()))
 
 
 def min_singular_value(M: np.ndarray) -> float:
@@ -165,8 +164,7 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
 def _transitions_at(sys, traj, method):
     """(lane, A) of the method's undamped A~_t at the trajectory, t = 1..T."""
     ts = np.arange(1, traj.horizon + 1)
-    with np.errstate(all="ignore"):
-        return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
+    return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
 
 
 def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
@@ -175,15 +173,16 @@ def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
 
     Equals the spectral-norm distance between the assembled approximate and
     true residual Jacobians, because the block difference sits on a single
-    subdiagonal.
+    subdiagonal. Holds one numpy error state.
     """
     if method.kind == "newton":
         return 0.0
     T, D = traj.horizon, traj.dim
-    lane, A = _transitions_at(sys, traj, method)
-    true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
-    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
-    return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
+    with np.errstate(all="ignore"):
+        lane, A = _transitions_at(sys, traj, method)
+        true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
+        diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
+        return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
 
 
 def picard_inverse_norm(T: int) -> float:
@@ -204,20 +203,21 @@ def rate_factor(sys: DynamicsSystem, traj_star: Trajectory,
     both on the diagonal lane, decouple coordinatewise into T x T bidiagonal
     blocks, so their factor needs only T <= 4096; it is the largest over the
     bitwise-distinct coordinate chains, each solved once. Newton's factor is
-    0, as its rate is."""
+    0, as its rate is. Holds one numpy error state."""
     if method.kind == "newton":
         return 0.0
     T = traj_star.horizon
-    lane, A = _transitions_at(sys, traj_star, method)
-    if lane == ZERO:
-        return 1.0
-    if lane == IDENTITY:
-        return picard_inverse_norm(T)
-    # the diagonal lane, the only other a non-Newton method gives
-    _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
-    chains = np.unique(A.T.view(np.int64), axis=0).view(np.float64)
-    return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
-                     for c in chains))
+    with np.errstate(all="ignore"):
+        lane, A = _transitions_at(sys, traj_star, method)
+        if lane == ZERO:
+            return 1.0
+        if lane == IDENTITY:
+            return picard_inverse_norm(T)
+        # the diagonal lane, the only other a non-Newton method gives
+        _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
+        chains = np.unique(A.T.view(np.int64), axis=0).view(np.float64)
+        return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
+                         for c in chains))
 
 
 def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,

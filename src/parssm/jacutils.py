@@ -3,9 +3,10 @@
 One central-difference kernel, the only home of the step rule, serves the
 finite-difference Jacobians and the default ``DynamicsSystem.jvp_batch``; one
 Hutchinson core (Rademacher probes, one JVP per probe through ``jvp_batch``)
-serves the stochastic diagonal estimates. The ``_batch`` forms return
-overflowed rows as non-finite values for the solvers' reset heuristic; the
-single-row ``hutchinson_diag`` raises.
+serves the stochastic diagonal estimates. Both are a system's defaults and
+set no numpy error state. Under the caller's error state the ``_batch`` forms
+return overflowed rows as non-finite values for the solvers' reset
+heuristic; the single-row ``hutchinson_diag`` holds one state and raises.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ContractError, NumericalFailure
+from .core import ContractError, NumericalFailure, require_int
 
 
 def _central_diff(sys, ts: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -24,18 +25,17 @@ def _central_diff(sys, ts: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarr
     S is (n, D) and V broadcasts to (n, k, D); the 2 n k perturbed states go
     through one ``step_batch`` call, the +h rows first. Each row takes the
     step h = 1e-6 (1 + ||s||_inf) / max(||v||_inf, 1) over its tangents.
-    Non-finite results are returned, not raised.
+    Under a solve's error state, non-finite results are returned, not raised.
     """
     n, d = S.shape
     k = V.shape[-2]
     hs = 1e-6 * (1.0 + np.max(np.abs(S), axis=1)) / np.abs(V).max(axis=(1, 2), initial=1.0)
     h = hs[:, None, None]
     ts_rep = np.tile(np.repeat(np.asarray(ts), k), 2)
-    with np.errstate(all="ignore"):
-        delta = h * V
-        both = np.stack([S[:, None, :] + delta, S[:, None, :] - delta]).reshape(2 * n * k, d)
-        fp, fm = sys.step_batch(ts_rep, both).reshape(2, n, k, d)
-        return (fp - fm) / (2.0 * h)
+    delta = h * V
+    both = np.stack([S[:, None, :] + delta, S[:, None, :] - delta]).reshape(2 * n * k, d)
+    fp, fm = sys.step_batch(ts_rep, both).reshape(2, n, k, d)
+    return (fp - fm) / (2.0 * h)
 
 
 def fd_jacobian_batch(sys, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -82,23 +82,22 @@ def _probe_table(d: int, tmax: int) -> np.ndarray:
 def _hutchinson(sys, ts: np.ndarray, S: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Mean over the (m, k, D) probes of v * (A_t v), one ``jvp_batch`` call for all m k."""
     m, k, d = probes.shape
-    with np.errstate(all="ignore"):
-        jvps = sys.jvp_batch(np.repeat(np.asarray(ts), k), np.repeat(S, k, axis=0),
-                             probes.reshape(m * k, d))
-        return np.mean(probes * np.asarray(jvps).reshape(m, k, d), axis=1)
+    jvps = sys.jvp_batch(np.repeat(np.asarray(ts), k), np.repeat(S, k, axis=0),
+                         probes.reshape(m * k, d))
+    return np.mean(probes * np.asarray(jvps).reshape(m, k, d), axis=1)
 
 
 def hutchinson_diag(sys, t: int, s: np.ndarray, n: int = 1, seed=0) -> DiagEstimate:
     """Unbiased diagonal estimate: mean over n Rademacher probes of v * (A_t v).
 
-    Exact whenever A_t is diagonal, for any n and any seed. The probes are
-    drawn from ``numpy.random.default_rng(seed)``.
+    Exact whenever A_t is diagonal, for any n and any seed. Holds one numpy
+    error state. The probes are drawn from ``numpy.random.default_rng(seed)``.
     """
-    if n < 1:
-        raise ContractError("hutchinson_diag needs n >= 1")
+    require_int("n", n, 1)
     s = np.asarray(s, dtype=np.float64)
     probes = _rademacher(np.random.default_rng(seed), n, s.shape[0])
-    values = _hutchinson(sys, np.array([t]), s[None, :], probes[None, :, :])[0]
+    with np.errstate(all="ignore"):
+        values = _hutchinson(sys, np.array([t]), s[None, :], probes[None, :, :])[0]
     return DiagEstimate(values, samples=n, seed=seed)
 
 

@@ -2,6 +2,7 @@
 ``step_batch``, with analytic ``jacobian_batch``/``diag_jacobian_batch``
 where tractable; the rest falls to the base class's finite-difference and
 Hutchinson defaults, and the single-row forms come from the base class.
+No method sets numpy's error state: each runs under its caller's.
 
 Every stochastic ingredient (weights, noise, inputs) is drawn once at
 construction from an explicit seed and curried into the step maps, so all
@@ -27,6 +28,8 @@ class FunctionSystem(DynamicsSystem):
 
     def __init__(self, dim, horizon, initial_state, step_fn, jac_fn=None,
                  diag_fn=None, jvp_fn=None):
+        require_int("state size dim", dim, 1)
+        require_int("horizon", horizon, 1)
         self.dim = int(dim)
         self.horizon = int(horizon)
         self.initial_state = as_state(initial_state, self.dim)
@@ -74,8 +77,7 @@ class ScalarAffine(DynamicsSystem):
                 raise ContractError("inputs must have length T")
 
     def step_batch(self, ts, S):
-        with np.errstate(all="ignore"):
-            return self.alpha * S + self.inputs[np.asarray(ts) - 1][:, None]
+        return self.alpha * S + self.inputs[np.asarray(ts) - 1][:, None]
 
     def jacobian_batch(self, ts, S):
         return np.broadcast_to(np.array([[self.alpha]]), (len(ts), 1, 1)).copy()
@@ -107,13 +109,10 @@ class MeanFieldRNN(DynamicsSystem):
         self.inputs = 0.1 * np.sin(2.0 * np.pi * t / self.horizon)
 
     def step_batch(self, ts, S):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.tanh(S) @ self.W.T + self.inputs[np.asarray(ts) - 1][:, None]
+        return np.tanh(S) @ self.W.T + self.inputs[np.asarray(ts) - 1][:, None]
 
     def jacobian_batch(self, ts, S):
-        with np.errstate(over="ignore", invalid="ignore"):
-            gain = 1.0 - np.tanh(S) ** 2
-        return self.W[None, :, :] * gain[:, None, :]
+        return self.W[None, :, :] * (1.0 - np.tanh(S) ** 2)[:, None, :]
 
     def diag_jacobian_batch(self, ts, S):
         return np.zeros((len(ts), self.dim))  # W_ii = 0 exactly
@@ -154,10 +153,9 @@ class Gru(DynamicsSystem):
     def _gates(self, ts, H):
         i = np.asarray(ts) - 1
         xz, xr, xh = (drive[i] for drive in self._drives)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Z = _sigmoid(H @ self.Wz_h.T + xz)
-            R = _sigmoid(H @ self.Wr_h.T + xr)
-            Htil = np.tanh((R * H) @ self.Wh_h.T + xh)
+        Z = _sigmoid(H @ self.Wz_h.T + xz)
+        R = _sigmoid(H @ self.Wr_h.T + xr)
+        Htil = np.tanh((R * H) @ self.Wh_h.T + xh)
         return Z, R, Htil
 
     def step_batch(self, ts, S):
@@ -222,12 +220,11 @@ class Lorenz96(DynamicsSystem):
 
     def step_batch(self, ts, S):
         dt = self.dt
-        with np.errstate(all="ignore"):
-            k1 = self._field(S)
-            k2 = self._field(S + 0.5 * dt * k1)
-            k3 = self._field(S + 0.5 * dt * k2)
-            k4 = self._field(S + dt * k3)
-            return S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = self._field(S)
+        k2 = self._field(S + 0.5 * dt * k1)
+        k3 = self._field(S + 0.5 * dt * k2)
+        k4 = self._field(S + dt * k3)
+        return S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class LangevinTwoWell(DynamicsSystem):
@@ -292,13 +289,11 @@ class LangevinTwoWell(DynamicsSystem):
         return base + spread + g[:, :, None] * g[:, None, :]
 
     def step_batch(self, ts, S):
-        with np.errstate(all="ignore"):
-            drift = S - self.eps * self.grad_potential_batch(S)
+        drift = S - self.eps * self.grad_potential_batch(S)
         return drift + np.sqrt(2.0 * self.eps) * self.noise[np.asarray(ts) - 1]
 
     def jacobian_batch(self, ts, S):
-        with np.errstate(all="ignore"):
-            return np.eye(2)[None, :, :] - self.eps * self.hess_potential_batch(S)
+        return np.eye(2)[None, :, :] - self.eps * self.hess_potential_batch(S)
 
     def diag_jacobian_batch(self, ts, S):
         return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2).copy()
@@ -344,8 +339,7 @@ class LogisticMap(DynamicsSystem):
         self.initial_state = np.array([float(s0)])
 
     def step_batch(self, ts, S):
-        with np.errstate(all="ignore"):
-            return self.r * S * (1.0 - S)
+        return self.r * S * (1.0 - S)
 
     def jacobian_batch(self, ts, S):
         return (self.r * (1.0 - 2.0 * S))[:, :, None]

@@ -259,10 +259,11 @@ def lm_step_dense(sys: DynamicsSystem, traj: Trajectory, lam: float) -> Trajecto
     """Dense damped update s - (J^T J + lam I)^{-1} J^T r. Oracle only.
 
     Assembles the full block-bidiagonal residual Jacobian, so it is guarded
-    to T*D <= 4096.
+    to T*D <= 4096. Holds one numpy error state around the whole step.
     """
-    J = assemble_big_j(sys, traj)
-    r = residual(sys, traj).ravel()
-    n = J.shape[0]
-    delta = np.linalg.solve(J.T @ J + lam * np.eye(n), J.T @ r)
-    return Trajectory(sys.initial_state, traj.states - delta.reshape(traj.states.shape))
+    with np.errstate(all="ignore"):
+        J = assemble_big_j(sys, traj)
+        r = residual(sys, traj).ravel()
+        n = J.shape[0]
+        delta = np.linalg.solve(J.T @ J + lam * np.eye(n), J.T @ r)
+        return Trajectory(sys.initial_state, traj.states - delta.reshape(traj.states.shape))

@@ -348,6 +348,62 @@ class TestBatchFirstContract:
         assert steps == list(range(1, 9))
 
 
+def _outcome(call):
+    """("ok", the result as an array) or (exception type, message); a warning
+    is not caught."""
+    try:
+        out = call()
+    except (P.ContractError, P.NumericalFailure, np.linalg.LinAlgError) as e:
+        return type(e), str(e)
+    return "ok", np.asarray(out.states if isinstance(out, P.Trajectory) else out)
+
+
+class TestLibraryHoldsTheErrorState:
+    """A system a user writes sets no numpy error state, as the zoo's models
+    do not; every library call into it holds one, so its overflow is as quiet
+    as a zoo model's. The suite's filter turns a RuntimeWarning into an
+    error, so a warning fails these tests."""
+
+    ITERATE = P.Trajectory([1.0], [[1e200], [1e300], [1.0], [1.0]])
+    JAC = dict(jac_fn=lambda t, s: np.array([[1e200 * s[0]]]))
+    CALLS = {
+        "assemble_big_j": (JAC, P.assemble_big_j),
+        "jacobian_mismatch": (JAC, lambda s, tr: P.jacobian_mismatch(s, tr, P.PICARD)),
+        "lm_step_dense": (JAC, lambda s, tr: P.lm_step_dense(s, tr, 1.0)),
+        "rate_factor": (dict(diag_fn=lambda t, s: 1e200 * s),
+                        lambda s, tr: P.diagnostics.rate_factor(s, tr, P.QUASI_DIAGONAL)),
+    }
+
+    @staticmethod
+    def system(**fns):
+        return FunctionSystem(1, 4, [1.0], lambda t, s: 1e200 * s, **fns)
+
+    def jac_system(self):
+        return self.system(**self.JAC)
+
+    def test_rollout(self):
+        states = P.rollout_sequential(self.jac_system()).states
+        np.testing.assert_array_equal(states[:, 0], [1e200, np.inf, np.inf, np.inf])
+
+    def test_estimate_lle_raises_numerical_failure(self):
+        with pytest.raises(P.NumericalFailure):
+            P.estimate_lle(self.jac_system(), self.ITERATE)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_same_outcome_as_under_ignore(self, name):
+        fns, call = self.CALLS[name]
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: call(self.system(**fns), self.ITERATE))
+        got = _outcome(lambda: call(self.system(**fns), self.ITERATE))
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_hutchinson_diag_through_jvp_fn(self):
+        sys_ = self.system(jvp_fn=lambda t, s, v: 1e200 * s * v)
+        with pytest.raises(P.NumericalFailure, match="non-finite diagonal estimate"):
+            P.hutchinson_diag(sys_, 2, np.array([1e200]))
+
+
 def test_exports_resolve_once():
     """Every name in ``parssm.__all__`` resolves, and none is listed twice
     (``import parssm`` alone never reads ``__all__``)."""

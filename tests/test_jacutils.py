@@ -132,8 +132,9 @@ class TestHutchinson:
 
     def test_validation(self):
         sys_ = _diag_system(np.ones(2))
-        with pytest.raises(P.ContractError):
-            hutchinson_diag(sys_, 1, np.zeros(2), n=0)
+        for n in (0, 2.5, True, "2"):
+            with pytest.raises(P.ContractError, match="^n must be"):
+                hutchinson_diag(sys_, 1, np.zeros(2), n=n)
         with pytest.raises(P.NumericalFailure):
             DiagEstimate(np.array([np.nan]), samples=1, seed=0)
 

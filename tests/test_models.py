@@ -211,7 +211,48 @@ class TestFdFallbacks:
         assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, np.max(np.abs(a)))
 
 
+def _pm(n, d):
+    """An (n, d) batch alternating +-1e200 along each row, so no field cancels."""
+    return 1e200 * np.where(np.arange(n * d).reshape(n, d) % 2, -1.0, 1.0)
+
+
+class TestMethodsRunUnderCallersErrorState:
+    """A zoo method sets no numpy error state of its own: under a caller's
+    state that raises on everything but underflow (which numpy's default
+    ignores too), an overflowing batch raises. rnn (tanh is bounded) and s5
+    (a gather) cannot overflow, so they are left out."""
+
+    CASES = [
+        ("affine", dict(alpha=2.0), "step_batch", np.array([[1e308]])),
+        ("gru", dict(D=3), "step_batch", np.array([[1e200] * 3, [-1e200] * 3])),
+        ("gru", dict(D=3), "jacobian_batch", np.array([[1e200] * 3, [-1e200] * 3])),
+        ("gru", dict(D=3), "diag_jacobian_batch", np.array([[1e200] * 3, [-1e200] * 3])),
+        ("lorenz96", dict(D=5), "step_batch", _pm(2, 5)),
+        ("lorenz96", dict(D=5), "jacobian_batch", _pm(2, 5)),  # finite differences
+        ("lorenz96", dict(D=5), "diag_jacobian_batch", _pm(2, 5)),  # Hutchinson
+        ("twowell", {}, "step_batch", _pm(2, 2)),
+        ("twowell", {}, "jacobian_batch", _pm(2, 2)),
+        ("logistic", dict(r=3.5), "step_batch", np.array([[1e200]])),
+    ]
+
+    @pytest.mark.parametrize("kind,params,method,S", CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in CASES])
+    def test_overflow_raises_under_raise(self, kind, params, method, S):
+        m = models.build(kind, 4, **params)
+        ts = np.arange(1, len(S) + 1)
+        with np.errstate(all="raise", under="ignore"), pytest.raises(FloatingPointError):
+            getattr(m, method)(ts, S)
+
+
 class TestFunctionSystem:
+    @pytest.mark.parametrize("dim,horizon", [
+        (2.5, 4), (True, 4), (0, 4), (2, 2.7), (2, "3"), (2, 0),
+    ], ids=["dim-fractional", "dim-boolean", "dim-zero", "horizon-fractional",
+            "horizon-string", "horizon-zero"])
+    def test_sizes_must_be_integers_at_least_1(self, dim, horizon):
+        with pytest.raises(P.ContractError, match="dim|horizon"):
+            models.FunctionSystem(dim, horizon, np.zeros(2), lambda t, s: s)
+
     def test_diagonal_read_off_jac_fn(self, monkeypatch):
         """With a jac_fn and no diag_fn, the Jacobian diagonals are those of
         jac_fn's matrices; no Hutchinson estimate is made."""
