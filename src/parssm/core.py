@@ -44,6 +44,13 @@ def require_int(name: str, value, least: int) -> None:
         raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise ContractError unless ``value`` is a positive, finite real (a bool is not)."""
+    require_real(name, value)
+    if not 0 < value < np.inf:
+        raise ContractError(f"{name} must be positive and finite, got {value!r}")
+
+
 def as_state(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a float64 state vector, optionally checking its length."""
     s = np.asarray(x, dtype=np.float64)
@@ -103,10 +110,12 @@ class DynamicsSystem(ABC):
     once at construction from an explicit 64-bit seed and curried into the
     per-step maps. ``step(1, s0)`` produces s_1.
 
-    Subclasses set ``dim``, ``horizon`` and ``initial_state`` and implement
-    ``step_batch``. ``jacobian_batch`` defaults to central finite
-    differences, ``diag_jacobian_batch`` to a one-probe Hutchinson estimate
-    seeded ``(0, t)`` for row t, and ``jvp_batch`` to a central difference;
+    A subclass sets ``dim``, ``horizon`` and ``initial_state`` itself and
+    implements ``step_batch``; the library's own systems set their sizes
+    through ``_set_sizes``, which refuses any but integers >= 1.
+    ``jacobian_batch`` defaults to central finite differences,
+    ``diag_jacobian_batch`` to a one-probe Hutchinson estimate seeded
+    ``(0, t)`` for row t, and ``jvp_batch`` to a central difference;
     override any of them with analytic forms. The single-row ``step``,
     ``jacobian``, ``diag_jacobian`` and ``jvp`` are the batch forms applied
     to one row, so both paths share one code path.
@@ -142,6 +151,11 @@ class DynamicsSystem(ABC):
 
         V = np.asarray(V, dtype=np.float64)
         return jacutils._central_diff(self, ts, np.asarray(S, dtype=np.float64), V[:, None, :])[:, 0]
+
+    def _set_sizes(self, dim, horizon):
+        require_int("state size dim", dim, 1)
+        require_int("horizon T", horizon, 1)
+        self.dim, self.horizon = int(dim), int(horizon)
 
     # -- single-row forms: the batch forms on one row
 
@@ -196,8 +210,10 @@ def merit(sys: DynamicsSystem, traj: Trajectory) -> float:
 
     Zero exactly where each row equals ``step_batch`` of its predecessor; the
     ``step`` rollout reads ~1e-31 where gemv rounds apart from gemm (GRU, RNN).
+    Holds one numpy error state, so an overflowing residual reads +inf quietly.
     """
-    return exact_rows_and_merit(residual(sys, traj))[1]
+    with np.errstate(all="ignore"):
+        return exact_rows_and_merit(residual(sys, traj))[1]
 
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -218,7 +234,8 @@ def exact_rows_and_merit(r: np.ndarray, eps: float = 0.0) -> tuple[int, float]:
     the sum. Only when that entry is itself within ``eps`` does a second flat
     scan, from it on, find the first entry past ``eps``, whose row is k. The
     sum of squares is finite exactly when every entry is finite and nothing
-    overflows, so the dot product itself is the finiteness test.
+    overflows, so the dot product itself is the finiteness test. Runs under
+    the caller's numpy error state: ``solve_loop`` and ``merit`` each hold one.
     """
     d = r.shape[1]
     flat = r.ravel()
@@ -230,8 +247,7 @@ def exact_rows_and_merit(r: np.ndarray, eps: float = 0.0) -> tuple[int, float]:
         past = int(np.argmin(within))
         k = (first + past) // d if not within[past] else len(r)
     flat = flat[z * d:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = 0.5 * float(np.dot(flat, flat))
+    m = 0.5 * float(np.dot(flat, flat))
     return k, m if np.isfinite(m) else float("inf")
 
 

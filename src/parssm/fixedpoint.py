@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ContractError, DynamicsSystem, Trajectory, as_state,
-                   exact_rows_and_merit, max_abs_diff, require_int, require_real)
+                   exact_rows_and_merit, max_abs_diff, require_int, require_positive,
+                   require_real)
 from .core import merit  # noqa: F401  (tracing tools patch fixedpoint.merit by name)
 from .pscan import (DENSE, DIAGONAL, IDENTITY, SCALED, ZERO, AffineOp, evaluate_stacked,
                     lane_apply, row_transition)
@@ -127,9 +128,7 @@ class SolverConfig:
     metric: str = "diff"  # "diff" | "merit"
 
     def __post_init__(self):
-        require_real("tolerance", self.tol)
-        if not 0 < self.tol < np.inf:
-            raise ContractError(f"tolerance must be positive and finite, got {self.tol!r}")
+        require_positive("tolerance", self.tol)
         if self.max_iters is not None:
             require_int("max_iters", self.max_iters, 1)
         require_int("seed", self.seed, 0)

@@ -92,8 +92,12 @@ def hutchinson_diag(sys, t: int, s: np.ndarray, n: int = 1, seed=0) -> DiagEstim
 
     Exact whenever A_t is diagonal, for any n and any seed. Holds one numpy
     error state. The probes are drawn from ``numpy.random.default_rng(seed)``.
+    The step t is an integer from 1 to the horizon T.
     """
     require_int("n", n, 1)
+    require_int("step t", t, 1)
+    if t > sys.horizon:
+        raise ContractError(f"step t must be at most the horizon T={sys.horizon}, got {t!r}")
     s = np.asarray(s, dtype=np.float64)
     probes = _rademacher(np.random.default_rng(seed), n, s.shape[0])
     with np.errstate(all="ignore"):

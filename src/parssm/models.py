@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ContractError, DynamicsSystem, as_state, require_int
+from .core import (ContractError, DynamicsSystem, as_state, require_int, require_positive,
+                   require_real)
 
 
 def _map_rows(fn, ts, *rows):
@@ -28,10 +29,7 @@ class FunctionSystem(DynamicsSystem):
 
     def __init__(self, dim, horizon, initial_state, step_fn, jac_fn=None,
                  diag_fn=None, jvp_fn=None):
-        require_int("state size dim", dim, 1)
-        require_int("horizon", horizon, 1)
-        self.dim = int(dim)
-        self.horizon = int(horizon)
+        self._set_sizes(dim, horizon)
         self.initial_state = as_state(initial_state, self.dim)
         self._step_fn = step_fn
         self._jac_fn = jac_fn
@@ -63,11 +61,11 @@ class ScalarAffine(DynamicsSystem):
     """s_{t+1} = alpha s_t (+ u_t), one-dimensional; Jacobian alpha."""
 
     def __init__(self, alpha, T, inputs=None, s0=1.0, seed=0):
+        require_real("alpha", alpha)
         if not np.isfinite(alpha):
             raise ContractError("alpha must be finite")
         self.alpha = float(alpha)
-        self.dim = 1
-        self.horizon = int(T)
+        self._set_sizes(1, T)
         self.initial_state = np.array([float(s0)])
         if inputs is None:
             self.inputs = np.zeros(self.horizon)
@@ -95,11 +93,8 @@ class MeanFieldRNN(DynamicsSystem):
     """
 
     def __init__(self, D, g, T, seed=0):
-        if not 0 < g < np.inf:
-            raise ContractError(f"gain g must be positive and finite, got {g!r}")
-        require_int("state size D", D, 1)
-        self.dim = int(D)
-        self.horizon = int(T)
+        require_positive("gain g", g)
+        self._set_sizes(D, T)
         self.g = float(g)
         rng = np.random.default_rng(seed)
         self.W = rng.standard_normal((self.dim, self.dim)) * (self.g / np.sqrt(self.dim))
@@ -131,9 +126,7 @@ class Gru(DynamicsSystem):
     """
 
     def __init__(self, D, T, seed=0):
-        require_int("state size D", D, 1)
-        self.dim = int(D)
-        self.horizon = int(T)
+        self._set_sizes(D, T)
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(self.dim)
         wz = rng.standard_normal((self.dim, 2 * self.dim)) * scale
@@ -202,11 +195,12 @@ class Lorenz96(DynamicsSystem):
     """
 
     def __init__(self, D=5, F=8.0, dt=0.01, T=1000, seed=0):
-        if not 0 < dt < np.inf:
-            raise ContractError(f"dt must be positive and finite, got {dt!r}")
+        require_positive("dt", dt)
+        require_real("forcing F", F)
+        if not np.isfinite(F):
+            raise ContractError(f"forcing F must be finite, got {F!r}")
         require_int("Lorenz-96's state size D", D, 4)
-        self.dim = int(D)
-        self.horizon = int(T)
+        self._set_sizes(D, T)
         self.F = float(F)
         self.dt = float(dt)
         rng = np.random.default_rng(seed)
@@ -247,10 +241,8 @@ class LangevinTwoWell(DynamicsSystem):
     saddle = np.array([0.0, 0.1])
 
     def __init__(self, eps=0.01, T=1000, seed=0):
-        if not 0 < eps < np.inf:
-            raise ContractError(f"step size eps must be positive and finite, got {eps!r}")
-        self.dim = 2
-        self.horizon = int(T)
+        require_positive("step size eps", eps)
+        self._set_sizes(2, T)
         self.eps = float(eps)
         rng = np.random.default_rng(seed)
         self.noise = rng.standard_normal((self.horizon, 2))
@@ -307,8 +299,7 @@ class S5WordProblem(DynamicsSystem):
     """
 
     def __init__(self, T, seed=0):
-        self.dim = 5
-        self.horizon = int(T)
+        self._set_sizes(5, T)
         rng = np.random.default_rng(seed)
         self.perms = np.stack([rng.permutation(5) for _ in range(self.horizon)])
         self.initial_state = np.arange(1.0, 6.0)
@@ -331,11 +322,11 @@ class LogisticMap(DynamicsSystem):
     """s_{t+1} = r s_t (1 - s_t) on the unit interval; Jacobian r (1 - 2 s)."""
 
     def __init__(self, r, T, s0=0.3, seed=0):
+        require_real("logistic parameter r", r)
         if not (0.0 < r <= 4.0):
             raise ContractError("logistic parameter r must lie in (0, 4]")
         self.r = float(r)
-        self.dim = 1
-        self.horizon = int(T)
+        self._set_sizes(1, T)
         self.initial_state = np.array([float(s0)])
 
     def step_batch(self, ts, S):
@@ -360,10 +351,9 @@ MODEL_KINDS = {
 
 
 def build(kind: str, T: int, **params) -> DynamicsSystem:
-    """Construct a zoo model by kind name; parameter ranges are validated."""
+    """Construct a zoo model by kind name; each model checks its own sizes and parameters."""
     if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r}; choose from {sorted(MODEL_KINDS)}")
-    require_int("horizon T", T, 1)
     if "seed" in params:
         require_int("seed", params["seed"], 0)
     cls = MODEL_KINDS[kind]

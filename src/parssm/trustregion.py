@@ -191,11 +191,13 @@ def _smooth(lane, A, b, means, sig_post, sig_pred):
     return evaluate_stacked(lane, G[::-1], offset[::-1], np.zeros(b.shape[1]))[::-1]
 
 
-def _kalman_chunk(sys, window, emissions, ts, cfg: TrustRegionConfig, fvals=None, reset=None):
+def _kalman_chunk(sys, window, ts, cfg: TrustRegionConfig, fvals=None, reset=None):
     """Trust-region update of rows ``window[1:]`` (steps ``ts``) from boundary ``window[0]``
-    toward the finite ``emissions``, under the caller's numpy error state."""
+    toward those rows as emissions, a non-finite entry read as 0, under the caller's
+    numpy error state."""
     method = QUASI_DIAGONAL if cfg.jacobian == "diagonal" else NEWTON
     lane, A, b = _linearize_stacked(sys, window[:-1], ts, method, NO_DAMPING, fvals, reset)
+    emissions = np.where(np.isfinite(window[1:]), window[1:], 0.0)
     means, sig_post, sig_pred = _forward(lane, A, b, emissions, window[0], cfg.lam)
     return _smooth(lane, A, b, means, sig_post, sig_pred) if cfg.mode == "smoother" else means
 
@@ -207,13 +209,13 @@ def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -
     the constructed LGSSM (process noise I, emissions = current iterate, its
     non-finite entries as 0, with covariance (1/lam) I), and returns filtered means
     (mode "filter") or RTS-smoothed means (mode "smoother"). With jacobian="diagonal"
-    all matrix algebra specializes elementwise. Holds one numpy error state for the call.
+    all matrix algebra specializes elementwise. Holds one numpy error state for the call,
+    and runs the same chunk ``kalman_solve`` runs on each pass.
     """
     with np.errstate(all="ignore"):
         sys._check_traj(traj)
         window = np.vstack([as_state(sys.initial_state, sys.dim), traj.states])
-        emissions = np.where(np.isfinite(traj.states), traj.states, 0.0)
-        means = _kalman_chunk(sys, window, emissions, np.arange(1, sys.horizon + 1), cfg)
+        means = _kalman_chunk(sys, window, np.arange(1, sys.horizon + 1), cfg)
         return Trajectory(window[0], means)
 
 
@@ -249,8 +251,8 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     if solver.max_iters is None:
         solver = replace(solver, max_iters=_default_max_iters(sys.horizon, cfg.lam, solver.tol))
 
-    def chunk_step(window, ts, fvals, reset):  # solve_loop hands over finite rows
-        return _kalman_chunk(sys, window, window[1:], ts, cfg, fvals, reset)
+    def chunk_step(window, ts, fvals, reset):
+        return _kalman_chunk(sys, window, ts, cfg, fvals, reset)
 
     return solve_loop(sys, solver, chunk_step)
 

@@ -286,6 +286,17 @@ class TestRunExperiment:
         assert bad.error == "ContractError: initial state must be finite"
         assert bad.converged is False
 
+    def test_bool_model_parameter_fails_its_rows(self, tmp_path):
+        """A gain of true is no gain of 1.0: the model refuses it, and the
+        error column of each of its rows says so."""
+        doc = _tiny_config(tmp_path, model={"kind": "rnn", "D": 3, "T": 8},
+                           sweep={"g": [0.5, True]}, methods=[{"method": "newton"}], seeds=[0])
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        by_g = {json.loads(r.model_params)["g"]: r for r in records}
+        assert by_g[0.5].error == "" and by_g[0.5].converged
+        assert by_g[True].error == "ContractError: gain g must be a real number, got True"
+        assert by_g[True].converged is False
+
     def test_failed_solve_is_its_row_error(self, tmp_path, capsys, monkeypatch):
         """A solve that raises leaves its row with the error and converged 0,
         the instance's other rows stand, and ``parssm bench`` counts the run."""
@@ -501,3 +512,21 @@ class TestCliAgreement:
         [row] = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
         assert row.error == ""
         assert (row.iterations, row.converged) == (payload["iterations"], payload["converged"])
+
+
+class TestUsageErrors:
+    def test_method_entry_needs_a_method(self):
+        with pytest.raises(P.ContractError, match="needs a 'method' field"):
+            bench.MethodEntry.from_dict({"label": "x"})
+
+    def test_unknown_model_kind(self, tmp_path):
+        doc = _tiny_config(tmp_path, model={"kind": "bogus", "T": 8})
+        with pytest.raises(P.ContractError, match="unknown model kind 'bogus'"):
+            bench.ExperimentConfig.from_dict(doc)
+
+    def test_run_and_write_needs_an_output_path(self, tmp_path):
+        doc = _tiny_config(tmp_path, model={"kind": "affine", "T": 4, "alpha": 0.5}, sweep={},
+                           methods=[{"method": "newton"}], seeds=[0])
+        del doc["output"]
+        with pytest.raises(P.ContractError, match="no output path given"):
+            bench.run_and_write(bench.ExperimentConfig.from_dict(doc))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import parssm as P
-from parssm.core import exact_rows_and_merit
+from parssm.core import as_state, exact_rows_and_merit
 from parssm.models import FunctionSystem, ScalarAffine
 
 
@@ -23,6 +23,16 @@ class TestTrajectory:
     def test_nonfinite_initial_rejected(self):
         with pytest.raises(P.ContractError):
             P.Trajectory(np.array([np.nan]), np.zeros((2, 1)))
+
+    def test_states_must_be_a_matrix(self):
+        with pytest.raises(P.ContractError, match="states must be a T x D matrix"):
+            P.Trajectory(np.zeros(2), np.zeros(4))
+
+    def test_as_state_checks_shape_and_length(self):
+        with pytest.raises(P.ContractError, match="state vector must be 1-D"):
+            as_state(np.zeros((2, 2)))
+        with pytest.raises(P.ContractError, match="state vector has length 3, expected 2"):
+            as_state(np.zeros(3), 2)
 
     def test_prev_states(self):
         tr = P.Trajectory(np.array([9.0]), np.array([[1.0], [2.0], [3.0]]))
@@ -102,6 +112,19 @@ class TestMerit:
         sys_ = ScalarAffine(alpha=1.0, T=3)
         tr = P.Trajectory(sys_.initial_state, np.array([[1.0], [np.inf], [0.0]]))
         assert P.merit(sys_, tr) == float("inf")
+
+    def test_helper_runs_under_the_callers_error_state(self):
+        """``exact_rows_and_merit`` enters no error state of its own, so an
+        overflowing block raises under ``raise``; ``merit`` holds one, and
+        reads the same residual as +inf without a word."""
+        r = EDGE_BLOCKS["overflow@17"]
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            exact_rows_and_merit(r)
+        sys_ = FunctionSystem(5, len(r), np.zeros(5), lambda t, s: np.zeros(5))
+        tr = P.Trajectory(np.zeros(5), r)
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(P.residual(sys_, tr), r)
+            assert P.merit(sys_, tr) == float("inf")
 
 
 class TestMaxAbsDiff:
@@ -184,7 +207,9 @@ class TestWholeArrayPaths:
     @pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
     def test_exact_rows_and_merit(self, name):
         r = EDGE_BLOCKS[name]
-        assert exact_rows_and_merit(r) == _rows_and_merit_per_row(r)
+        with np.errstate(all="ignore"):  # as a solve holds it
+            got = exact_rows_and_merit(r)
+        assert got == _rows_and_merit_per_row(r)
 
     @pytest.mark.parametrize("eps", [1e-300, 1e-12, 0.5, 2.0, np.inf])
     @pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
@@ -194,7 +219,9 @@ class TestWholeArrayPaths:
         r = EDGE_BLOCKS[name].copy()
         if r.shape == (40, 5):
             r[17:20] *= 1e-13  # small rows right after the leading zeros
-        assert exact_rows_and_merit(r, eps) == _rows_and_merit_per_row(r, eps)
+        with np.errstate(all="ignore"):  # as a solve holds it
+            got = exact_rows_and_merit(r, eps)
+        assert got == _rows_and_merit_per_row(r, eps)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_never_within_eps(self, value):

@@ -201,6 +201,17 @@ def test_diagnostics_refuse_bad_numbers(fn, args, kwargs):
         fn(*args, **kwargs)
 
 
+@pytest.mark.parametrize("make, kwargs, error, message", [
+    (dg.LleEstimate, dict(lam=np.nan, horizon=4, probes=1), P.NumericalFailure, "not finite"),
+    (dg.LleEstimate, dict(lam=-0.1, horizon=4, probes=0), P.ContractError, "probes >= 1"),
+    (dg.PlBounds, dict(lower=0.5, upper=0.4, lle=0.0, a_burn=1.0, b_burn=1.0, T=4, D=1),
+     P.NumericalFailure, "out of order"),
+], ids=["lle-not-finite", "lle-no-probes", "pl-out-of-order"])
+def test_result_records_check_their_fields(make, kwargs, error, message):
+    with pytest.raises(error, match=message):
+        make(**kwargs)
+
+
 class TestJacobianMismatch:
     def test_newton_zero(self):
         sys_ = P.models.build("gru", 16, D=3, seed=2)

@@ -37,6 +37,16 @@ class TestMethodAndDampingTypes:
         with pytest.raises(P.ContractError, match="must be a real number"):
             make(**kwargs)
 
+    @pytest.mark.parametrize("make, args, message", [
+        (SolverMethod, ("bogus",), "unknown solver method 'bogus'"),
+        (SolverMethod, ("scaled", float("nan")), "needs a finite coefficient"),
+        (SolverMethod, ("newton", 0.5), "method 'newton' takes no coefficient"),
+        (Damping, ("bogus",), "unknown damping 'bogus'"),
+    ], ids=["unknown-method", "nan-coefficient", "stray-coefficient", "unknown-damping"])
+    def test_kinds_and_coefficients(self, make, args, message):
+        with pytest.raises(P.ContractError, match=message):
+            make(*args)
+
     @pytest.mark.parametrize("flag", ["record_history", "record_iterates"])
     @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
     def test_record_flags_must_be_booleans(self, flag, value):

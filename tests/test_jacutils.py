@@ -137,6 +137,18 @@ class TestHutchinson:
                 hutchinson_diag(sys_, 1, np.zeros(2), n=n)
         with pytest.raises(P.NumericalFailure):
             DiagEstimate(np.array([np.nan]), samples=1, seed=0)
+        with pytest.raises(P.ContractError, match="samples >= 1"):
+            DiagEstimate(np.zeros(2), samples=0, seed=0)
+
+    @pytest.mark.parametrize("t, message", [
+        (0, "integer >= 1, got 0"), (9, "at most the horizon T=8, got 9"),
+        (2.0, "integer >= 1, got 2.0"), (True, "real number, got True"),
+    ], ids=["zero", "past-T", "float", "boolean"])
+    def test_step_must_lie_in_the_horizon(self, t, message):
+        """t = 0 would gather the input drive of step T, and t = T + 1 none."""
+        sys_ = P.models.build("gru", 8, D=3)
+        with pytest.raises(P.ContractError, match=f"step t must be .*{message}"):
+            hutchinson_diag(sys_, t, np.ones(3))
 
 
 class TestHutchinsonBatch:

@@ -26,6 +26,8 @@ class TestBuildValidation:
         ("rnn", dict(D=4.5, g=1.0)), ("rnn", dict(D="4", g=1.0)), ("rnn", dict(D=0, g=1.0)),
         ("gru", dict(D=2.5)), ("gru", dict(D=True)), ("lorenz96", dict(D=3)),
         ("lorenz96", dict(D=5.0)),
+        ("rnn", dict(D=4, g=True)), ("twowell", dict(eps=True)), ("lorenz96", dict(dt=True)),
+        ("lorenz96", dict(F=True)), ("affine", dict(alpha=True)), ("logistic", dict(r=True)),
     ])
     def test_parameter_ranges(self, kind, params):
         with pytest.raises(P.ContractError):
@@ -56,6 +58,38 @@ class TestBuildValidation:
         b = models.build("gru", 16, D=4, seed=9)
         np.testing.assert_array_equal(P.rollout_sequential(a).states,
                                       P.rollout_sequential(b).states)
+
+
+# every zoo model with the arguments it needs besides its horizon
+ZOO = [(models.ScalarAffine, dict(alpha=0.5)), (models.MeanFieldRNN, dict(D=4, g=0.5)),
+       (models.Gru, dict(D=3)), (models.Lorenz96, {}), (models.LangevinTwoWell, {}),
+       (models.S5WordProblem, {}), (models.LogisticMap, dict(r=3.5))]
+
+
+class TestDirectConstruction:
+    """Each zoo model checks its own sizes and parameters, so building it
+    without ``models.build`` refuses what ``build`` refuses."""
+
+    @pytest.mark.parametrize("T", [2.7, 0, True], ids=["fractional", "zero", "boolean"])
+    @pytest.mark.parametrize("cls,params", ZOO, ids=[c.__name__ for c, _ in ZOO])
+    def test_horizon_must_be_an_integer_at_least_1(self, cls, params, T):
+        with pytest.raises(P.ContractError, match="horizon T"):
+            cls(T=T, **params)
+
+    @pytest.mark.parametrize("F", [np.nan, np.inf, -np.inf])
+    def test_lorenz96_forcing_must_be_finite(self, F):
+        """A non-finite F is refused by name, not later as a non-finite s_0."""
+        with pytest.raises(P.ContractError, match="forcing F must be finite"):
+            models.Lorenz96(F=F, T=8)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_affine_alpha_must_be_finite(self, alpha):
+        with pytest.raises(P.ContractError, match="alpha must be finite"):
+            models.ScalarAffine(alpha, 8)
+
+    def test_affine_inputs_must_have_length_T(self):
+        with pytest.raises(P.ContractError, match="inputs must have length T"):
+            models.ScalarAffine(0.5, 8, inputs=np.zeros(7))
 
 
 class TestMeanFieldRNN:

@@ -57,6 +57,19 @@ def _fold(ops):
     return out
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Transition.diagonal(np.eye(2)), "needs a 1-D vector"),
+        (lambda: Transition.dense(np.ones((2, 3))), "needs a square matrix"),
+        (lambda: Transition.dense(np.eye(2)).diag_vector(2), "has no diagonal form"),
+        (lambda: AffineOp(Transition.diagonal(np.ones(2)), np.ones(3)),
+         "transition dim 2 does not match offset dim 3"),
+    ], ids=["diagonal-not-1d", "dense-not-square", "dense-diag-vector", "affine-dims"])
+    def test_refuses(self, make, message):
+        with pytest.raises(P.ContractError, match=message):
+            make()
+
+
 class TestAffineCompose:
     def test_identity_element(self):
         rng = np.random.default_rng(0)

@@ -212,6 +212,12 @@ class TestAttenuation:
         np.testing.assert_array_equal(
             attenuation(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), float("inf")), np.eye(2))
 
+    @pytest.mark.parametrize("A, Sigma", [([[np.inf]], [[1.0]]), ([[1.0]], [[np.nan]])],
+                             ids=["A", "Sigma"])
+    def test_refuses_non_finite_inputs(self, A, Sigma):
+        with pytest.raises(P.ContractError, match="attenuation inputs must be finite"):
+            attenuation(np.array(A), np.array(Sigma), 1.0)
+
 
 class TestKalmanStep:
     def test_smoother_equals_dense_lm(self):
