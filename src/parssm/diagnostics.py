@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, DynamicsSystem, NumericalFailure, Trajectory, require_int
+from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory, require_int,
+                   require_real)
 from .fixedpoint import NO_DAMPING, SolverMethod, _method_transitions
 from .pscan import IDENTITY, ZERO, lane_matrices
 
@@ -138,10 +139,13 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
     exponent makes the lower bound asymptotically independent of T; a
     positive one collapses conditioning exponentially.
     """
+    require_real("the exponent", lle)
     if not np.isfinite(lle):
         raise ContractError(f"the exponent must be finite, got {lle!r}")
+    require_real("burn-in constant a", a_burn)
     if not 1.0 <= a_burn < np.inf:
         raise ContractError("burn-in constant a must be finite and >= 1")
+    require_real("burn-in constant b", b_burn)
     if not (0.0 < b_burn <= 1.0):
         raise ContractError("burn-in constant b must lie in (0, 1]")
     require_int("T", T, 1)
@@ -162,9 +166,41 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
 
 
 def _transitions_at(sys, traj, method):
-    """(lane, A) of the method's undamped A~_t at the trajectory, t = 1..T."""
+    """(lane, A) of the method's undamped A~_t at the trajectory, t = 1..T;
+    None for Newton, whose transitions are the true Jacobians. Runs under the
+    caller's numpy error state, as do the two readers below."""
+    if method.kind == "newton":
+        return None
     ts = np.arange(1, traj.horizon + 1)
     return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
+
+
+def _mismatch_at(sys, traj, transitions) -> float:
+    """``jacobian_mismatch`` from the transitions ``_transitions_at`` gave."""
+    if transitions is None:
+        return 0.0
+    lane, A = transitions
+    T, D = traj.horizon, traj.dim
+    true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
+    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
+    return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
+
+
+def _factor_at(traj, transitions) -> float:
+    """``rate_factor`` from the transitions ``_transitions_at`` gave."""
+    if transitions is None:
+        return 0.0
+    lane, A = transitions
+    T = traj.horizon
+    if lane == ZERO:
+        return 1.0
+    if lane == IDENTITY:
+        return picard_inverse_norm(T)
+    # the diagonal lane, the only other a non-Newton method gives
+    _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
+    chains = np.unique(A.T.view(np.int64), axis=0).view(np.float64)
+    return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
+                     for c in chains))
 
 
 def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
@@ -175,14 +211,8 @@ def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
     true residual Jacobians, because the block difference sits on a single
     subdiagonal. Holds one numpy error state.
     """
-    if method.kind == "newton":
-        return 0.0
-    T, D = traj.horizon, traj.dim
     with np.errstate(all="ignore"):
-        lane, A = _transitions_at(sys, traj, method)
-        true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
-        diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
-        return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
+        return _mismatch_at(sys, traj, _transitions_at(sys, traj, method))
 
 
 def picard_inverse_norm(T: int) -> float:
@@ -204,27 +234,19 @@ def rate_factor(sys: DynamicsSystem, traj_star: Trajectory,
     blocks, so their factor needs only T <= 4096; it is the largest over the
     bitwise-distinct coordinate chains, each solved once. Newton's factor is
     0, as its rate is. Holds one numpy error state."""
-    if method.kind == "newton":
-        return 0.0
-    T = traj_star.horizon
     with np.errstate(all="ignore"):
-        lane, A = _transitions_at(sys, traj_star, method)
-        if lane == ZERO:
-            return 1.0
-        if lane == IDENTITY:
-            return picard_inverse_norm(T)
-        # the diagonal lane, the only other a non-Newton method gives
-        _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
-        chains = np.unique(A.T.view(np.int64), axis=0).view(np.float64)
-        return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
-                         for c in chains))
+        return _factor_at(traj_star, _transitions_at(sys, traj_star, method))
 
 
 def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
                     method: SolverMethod) -> float:
     """gamma = ||J~(s*)^{-1}||_2 * max_t ||A~_t - A_t||_2 at the solution:
-    ``rate_factor`` times ``jacobian_mismatch``. Newton's rate is 0."""
-    return rate_factor(sys, traj_star, method) * jacobian_mismatch(sys, traj_star, method)
+    ``rate_factor`` times ``jacobian_mismatch``, from one evaluation of the
+    transitions under one numpy error state. Newton's rate is 0."""
+    with np.errstate(all="ignore"):
+        transitions = _transitions_at(sys, traj_star, method)
+        return (_factor_at(traj_star, transitions)
+                * _mismatch_at(sys, traj_star, transitions))
 
 
 def basin_radius(mu: float, L: float) -> float:
@@ -232,8 +254,10 @@ def basin_radius(mu: float, L: float) -> float:
 
     L = 0 (affine dynamics) makes the basin infinite.
     """
+    require_real("mu", mu)
     if not mu > 0:
         raise ContractError(f"mu must be positive, got {mu!r}")
+    require_real("L", L)
     if not L >= 0:
         raise ContractError(f"L must be nonnegative, got {L!r}")
     if L == 0.0:

@@ -241,7 +241,7 @@ class ResetTable:
         self.rows += int(np.count_nonzero(flagged))
         if self.values is None:
             self.values = jacobi_init(self.sys).states
-        # take gathers the rows in about a third of a fancy index's time
+        # the gather rule of the models module: take, not a fancy index
         return self.values.take(np.asarray(ts) - 1, axis=0)
 
 

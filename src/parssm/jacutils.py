@@ -117,4 +117,4 @@ def hutchinson_diag_batch(sys, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts)
     S = np.asarray(S, dtype=np.float64)
     tmax = max(sys.horizon, int(ts.max(initial=0)))
-    return _hutchinson(sys, ts, S, _probe_table(S.shape[1], tmax)[ts - 1])
+    return _hutchinson(sys, ts, S, _probe_table(S.shape[1], tmax).take(ts - 1, axis=0))

@@ -74,11 +74,12 @@ def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
     Symmetric positive definite with ||Gamma||_2 <= sigma^2/(1 + sigma^2)
     = 1/(1 + lam); consequently ||Gamma A||_2 <= ||A||_2 / (1 + lam). The
     inverse cannot be singular: the bracketed matrix dominates (sigma^2 + 1) I.
-    sigma^2 = inf gives I; a NaN sigma^2, or one whose reciprocal overflows,
-    is refused.
+    sigma^2 = inf gives I; a bool, a NaN sigma^2, or one whose reciprocal
+    overflows, is refused.
     """
     A = np.asarray(A, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
+    require_real("sigma2", sigma2)
     if not sigma2 > 0:  # NaN > 0 is False
         raise ContractError("sigma2 must be positive")
     lam = 1.0 / float(sigma2)

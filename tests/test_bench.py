@@ -409,6 +409,41 @@ class TestRunExperiment:
         for row, method in zip(records, [P.JACOBI, P.QUASI_DIAGONAL]):  # sorted by label
             assert row.diag_error == "" and row.gamma == P.asymptotic_rate(sys_, oracle, method)
 
+    def test_one_diagonal_stack_per_quasi_row(self, tmp_path, monkeypatch):
+        """Outside its solve, a quasi row evaluates the Jacobian diagonals at
+        the oracle once, for its mismatch and its gamma both; a Picard row
+        never does. The columns equal the diagnostics' own bit for bit."""
+        sys_ = P.models.build("gru", 16, D=4, seed=0)
+        calls, solving = [], []
+        inner_diag, inner_solve = type(sys_).diag_jacobian_batch, bench.MethodEntry.solve
+
+        def counted(self, ts, S):
+            if not solving:
+                calls.append(len(ts))
+            return inner_diag(self, ts, S)
+
+        def solve(self, *args):
+            solving.append(self.label)
+            try:
+                return inner_solve(self, *args)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(type(sys_), "diag_jacobian_batch", counted)
+        monkeypatch.setattr(bench.MethodEntry, "solve", solve)
+        doc = _tiny_config(tmp_path, model={"kind": "gru", "D": 4, "T": 16},
+                           methods=[{"method": "quasi"}, {"method": "picard"}],
+                           sweep={}, seeds=[0])
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        assert calls == [16]
+        monkeypatch.undo()
+        oracle = P.rollout_sequential(sys_)
+        for row, method in zip(records, [P.PICARD, P.QUASI_DIAGONAL]):  # sorted by label
+            assert row.diag_error == ""
+            assert row.mismatch == P.jacobian_mismatch(sys_, oracle, method)
+            assert row.gamma == bench.diagnostics.rate_factor(sys_, oracle, method) * row.mismatch
+            assert row.gamma == P.asymptotic_rate(sys_, oracle, method)
+
     def test_kalman_rows_name_their_missing_rate(self, tmp_path):
         """A Kalman row has no mismatch or rate, and says so in diag_error;
         its exponent columns stand."""

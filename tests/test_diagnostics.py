@@ -195,6 +195,12 @@ class TestPlBounds:
     (dg.picard_inverse_norm, (0,), {}),
     (dg.basin_radius, (np.nan, 1.0), {}),
     (dg.basin_radius, (1.0, np.nan), {}),
+    # True passes each range test as 1.0
+    (dg.pl_bounds, (True,), dict(T=4)),
+    (dg.pl_bounds, (-0.5,), dict(a_burn=True, T=4)),
+    (dg.pl_bounds, (-0.5,), dict(b_burn=True, T=4)),
+    (dg.basin_radius, (True, 1.0), {}),
+    (dg.basin_radius, (1.0, True), {}),
 ], ids=lambda v: getattr(v, "__name__", None) or repr(v))
 def test_diagnostics_refuse_bad_numbers(fn, args, kwargs):
     with pytest.raises(P.ContractError):

@@ -223,12 +223,82 @@ class TestS5WordProblem:
         for row in tr.states:
             assert sorted(row.tolist()) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
+    def test_rollout_digest(self):
+        """The T=256 seed-0 rollout keeps the digest of the fancy-index step."""
+        m = models.build("s5", 256, seed=0)
+        states = P.rollout_sequential(m).states
+        assert hashlib.sha1(states.tobytes()).hexdigest() == "7c00b68f94316b3ce2eae8b18d74b1257df41db2"
+
 
 class TestLogisticMap:
     def test_step_and_jacobian(self):
         m = models.build("logistic", 4, r=3.5, s0=0.2)
         assert m.step(1, np.array([0.2]))[0] == pytest.approx(3.5 * 0.2 * 0.8)
         assert m.jacobian(1, np.array([0.2]))[0, 0] == pytest.approx(3.5 * 0.6)
+
+
+def _fancy_gru_gates(m, ts, H):
+    i = np.asarray(ts) - 1
+    xz, xr, xh = (drive[i] for drive in m._drives)
+    Z = models._sigmoid(H @ m.Wz_h.T + xz)
+    R = models._sigmoid(H @ m.Wr_h.T + xr)
+    return Z, R, np.tanh((R * H) @ m.Wh_h.T + xh)
+
+
+def _fancy_hutchinson(m, ts, S):
+    ts = np.asarray(ts)
+    table = jacutils._probe_table(S.shape[1], max(m.horizon, int(ts.max())))
+    return jacutils._hutchinson(m, ts, np.asarray(S, dtype=np.float64), table[ts - 1])
+
+
+# each time-indexed gather with the fancy index that ``take`` replaced, as
+# (kind, params, the method that gathers, the fancy-index oracle of it)
+GATHERS = [
+    ("affine", dict(alpha=0.7, inputs=np.arange(1.0, 13.0)), "step_batch",
+     lambda m, ts, S: m.alpha * S + m.inputs[np.asarray(ts) - 1][:, None]),
+    ("rnn", dict(D=4, g=0.9), "step_batch",
+     lambda m, ts, S: np.tanh(S) @ m.W.T + m.inputs[np.asarray(ts) - 1][:, None]),
+    ("gru", dict(D=3), "_gates", _fancy_gru_gates),
+    ("twowell", {}, "step_batch",
+     lambda m, ts, S: (S - m.eps * m.grad_potential_batch(S)
+                       + np.sqrt(2.0 * m.eps) * m.noise[np.asarray(ts) - 1])),
+    ("s5", {}, "step_batch",
+     lambda m, ts, S: S[np.arange(len(S))[:, None], m.perms[np.asarray(ts) - 1]]),
+    ("s5", {}, "jacobian_batch", lambda m, ts, S: np.eye(5)[m.perms[np.asarray(ts) - 1]]),
+    ("s5", {}, "diag_jacobian_batch",
+     lambda m, ts, S: (m.perms[np.asarray(ts) - 1] == np.arange(5)[None, :]).astype(np.float64)),
+    ("lorenz96", {}, "diag_jacobian_batch", _fancy_hutchinson),
+]
+
+# one row, all T rows, and repeated, out-of-order steps, at the horizon T = 12
+STEPS = {"one": [7], "all": list(range(1, 13)), "shuffled": [12, 3, 3, 1, 12, 5, 2]}
+
+# a C-ordered batch, every other row or column of a larger one, and a Fortran-ordered copy
+LAYOUTS = {"c": lambda B: B, "row-strided": lambda B: np.repeat(B, 2, axis=0)[::2],
+           "column-strided": lambda B: np.repeat(B, 2, axis=1)[:, ::2],
+           "fortran": np.asfortranarray}
+
+
+class TestTakeGathers:
+    """Each time-indexed table is gathered with ``take``, bit for bit the
+    fancy index it replaced, whatever the order of the steps or the layout
+    of the batch."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("kind,params,method,fancy", GATHERS,
+                             ids=[f"{k}-{m}" for k, _, m, _ in GATHERS])
+    def test_equals_the_fancy_index(self, kind, params, method, fancy, steps, layout):
+        m = models.build(kind, 12, seed=1, **params)
+        ts = np.array(STEPS[steps])
+        B = 1.0 + np.random.default_rng(len(ts)).standard_normal((len(ts), m.dim))
+        S = LAYOUTS[layout](B)
+        assert np.array_equal(S, B)
+        got, want = getattr(m, method)(ts, S), fancy(m, ts, B)
+        if method != "_gates":  # the gates are a tuple of three arrays
+            got, want = (got,), (want,)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestFdFallbacks:

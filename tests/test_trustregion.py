@@ -208,6 +208,11 @@ class TestAttenuation:
         with pytest.raises(P.ContractError, match="sigma2"):
             attenuation(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), sigma2)
 
+    def test_refuses_a_bool_sigma2(self):
+        """True would pass ``sigma2 > 0`` as 1.0."""
+        with pytest.raises(P.ContractError, match="sigma2 must be a real number, got True"):
+            attenuation(np.eye(2), np.eye(2), True)
+
     def test_infinite_sigma2_is_identity(self):
         np.testing.assert_array_equal(
             attenuation(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), float("inf")), np.eye(2))
