@@ -120,6 +120,11 @@ class DynamicsSystem(ABC):
     ``jacobian``, ``diag_jacobian`` and ``jvp`` are the batch forms applied
     to one row, so both paths share one code path.
 
+    A step index lies in 1..T: the single-row forms check it, and the batch
+    forms, on every solver pass, do not. A system may return read-only,
+    shared or cached arrays; the library never writes an array a system
+    returned. A model keeps only what its step reads.
+
     A system's methods, the zoo's and the finite-difference and Hutchinson
     defaults alike, set no numpy error state: they run under their caller's.
     Every library call into a system holds one that ignores every error.
@@ -157,18 +162,30 @@ class DynamicsSystem(ABC):
         require_int("horizon T", horizon, 1)
         self.dim, self.horizon = int(dim), int(horizon)
 
-    # -- single-row forms: the batch forms on one row
+    def _check_step(self, t):
+        """Raise ContractError unless ``t`` is an integer step from 1 to the horizon T."""
+        require_int("step t", t, 1)
+        if t > self.horizon:
+            raise ContractError(f"step t must be at most the horizon T={self.horizon}, got {t!r}")
+
+    # -- single-row forms: the batch forms on one row, at a checked step
 
     def step(self, t: int, s: np.ndarray) -> np.ndarray:
+        # _check_step's verdict for a Python int, inline: the rollout calls step T times
+        if type(t) is not int or not 0 < t <= self.horizon:
+            self._check_step(t)
         return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
 
     def jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
+        self._check_step(t)
         return self.jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
 
     def diag_jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
+        self._check_step(t)
         return self.diag_jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
 
     def jvp(self, t: int, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        self._check_step(t)
         return self.jvp_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :],
                               np.asarray(v, dtype=np.float64)[None, :])[0]
 

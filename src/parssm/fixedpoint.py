@@ -272,6 +272,7 @@ def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None, reset=
     if A is not None and not (finite := np.isfinite(A).reshape(len(ts), -1)).all():
         abad = ~finite.all(axis=1)
         zeros = np.zeros((int(abad.sum()), prev.shape[1]))
+        A = A.copy()  # A may be the system's own array, which the library never writes
         A[abad] = _method_transitions(sys, np.asarray(ts)[abad], zeros, method, damping)[1]
     # zero transitions: the update is a pure map, with nothing to subtract
     b = fvals if lane == ZERO else fvals - lane_apply(lane, A, prev)

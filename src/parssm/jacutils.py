@@ -95,9 +95,7 @@ def hutchinson_diag(sys, t: int, s: np.ndarray, n: int = 1, seed=0) -> DiagEstim
     The step t is an integer from 1 to the horizon T.
     """
     require_int("n", n, 1)
-    require_int("step t", t, 1)
-    if t > sys.horizon:
-        raise ContractError(f"step t must be at most the horizon T={sys.horizon}, got {t!r}")
+    sys._check_step(t)
     s = np.asarray(s, dtype=np.float64)
     probes = _rademacher(np.random.default_rng(seed), n, s.shape[0])
     with np.errstate(all="ignore"):
@@ -110,11 +108,9 @@ def hutchinson_diag_batch(sys, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
 
     The probe for row t is drawn from default_rng((0, t)), so row t equals
     ``hutchinson_diag(..., n=1, seed=(0, t))``. The probes are drawn once, as
-    one table over t = 1 .. max(horizon, max ts) per state size, and every
-    later call gathers its rows from it. Used by the default
-    ``diag_jacobian_batch``.
+    one table over t = 1 .. T per state size and horizon, and every later
+    call gathers its rows from it. Used by the default ``diag_jacobian_batch``.
     """
     ts = np.asarray(ts)
     S = np.asarray(S, dtype=np.float64)
-    tmax = max(sys.horizon, int(ts.max(initial=0)))
-    return _hutchinson(sys, ts, S, _probe_table(S.shape[1], tmax).take(ts - 1, axis=0))
+    return _hutchinson(sys, ts, S, _probe_table(S.shape[1], sys.horizon).take(ts - 1, axis=0))

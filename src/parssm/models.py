@@ -52,7 +52,7 @@ class FunctionSystem(DynamicsSystem):
         if self._diag_fn is not None:
             return _map_rows(self._diag_fn, ts, S)
         if self._jac_fn is not None:
-            return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2).copy()
+            return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2)
         return super().diag_jacobian_batch(ts, S)
 
     def jvp_batch(self, ts, S, V):
@@ -82,7 +82,7 @@ class ScalarAffine(DynamicsSystem):
         return self.alpha * S + self.inputs.take(np.asarray(ts) - 1, axis=0)[:, None]
 
     def jacobian_batch(self, ts, S):
-        return np.broadcast_to(np.array([[self.alpha]]), (len(ts), 1, 1)).copy()
+        return np.broadcast_to(np.array([[self.alpha]]), (len(ts), 1, 1))
 
     def diag_jacobian_batch(self, ts, S):
         return np.full((len(ts), 1), self.alpha)
@@ -133,19 +133,15 @@ class Gru(DynamicsSystem):
         self._set_sizes(D, T)
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(self.dim)
-        wz = rng.standard_normal((self.dim, 2 * self.dim)) * scale
-        wr = rng.standard_normal((self.dim, 2 * self.dim)) * scale
-        wh = rng.standard_normal((self.dim, 2 * self.dim)) * scale
-        self.Wz_h, self.Wz_x = wz[:, : self.dim], wz[:, self.dim:]
-        self.Wr_h, self.Wr_x = wr[:, : self.dim], wr[:, self.dim:]
-        self.Wh_h, self.Wh_x = wh[:, : self.dim], wh[:, self.dim:]
-        self.inputs = rng.standard_normal((self.horizon, self.dim))
+        weights = [rng.standard_normal((self.dim, 2 * self.dim)) * scale for _ in range(3)]
+        self.Wz_h, self.Wr_h, self.Wh_h = (w[:, : self.dim] for w in weights)
+        inputs = rng.standard_normal((self.horizon, self.dim))
         self.initial_state = np.zeros(self.dim)
         # the input drives Wz_x x_t, Wr_x x_t, Wh_x x_t, each from one matmul
         # over all T steps, so a row's drive does not depend on the batch it
         # is evaluated in: numpy sends a one-row product to gemv, which
         # rounds differently from the multi-row gemm
-        self._drives = [self.inputs @ W.T for W in (self.Wz_x, self.Wr_x, self.Wh_x)]
+        self._drives = [inputs @ w[:, self.dim:].T for w in weights]
 
     def _gates(self, ts, H):
         i = np.asarray(ts) - 1
@@ -292,7 +288,7 @@ class LangevinTwoWell(DynamicsSystem):
         return np.eye(2)[None, :, :] - self.eps * self.hess_potential_batch(S)
 
     def diag_jacobian_batch(self, ts, S):
-        return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2).copy()
+        return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2)
 
 
 class S5WordProblem(DynamicsSystem):

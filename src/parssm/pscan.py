@@ -255,10 +255,13 @@ def doubling_scan(T: int, combine):
 
 # Doubling does T ceil(log2 T) elementwise compositions to the tree's fewer
 # than 2T, but in half the levels and on contiguous slices, so it is faster
-# while numpy's per-call cost outweighs the extra work. States-only diagonal
-# evaluation, one BLAS thread on a 2-core Xeon VM: doubling won up to
-# T D = 2^14 (T=2048, D=8: 255 against 281 us) and lost above (T=4096, D=8:
-# 750 against 618 us; T=1000, D=32: 542 against 277 us).
+# while numpy's per-call cost outweighs the extra work. The crossover depends
+# on T, not on T D alone. Diagonal evaluate_stacked, one BLAS thread on a
+# 2-core Xeon VM, doubling's time over the tree's: at T D = 2^14, 0.42-0.44
+# at T=8192 (D=2), 0.75-0.79 at T=2048 (D=8: 220-272 against 279-363 us) and
+# 0.96-0.97 at T=256 (D=64); above it, the tree won from D=8 up (T=4096, D=8:
+# 769-933 against 488-587 us; T=1000, D=32: 442 against 298-303 us), and D=4
+# and 5 read 0.98-1.23. At T=1000, D=5, s5-merit's size, they read 0.60-0.68.
 DOUBLING_MAX_ELEMENTS = 1 << 14
 
 

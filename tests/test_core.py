@@ -374,6 +374,113 @@ class TestBatchFirstContract:
         P.rollout_sequential(sys_)
         assert steps == list(range(1, 9))
 
+    @pytest.mark.parametrize("t, message", [
+        (0, "integer >= 1, got 0"), (9, "at most the horizon T=8, got 9"),
+        (2.0, "integer >= 1, got 2.0"), (True, "real number, got True"),
+    ], ids=["zero", "past-T", "float", "boolean"])
+    @pytest.mark.parametrize("form", ["step", "jacobian", "diag_jacobian", "jvp"])
+    @pytest.mark.parametrize("kind, params", [("gru", dict(D=3)),
+                                              ("affine", dict(alpha=0.5, inputs=np.arange(8.0)))])
+    def test_single_row_step_must_lie_in_the_horizon(self, kind, params, form, t, message):
+        """t = 0 would gather step T's inputs, and t = T + 1 none."""
+        sys_ = P.models.build(kind, 8, **params)
+        s = np.ones(sys_.dim)
+        with pytest.raises(P.ContractError, match=f"step t must be .*{message}"):
+            getattr(sys_, form)(t, *([s, s] if form == "jvp" else [s]))
+
+    def test_single_row_step_takes_any_integer_type(self):
+        sys_ = P.models.build("affine", 8, alpha=0.5, inputs=np.arange(8.0))
+        for t in (1, 8, np.int64(8), np.int32(3)):
+            assert sys_.step(t, [2.0])[0] == 1.0 + (t - 1)
+
+
+class Frozen(P.DynamicsSystem):
+    """``inner`` with every method returning a non-writeable array, kept with
+    a copy of its contents; with ``frozen=False``, a fresh writeable copy (the
+    copying twin). At step ``bad_t`` the Jacobians overflow at every state
+    but 0, where the library's transition guard reads them."""
+
+    def __init__(self, inner, frozen=True, bad_t=None):
+        self.inner, self.frozen, self.bad_t = inner, frozen, bad_t
+        self.dim, self.horizon, self.initial_state = inner.dim, inner.horizon, inner.initial_state
+        self.returned = []
+
+    def _out(self, x, ts=None, S=None):
+        x = np.array(x, dtype=np.float64)
+        if ts is not None and self.bad_t is not None:
+            x[(np.asarray(ts) == self.bad_t) & np.any(np.asarray(S) != 0.0, axis=1)] = np.inf
+        if self.frozen:
+            x.flags.writeable = False
+            self.returned.append((x, x.copy()))
+        return x
+
+    def step_batch(self, ts, S):
+        return self._out(self.inner.step_batch(ts, S))
+
+    def jacobian_batch(self, ts, S):
+        return self._out(self.inner.jacobian_batch(ts, S), ts, S)
+
+    def diag_jacobian_batch(self, ts, S):
+        return self._out(self.inner.diag_jacobian_batch(ts, S), ts, S)
+
+    def jvp_batch(self, ts, S, V):
+        return self._out(self.inner.jvp_batch(ts, S, V))
+
+
+def _as_arrays(out):
+    """The arrays of a library result, for a bitwise comparison."""
+    if isinstance(out, list):  # linearize's AffineOps
+        return [a for op in out for a in (op.A.matrix(op.dim), op.b)]
+    if isinstance(out, P.Trajectory):
+        return [out.states]
+    if isinstance(out, P.SolveReport):
+        return [out.trajectory.states, np.array([out.iterations, out.guard_rows])]
+    return [np.asarray(out)]
+
+
+GRU_TRAJ = P.rollout_sequential(P.models.build("gru", 12, D=3, seed=4))
+FULL, DIAG = P.TrustRegionConfig(), P.TrustRegionConfig(jacobian="diagonal")
+
+
+class TestSystemArraysAreReadOnly:
+    """The library never writes an array a system returned: a system whose
+    every array is read-only runs every entry point, including the guard that
+    repairs a non-finite transition row, to the bits of a copying twin."""
+
+    CALLS = {
+        **{f"linearize-{m.kind}": lambda s, m=m: P.linearize(s, GRU_TRAJ, m)
+           for m in (P.NEWTON, P.QUASI_DIAGONAL)},
+        **{f"fixed_point_solve-{m.kind}": lambda s, m=m: P.fixed_point_solve(
+            s, P.SolverConfig(tol=1e-10), m)
+           for m in (P.NEWTON, P.QUASI_DIAGONAL, P.PICARD, P.JACOBI)},
+        "kalman_step-full": lambda s: P.kalman_step(s, GRU_TRAJ, FULL),
+        "kalman_step-diagonal": lambda s: P.kalman_step(s, GRU_TRAJ, DIAG),
+        "kalman_solve-full": lambda s: P.kalman_solve(s, FULL),
+        "kalman_solve-diagonal": lambda s: P.kalman_solve(s, DIAG),
+    }
+
+    @staticmethod
+    def run(call, bad_t):
+        inner = P.models.build("gru", 12, D=3, seed=4)
+        frozen, twin = Frozen(inner, True, bad_t), Frozen(inner, False, bad_t)
+        got, want = _as_arrays(call(frozen)), _as_arrays(call(twin))
+        assert frozen.returned
+        for x, contents in frozen.returned:
+            assert not x.flags.writeable
+            assert np.array_equal(x, contents, equal_nan=True)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_with_a_non_finite_transition_row(self, name):
+        self.run(self.CALLS[name], bad_t=5)
+
+    @pytest.mark.parametrize("method", [P.QUASI_DIAGONAL, P.PICARD, P.JACOBI],
+                             ids=lambda m: m.kind)
+    def test_asymptotic_rate(self, method):
+        self.run(lambda s: P.asymptotic_rate(s, GRU_TRAJ, method), bad_t=None)
+
 
 def _outcome(call):
     """("ok", the result as an array) or (exception type, message); a warning

@@ -122,6 +122,18 @@ class TestGru:
         warm = P.jacobi_init(m)
         assert P.merit(m, warm) < P.merit(m, zeros)
 
+    def test_rollout_digest(self):
+        """The T=256, D=8 seed-0 rollout keeps its digest."""
+        m = models.build("gru", 256, D=8, seed=0)
+        states = P.rollout_sequential(m).states
+        assert hashlib.sha1(states.tobytes()).hexdigest() == "80b0e069d1d966311df0a5a452721d771de82459"
+
+    def test_holds_only_what_its_step_reads(self):
+        """The recurrent weights, the input drives and s_0: what the step reads, and no more."""
+        m = models.build("gru", 16, D=4, seed=1)
+        arrays = {k for k, v in vars(m).items() if isinstance(v, (np.ndarray, list))}
+        assert arrays == {"Wz_h", "Wr_h", "Wh_h", "_drives", "initial_state"}
+
 
 def _rolled_field(X, F):
     """Lorenz-96 field written with three np.roll calls (oracle for the gather)."""
