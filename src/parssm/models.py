@@ -134,7 +134,7 @@ class Gru(DynamicsSystem):
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(self.dim)
         weights = [rng.standard_normal((self.dim, 2 * self.dim)) * scale for _ in range(3)]
-        self.Wz_h, self.Wr_h, self.Wh_h = (w[:, : self.dim] for w in weights)
+        self.Wz_h, self.Wr_h, self.Wh_h = (np.ascontiguousarray(w[:, : self.dim]) for w in weights)
         inputs = rng.standard_normal((self.horizon, self.dim))
         self.initial_state = np.zeros(self.dim)
         # the input drives Wz_x x_t, Wr_x x_t, Wh_x x_t, each from one matmul

@@ -21,8 +21,9 @@ than 2T combines over at most 2 ceil(log2 T) - 1 levels of strided slices.
 ``doubling_scan`` is recursive doubling: at most T ceil(log2 T) combines over
 ceil(log2 T) levels of contiguous slices. Nothing is padded or gathered, and
 all runs on one worker. ``evaluate_stacked`` folds s0 into the first element
-and scans the states alone: by doubling on small diagonal stacks, and on the
-tree (``scan_stacked``) otherwise. Only ``parallel_scan`` forms every prefix.
+and scans the states alone: by doubling on small diagonal stacks, whose
+combine writes through one scratch block per call, and on the tree
+(``scan_stacked``) otherwise. Only ``parallel_scan`` forms every prefix.
 """
 
 from __future__ import annotations
@@ -243,8 +244,9 @@ def doubling_scan(T: int, combine):
     ``combine(slice(s, T), slice(0, T - s), closing)``, combining each slot
     t >= s with slot t - s, which acts first. ``closing`` marks the last
     level. The slices overlap, so a combine must read ``lo`` before it writes
-    ``hi``: a numpy assignment evaluates its right-hand side first, and a
-    ufunc's ``out=`` copies overlapping inputs, so both forms qualify."""
+    ``hi``. A ufunc's ``out=`` copies overlapping inputs first, which costs a
+    copy per level; ``evaluate_stacked``'s combine instead forms each product
+    in one scratch block per call and then writes it into ``hi``."""
     if T == 0:
         raise ContractError("parallel scan needs at least one element")
     s = 1
@@ -257,11 +259,14 @@ def doubling_scan(T: int, combine):
 # than 2T, but in half the levels and on contiguous slices, so it is faster
 # while numpy's per-call cost outweighs the extra work. The crossover depends
 # on T, not on T D alone. Diagonal evaluate_stacked, one BLAS thread on a
-# 2-core Xeon VM, doubling's time over the tree's: at T D = 2^14, 0.42-0.44
-# at T=8192 (D=2), 0.75-0.79 at T=2048 (D=8: 220-272 against 279-363 us) and
-# 0.96-0.97 at T=256 (D=64); above it, the tree won from D=8 up (T=4096, D=8:
-# 769-933 against 488-587 us; T=1000, D=32: 442 against 298-303 us), and D=4
-# and 5 read 0.98-1.23. At T=1000, D=5, s5-merit's size, they read 0.60-0.68.
+# 2-core Xeon VM, medians of 15 rotating rounds, the scratch-block doubling's
+# time over the tree's: at T D = 2^14, 0.56-0.58 at T=8192 (D=2) and T=2048
+# (D=8), 0.70-0.74 at T=256 (D=64) and T=4096 (D=4), 0.97 at T=3276 (D=5),
+# and 1.61 at T=16384 (D=1); above it, 0.54 at T=4096 (D=5) and 0.71 at
+# T=8192 (D=4), but 1.06 at T=10000 (D=5) and 1.42 at T=4096 (D=8). At
+# T=1000, D=5, s5-merit's size, it reads 0.62. No one bound on T D fits
+# every cell, and moving it would change which driver gru-long's windows
+# take, so it stays.
 DOUBLING_MAX_ELEMENTS = 1 << 14
 
 
@@ -286,24 +291,38 @@ def evaluate_stacked(lane: str, A: np.ndarray, b: np.ndarray, s0: np.ndarray) ->
     """States of the LDS s_t = A_t s_{t-1} + b_t, from stacked arrays.
 
     Zero transitions bypass the scan (embarrassingly parallel map); identity
-    transitions reduce to a prefix sum. The others scan the states alone, on
-    copies with s0 folded into the first element (b_1 <- A_1 s0 + b_1):
-    diagonal stacks of up to ``DOUBLING_MAX_ELEMENTS`` entries by
-    ``doubling_scan``, the rest by ``scan_stacked``, which the tracer counts.
+    transitions reduce to a prefix sum, s0 added in place. The others scan
+    the states alone, on C-ordered copies with s0 folded into the first
+    element (b_1 <- A_1 s0 + b_1): diagonal stacks of up to
+    ``DOUBLING_MAX_ELEMENTS`` entries by ``doubling_scan``, whose levels form
+    A[hi] b[lo] and A[hi] A[lo] in one scratch block shaped like b, so none
+    allocates or overlaps a ufunc's output with an input; the rest by
+    ``scan_stacked``, which the tracer counts.
     """
     if lane == ZERO:
         return b.copy()
     if lane == IDENTITY:
-        return s0[None, :] + np.cumsum(b, axis=0)
-    A = np.array(A, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
+        states = np.cumsum(b, axis=0)
+        states += s0
+        return states
+    A = np.array(A, dtype=np.float64, order="C")
+    b = np.array(b, dtype=np.float64, order="C")
     if len(b) == 0:
         raise ContractError("parallel scan needs at least one element")
     b[0] += A[0] @ s0 if lane == DENSE else A[0] * s0
     if lane == DENSE or b.size > DOUBLING_MAX_ELEMENTS:
         return scan_stacked(lane, A, b)
-    doubling_scan(len(b), lambda hi, lo, closing: _compose_into(
-        lane, A, b, hi, lo, transitions=not closing))
+    scratch = np.empty_like(b)
+
+    def combine(hi, lo, closing):
+        out = scratch[lo]
+        np.multiply(A[hi], b[lo], out=out)
+        b[hi] += out
+        if not closing:
+            np.multiply(A[hi], A[lo], out=out)
+            A[hi] = out
+
+    doubling_scan(len(b), combine)
     return b
 
 

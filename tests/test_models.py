@@ -129,10 +129,14 @@ class TestGru:
         assert hashlib.sha1(states.tobytes()).hexdigest() == "80b0e069d1d966311df0a5a452721d771de82459"
 
     def test_holds_only_what_its_step_reads(self):
-        """The recurrent weights, the input drives and s_0: what the step reads, and no more."""
+        """The recurrent weights, the input drives and s_0: what the step
+        reads, and no more. Each recurrent weight owns its data, so the input
+        halves of the (D, 2D) draws are not kept alive through a slice."""
         m = models.build("gru", 16, D=4, seed=1)
         arrays = {k for k, v in vars(m).items() if isinstance(v, (np.ndarray, list))}
         assert arrays == {"Wz_h", "Wr_h", "Wh_h", "_drives", "initial_state"}
+        for w in (m.Wz_h, m.Wr_h, m.Wh_h):
+            assert w.shape == (4, 4) and w.flags.owndata
 
 
 def _rolled_field(X, F):

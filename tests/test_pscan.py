@@ -463,13 +463,54 @@ class TestStatesOnlyEvaluation:
         np.testing.assert_array_equal(got[:k], clean[:k])
         assert not np.any(np.all(np.isfinite(got[k:]), axis=1))
 
-    def test_inputs_are_not_written(self):
-        for lane in ("diagonal", "dense"):
-            A, b, s0 = _random_lds(lane, 9, 2, 0)
-            copies = [x.copy() for x in (A, b, s0)]
-            evaluate_stacked(lane, A, b, s0)
-            for x, c in zip((A, b, s0), copies):
-                np.testing.assert_array_equal(x, c)
+    @pytest.mark.parametrize("lane", ["identity", "diagonal", "dense"])
+    @pytest.mark.parametrize("T", [9, 1000])
+    def test_inputs_are_not_written(self, lane, T):
+        """Writeable, read-only and broadcast inputs are all left as they
+        were, and a read-only or broadcast input gives the states of its
+        writeable, C-ordered copy, bit for bit."""
+        A, b, s0 = _random_lds(lane, T, 2, 0)
+        A = None if lane == "identity" else A
+        copies = [None if x is None else x.copy() for x in (A, b, s0)]
+        want = evaluate_stacked(lane, A, b, s0)
+        for x, c in zip((A, b, s0), copies):
+            np.testing.assert_array_equal(x, c)
+        for x in (A, b, s0):
+            if x is not None:
+                x.flags.writeable = False
+        np.testing.assert_array_equal(evaluate_stacked(lane, A, b, s0), want)
+        if A is not None:
+            shared = np.broadcast_to(A[0], A.shape)
+            np.testing.assert_array_equal(evaluate_stacked(lane, shared, b, s0),
+                                          evaluate_stacked(lane, shared.copy(), b, s0))
+
+    @pytest.mark.parametrize("D", [1, 5])
+    @pytest.mark.parametrize("T", [1, 2, 3, 100, 1000, 4097])
+    def test_identity_lane_is_a_prefix_sum(self, T, D):
+        """The identity lane is s0 + cumsum(b), bit for bit."""
+        _, b, s0 = _random_lds("diagonal", T, D, T + D)
+        got = evaluate_stacked("identity", None, b, s0)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, s0[None, :] + np.cumsum(b, axis=0))
+
+    @pytest.mark.parametrize("values", ["real", "binary"])
+    @pytest.mark.parametrize("T,D", [(T, D) for D in (1, 5) for T in EVAL_T
+                                     if T * D <= pscan.DOUBLING_MAX_ELEMENTS])
+    def test_doubling_matches_the_overlapping_combine(self, T, D, values):
+        """The scratch-block doubling equals, bit for bit, the combine that
+        writes A[hi] A[lo] and b[hi] + A[hi] b[lo] straight into the
+        overlapping slices (``_compose_into``), on every doubled size."""
+        rng = np.random.default_rng(7 * T + D)
+        if values == "real":
+            A = rng.uniform(-1.0, 1.0, (T, D))
+        else:
+            A = rng.integers(0, 2, (T, D)).astype(float)
+        b, s0 = rng.standard_normal((T, D)), rng.standard_normal(D)
+        want_A, want = A.copy(), b.copy()
+        want[0] += want_A[0] * s0
+        doubling_scan(T, lambda hi, lo, closing: pscan._compose_into(
+            "diagonal", want_A, want, hi, lo, transitions=not closing))
+        np.testing.assert_array_equal(evaluate_stacked("diagonal", A, b, s0), want)
 
     def test_doubling_levels(self):
         """ceil(log2 T) calls for every T in 1..1100: level s combines slots
