@@ -42,6 +42,9 @@ class MethodEntry:
     @staticmethod
     def from_dict(d: dict) -> "MethodEntry":
         _reject_unknown(d, _ENTRY_KEYS, "method-entry")
+        for key in ("method", "label"):
+            if key in d and not isinstance(d[key], str):
+                raise ContractError(f"method-entry {key!r} must be a JSON string, got {d[key]!r}")
         name = d.get("method")
         if not name:
             raise ContractError("method entry needs a 'method' field")

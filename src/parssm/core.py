@@ -44,6 +44,13 @@ def require_int(name: str, value, least: int) -> None:
         raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def require_finite(name: str, value) -> None:
+    """Raise ContractError unless ``value`` is a finite real number (a bool is not)."""
+    require_real(name, value)
+    if not np.isfinite(value):
+        raise ContractError(f"{name} must be finite, got {value!r}")
+
+
 def require_positive(name: str, value) -> None:
     """Raise ContractError unless ``value`` is a positive, finite real (a bool is not)."""
     require_real(name, value)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory, require_int,
-                   require_real)
+from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory, require_finite,
+                   require_int, require_real)
 from .fixedpoint import NO_DAMPING, SolverMethod, _method_transitions
 from .pscan import IDENTITY, ZERO, lane_matrices
 
@@ -50,7 +50,8 @@ def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
     divided by T, averaged over probes. Renormalizing every step keeps the
     computation stable for both contracting and expanding chains. Jacobians
     are evaluated at the trajectory's predecessor states in blocks to bound
-    memory, under one numpy error state.
+    memory, under one numpy error state. A zero, infinite or NaN norm leaves
+    its probe's sum non-finite for good, so ``LleEstimate`` refuses the chain.
     """
     require_int("probes", probes, 1)
     require_int("the probe seed", seed, 0)
@@ -67,12 +68,9 @@ def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
             for j in sys.jacobian_batch(np.arange(start + 1, stop + 1), prev[start:stop]):
                 U = j @ U
                 norms = np.linalg.norm(U, axis=0)
-                if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
-                    raise NumericalFailure(
-                        "degenerate Jacobian chain: evolved vector has zero norm")
                 acc += np.log(norms)
                 U /= norms
-    return LleEstimate(float(np.mean(acc) / T), horizon=T, probes=probes)
+        return LleEstimate(float(np.mean(acc) / T), horizon=T, probes=probes)
 
 
 def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -139,9 +137,7 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
     exponent makes the lower bound asymptotically independent of T; a
     positive one collapses conditioning exponentially.
     """
-    require_real("the exponent", lle)
-    if not np.isfinite(lle):
-        raise ContractError(f"the exponent must be finite, got {lle!r}")
+    require_finite("the exponent", lle)
     require_real("burn-in constant a", a_burn)
     if not 1.0 <= a_burn < np.inf:
         raise ContractError("burn-in constant a must be finite and >= 1")

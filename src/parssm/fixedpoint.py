@@ -87,11 +87,11 @@ class Damping:
 
     @staticmethod
     def scale(k: float) -> "Damping":
-        return Damping("scale", k=float(k))
+        return Damping("scale", k=k)
 
     @staticmethod
     def clip(lo: float = -1.0, hi: float = 1.0) -> "Damping":
-        return Damping("clip", lo=float(lo), hi=float(hi))
+        return Damping("clip", lo=lo, hi=hi)
 
     @staticmethod
     def parse(text: str) -> "Damping":
@@ -110,7 +110,8 @@ NO_DAMPING = Damping()
 class SolverConfig:
     """Knobs shared by every fixed-point style solver.
 
-    ``tol`` applies to the successive-iterate infinity norm by default;
+    ``tol`` applies by default to the successive-iterate infinity norm, and
+    then to the residual's (a solve converges when both are within it);
     setting ``metric="merit"`` instead stops when merit/T <= tol, which
     registers one-step-exact solves as a single iteration. ``max_iters``
     defaults to the horizon T, making the worst-case global-convergence
@@ -350,12 +351,16 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
     look for them: a finite merit makes every residual finite, so every row
     it covers, and the next pass works on some of those rows.
 
-    The loop stops as converged when the stopping metric is met, when a pass
-    freezes all T rows (the trajectory is then final), or when a pass comes
-    back bitwise unchanged (successive difference exactly zero): the iteration
-    map is deterministic, so nothing can change on a later pass. Chaotic
-    chains can floor the merit above any tolerance while still being exact
-    fixed points of the float map; this handles them soundly.
+    The loop stops as converged when a pass freezes all T rows (the trajectory
+    is then final), or when the stopping metric is met and the residual the
+    pass formed meets the stop too: max_i |r_t,i| <= tol under the difference
+    metric (a heavily damped step can move the iterate by little however
+    large its residual), merit/T <= tol under the merit metric. A pass that
+    comes back bitwise unchanged (successive difference exactly zero) ends
+    the loop either way, since the iteration map is deterministic and nothing
+    can change on a later pass; if its residual misses the stop, as when an
+    update rounds away or a chaotic chain floors the merit above the
+    tolerance, the solve ends unconverged.
     """
     T = sys.horizon
     max_iters = cfg.max_iters or T
@@ -412,8 +417,11 @@ def solve_loop(sys: DynamicsSystem, cfg: SolverConfig, chunk_step) -> SolveRepor
                 iterates.append(path[1:].copy())
             measured = current_merit / T if cfg.metric == "merit" else diff
             if measured <= cfg.tol or diff == 0.0 or front == T:
-                converged = True
-                break
+                # a small update alone is not convergence: the residual must meet the stop
+                held = measured if cfg.metric == "merit" else float(np.abs(r).max())
+                converged = front == T or held <= cfg.tol
+                if converged or diff == 0.0:
+                    break
     elapsed = time.perf_counter() - start
     return SolveReport(
         trajectory=Trajectory(sys.initial_state, path[1:]),

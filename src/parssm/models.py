@@ -17,8 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (ContractError, DynamicsSystem, as_state, require_int, require_positive,
-                   require_real)
+from .core import (ContractError, DynamicsSystem, as_state, require_finite, require_int,
+                   require_positive, require_real)
+
+
+def _seed(seed) -> int:
+    """A model's seed, checked to be an integer >= 0 (a bool is not). Every zoo
+    model takes one, whether it draws from it or not."""
+    require_int("seed", seed, 0)
+    return seed
 
 
 def _map_rows(fn, ts, *rows):
@@ -65,12 +72,12 @@ class ScalarAffine(DynamicsSystem):
     """s_{t+1} = alpha s_t (+ u_t), one-dimensional; Jacobian alpha."""
 
     def __init__(self, alpha, T, inputs=None, s0=1.0, seed=0):
-        require_real("alpha", alpha)
-        if not np.isfinite(alpha):
-            raise ContractError("alpha must be finite")
+        require_finite("alpha", alpha)
         self.alpha = float(alpha)
         self._set_sizes(1, T)
+        require_finite("s0", s0)
         self.initial_state = np.array([float(s0)])
+        _seed(seed)
         if inputs is None:
             self.inputs = np.zeros(self.horizon)
         else:
@@ -100,7 +107,7 @@ class MeanFieldRNN(DynamicsSystem):
         require_positive("gain g", g)
         self._set_sizes(D, T)
         self.g = float(g)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed))
         self.W = rng.standard_normal((self.dim, self.dim)) * (self.g / np.sqrt(self.dim))
         np.fill_diagonal(self.W, 0.0)
         self.initial_state = rng.standard_normal(self.dim)
@@ -131,7 +138,7 @@ class Gru(DynamicsSystem):
 
     def __init__(self, D, T, seed=0):
         self._set_sizes(D, T)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed))
         scale = 1.0 / np.sqrt(self.dim)
         weights = [rng.standard_normal((self.dim, 2 * self.dim)) * scale for _ in range(3)]
         self.Wz_h, self.Wr_h, self.Wh_h = (np.ascontiguousarray(w[:, : self.dim]) for w in weights)
@@ -196,14 +203,12 @@ class Lorenz96(DynamicsSystem):
 
     def __init__(self, D=5, F=8.0, dt=0.01, T=1000, seed=0):
         require_positive("dt", dt)
-        require_real("forcing F", F)
-        if not np.isfinite(F):
-            raise ContractError(f"forcing F must be finite, got {F!r}")
+        require_finite("forcing F", F)
         require_int("Lorenz-96's state size D", D, 4)
         self._set_sizes(D, T)
         self.F = float(F)
         self.dt = float(dt)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed))
         self.initial_state = self.F + rng.standard_normal(self.dim)
         self._ring = np.arange(-2, self.dim + 1) % self.dim  # D-2, D-1, 0, ..., D-1, 0
 
@@ -244,7 +249,7 @@ class LangevinTwoWell(DynamicsSystem):
         require_positive("step size eps", eps)
         self._set_sizes(2, T)
         self.eps = float(eps)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed))
         self.noise = rng.standard_normal((self.horizon, 2))
         self.initial_state = self.saddle + 0.2 * rng.standard_normal(2)
 
@@ -300,7 +305,7 @@ class S5WordProblem(DynamicsSystem):
 
     def __init__(self, T, seed=0):
         self._set_sizes(5, T)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed))
         self.perms = np.stack([rng.permutation(5) for _ in range(self.horizon)])
         self.initial_state = np.arange(1.0, 6.0)
 
@@ -329,7 +334,9 @@ class LogisticMap(DynamicsSystem):
             raise ContractError("logistic parameter r must lie in (0, 4]")
         self.r = float(r)
         self._set_sizes(1, T)
+        require_finite("s0", s0)
         self.initial_state = np.array([float(s0)])
+        _seed(seed)
 
     def step_batch(self, ts, S):
         return self.r * S * (1.0 - S)
@@ -356,8 +363,6 @@ def build(kind: str, T: int, **params) -> DynamicsSystem:
     """Construct a zoo model by kind name; each model checks its own sizes and parameters."""
     if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind {kind!r}; choose from {sorted(MODEL_KINDS)}")
-    if "seed" in params:
-        require_int("seed", params["seed"], 0)
     cls = MODEL_KINDS[kind]
     try:
         return cls(T=T, **params)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, Trajectory, as_state
+from .core import ContractError, Trajectory, as_state, require_real
 
 ZERO = "zero"
 IDENTITY = "identity"
@@ -62,6 +62,7 @@ class Transition:
 
     @staticmethod
     def scaled(a: float) -> "Transition":
+        require_real("a scaled identity's coefficient", a)
         return Transition(SCALED, float(a))
 
     @staticmethod

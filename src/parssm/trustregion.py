@@ -79,6 +79,8 @@ def attenuation(A: np.ndarray, Sigma: np.ndarray, sigma2: float) -> np.ndarray:
     """
     A = np.asarray(A, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or Sigma.shape != A.shape:
+        raise ContractError(f"attenuation needs D x D A and Sigma, got {A.shape} and {Sigma.shape}")
     require_real("sigma2", sigma2)
     if not sigma2 > 0:  # NaN > 0 is False
         raise ContractError("sigma2 must be positive")
@@ -243,10 +245,6 @@ def kalman_solve(sys: DynamicsSystem, cfg: TrustRegionConfig) -> SolveReport:
     lam = 0: the damping slows both the sweep along the horizon and that
     contraction by about 1 + lam, and 2T covers solves whose converged
     prefix grows by less than one row per pass.
-
-    Known false stop (lorenz96 T=16, seed 0): at lam = 1e10 the difference stop
-    reports converged after pass 1 (update 8.6e-10, merit 159; the merit stop
-    runs on), and at lam = 1e300 an unchanged iterate ends either stop.
     """
     solver = cfg.solver
     if solver.max_iters is None:

@@ -62,6 +62,10 @@ BAD_SHAPES = [
     ({"methods": "newton"}, "'methods' must be a JSON array"),
     ({"model": {"kind": "affine", "alpha": 0.5, "seed": 7}}, "'seeds'"),
     ({"sweep": {"T": [8], "seed": [1, 2]}}, "'seeds'"),
+    ({"methods": [{"method": 3}]}, "'method' must be a JSON string"),
+    ({"methods": [{"method": ["newton"]}]}, "'method' must be a JSON string"),
+    ({"methods": [{"method": "kalman", "label": 7}]}, "'label' must be a JSON string"),
+    ({"methods": [{"method": "newton", "label": ["a"]}]}, "'label' must be a JSON string"),
 ]
 
 # names that must be JSON strings: open() takes an integer 'output' (or true)
@@ -272,9 +276,30 @@ class TestRunExperiment:
         assert len(bad) == 8 and len(good) == 8
         assert all(not r.converged for r in bad)
 
-    def test_failed_oracle_rollout_is_the_row_error(self, tmp_path):
+    def test_failed_oracle_rollout_is_the_row_error(self, tmp_path, monkeypatch):
         """A model that builds but whose rollout fails reports that failure as
         the row error of every run at its point."""
+        rollout = bench.rollout_sequential
+
+        def fails_from_s0_2(sys_):
+            if sys_.initial_state[0] == 2.0:
+                raise P.NumericalFailure("injected rollout failure")
+            return rollout(sys_)
+
+        monkeypatch.setattr(bench, "rollout_sequential", fails_from_s0_2)
+        doc = _tiny_config(tmp_path, model={"kind": "affine", "T": 8, "alpha": 0.5},
+                           sweep={"s0": [1.0, 2.0]},
+                           methods=[{"method": "newton"}, {"method": "picard"}], seeds=[0])
+        records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
+        by_s0 = {}
+        for r in records:
+            by_s0.setdefault(json.loads(r.model_params)["s0"], []).append(r)
+        assert all(r.error == "" and r.converged for r in by_s0[1.0])
+        assert [(r.error, r.converged) for r in by_s0[2.0]] == \
+               [("NumericalFailure: injected rollout failure", False)] * 2
+
+    def test_non_finite_s0_is_the_row_error(self, tmp_path):
+        """A NaN initial state is refused where the model is built."""
         doc = _tiny_config(tmp_path, model={"kind": "affine", "T": 8, "alpha": 0.5},
                            sweep={"s0": [1.0, float("nan")]}, methods=[{"method": "newton"}],
                            seeds=[0])
@@ -283,7 +308,7 @@ class TestRunExperiment:
         good = by_s0[1.0]
         bad = next(r for s0, r in by_s0.items() if s0 != 1.0)
         assert good.error == "" and good.converged
-        assert bad.error == "ContractError: initial state must be finite"
+        assert bad.error == "ContractError: s0 must be finite, got nan"
         assert bad.converged is False
 
     def test_bool_model_parameter_fails_its_rows(self, tmp_path):

@@ -119,6 +119,13 @@ class TestLle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lle"] == pytest.approx(np.log(0.5), abs=1e-12)
 
+    def test_vanishing_chain_is_3(self, capsys):
+        """alpha = 0 zeroes every Jacobian: the estimate is not finite, a
+        runtime failure, not a usage error."""
+        assert main(["lle", "--model", "affine", "--alpha", "0", "-T", "16"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "LLE estimate is not finite", "type": "NumericalFailure"}
+
 
 class TestBenchCommand:
     def test_bench_writes_csv(self, tmp_path, capsys):

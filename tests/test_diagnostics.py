@@ -1,6 +1,8 @@
 """Conditioning instruments: exponent estimation, dense Jacobian assembly,
 gradient-dominance bounds, mismatch and rate formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,10 @@ def _assemble_approx_j(sys_, traj, method):
     """Rate oracle: ``assemble_big_j`` with the method's transitions A~_t."""
     lane, A = dg._transitions_at(sys_, traj, method)
     return dg.assemble_blocks(lane_matrices(lane, A, traj.horizon, traj.dim))
+
+
+_ZOO_AT_64 = [("affine", dict(alpha=0.7)), ("rnn", dict(D=8, g=1.5)), ("gru", dict(D=4)),
+              ("lorenz96", dict(D=5)), ("twowell", {}), ("s5", {}), ("logistic", dict(r=3.5))]
 
 
 class TestEstimateLle:
@@ -58,6 +64,56 @@ class TestEstimateLle:
                               jac_fn=lambda t, s: np.zeros((1, 1)))
         with pytest.raises(P.NumericalFailure):
             P.estimate_lle(sys_, P.rollout_sequential(sys_), probes=1, seed=0)
+
+    @pytest.mark.parametrize("kind,params", _ZOO_AT_64, ids=[k for k, _ in _ZOO_AT_64])
+    @pytest.mark.parametrize("T", [64, 1100])
+    def test_equals_the_walk_that_tests_every_step(self, kind, params, T):
+        """The exponent is the reference walk's bit for bit, at one block of
+        Jacobians and at three."""
+        sys_ = P.models.build(kind, T, seed=3, **params)
+        tr = P.rollout_sequential(sys_)
+        for probes, seed in [(1, 0), (3, 5)]:
+            assert (P.estimate_lle(sys_, tr, probes=probes, seed=seed).lam
+                    == _lle_testing_every_step(sys_, tr, probes, seed))
+
+    @pytest.mark.parametrize("bad", [0.0, 1e300, np.inf, np.nan],
+                             ids=["zero", "overflowing", "inf", "nan"])
+    @pytest.mark.parametrize("at", [1, 600, 1100], ids=["first", "middle", "last"])
+    def test_degenerate_step_fails_quietly(self, bad, at):
+        """A zero, overflowing, infinite or NaN Jacobian at any one step
+        fails the estimate as the reference walk does, with no warning."""
+        sys_ = FunctionSystem(dim=2, horizon=1100, initial_state=np.ones(2),
+                              step_fn=lambda t, s: 0.5 * s,
+                              jac_fn=lambda t, s: np.full((2, 2), bad) if t == at
+                              else 0.5 * np.eye(2))
+        tr = P.rollout_sequential(sys_)
+        with pytest.raises(P.NumericalFailure, match="degenerate"):
+            _lle_testing_every_step(sys_, tr, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(P.NumericalFailure, match="LLE estimate is not finite"):
+                P.estimate_lle(sys_, tr, probes=2, seed=0)
+
+
+def _lle_testing_every_step(sys_, traj, probes, seed):
+    """Reference walk: ``estimate_lle``'s float operations in the same order,
+    with a degeneracy test at every step instead of the result's own check."""
+    T = traj.horizon
+    U = np.random.default_rng(seed).standard_normal((traj.dim, probes))
+    U /= np.linalg.norm(U, axis=0, keepdims=True)
+    acc = np.zeros(probes)
+    prev = traj.prev_states()
+    with np.errstate(all="ignore"):
+        for start in range(0, T, dg.LLE_BLOCK):
+            stop = min(start + dg.LLE_BLOCK, T)
+            for j in sys_.jacobian_batch(np.arange(start + 1, stop + 1), prev[start:stop]):
+                U = j @ U
+                norms = np.linalg.norm(U, axis=0)
+                if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
+                    raise P.NumericalFailure("degenerate Jacobian chain")
+                acc += np.log(norms)
+                U /= norms
+    return float(np.mean(acc) / T)
 
 
 class TestAssembleBigJ:
@@ -341,10 +397,6 @@ def _per_coordinate_rate(sys_, tr, method):
         B[idx, idx - 1] = -diag[1:, j]
         inv_norms.append(1.0 / dg.min_singular_value(B))
     return float(max(inv_norms) * dg.jacobian_mismatch(sys_, tr, method))
-
-
-_ZOO_AT_64 = [("affine", dict(alpha=0.7)), ("rnn", dict(D=8, g=1.5)), ("gru", dict(D=4)),
-              ("lorenz96", dict(D=5)), ("twowell", {}), ("s5", {}), ("logistic", dict(r=3.5))]
 
 
 class TestRatePerDistinctChain:

@@ -37,6 +37,16 @@ class TestMethodAndDampingTypes:
         with pytest.raises(P.ContractError, match="must be a real number"):
             make(**kwargs)
 
+    @pytest.mark.parametrize("make, args", [
+        (Damping.scale, (True,)), (Damping.scale, ("0.3",)), (Damping.clip, ("-1", 1)),
+        (Damping.clip, (-1.0, True)),
+    ], ids=["scale-true", "scale-string", "clip-string", "clip-true"])
+    def test_shortcuts_check_what_they_are_given(self, make, args):
+        """A shortcut hands its numbers to ``Damping`` as given: True is not
+        k = 1.0, which would zero every transition, and "0.3" is not 0.3."""
+        with pytest.raises(P.ContractError, match="must be a real number"):
+            make(*args)
+
     @pytest.mark.parametrize("make, args, message", [
         (SolverMethod, ("bogus",), "unknown solver method 'bogus'"),
         (SolverMethod, ("scaled", float("nan")), "needs a finite coefficient"),

@@ -87,6 +87,25 @@ class TestDirectConstruction:
         with pytest.raises(P.ContractError, match="alpha must be finite"):
             models.ScalarAffine(alpha, 8)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    @pytest.mark.parametrize("cls,params", ZOO, ids=[c.__name__ for c, _ in ZOO])
+    def test_seed_must_be_a_nonnegative_integer(self, cls, params, seed):
+        """Every zoo model takes a seed and checks it, whether it draws from
+        it or not: True is not seed 1."""
+        with pytest.raises(P.ContractError, match="^seed must be"):
+            cls(T=8, seed=seed, **params)
+
+    @pytest.mark.parametrize("s0, message", [
+        (True, "s0 must be a real number"), ("0.3", "s0 must be a real number"),
+        (np.nan, "s0 must be finite"), (np.inf, "s0 must be finite"),
+    ], ids=["bool", "string", "nan", "inf"])
+    @pytest.mark.parametrize("cls,params", [(models.ScalarAffine, dict(alpha=0.5)),
+                                            (models.LogisticMap, dict(r=3.5))],
+                             ids=["ScalarAffine", "LogisticMap"])
+    def test_scalar_initial_state_must_be_a_finite_real(self, cls, params, s0, message):
+        with pytest.raises(P.ContractError, match=message):
+            cls(T=8, s0=s0, **params)
+
     def test_affine_inputs_must_have_length_T(self):
         with pytest.raises(P.ContractError, match="inputs must have length T"):
             models.ScalarAffine(0.5, 8, inputs=np.zeros(7))

@@ -64,7 +64,10 @@ class TestConstructorChecks:
         (lambda: Transition.dense(np.eye(2)).diag_vector(2), "has no diagonal form"),
         (lambda: AffineOp(Transition.diagonal(np.ones(2)), np.ones(3)),
          "transition dim 2 does not match offset dim 3"),
-    ], ids=["diagonal-not-1d", "dense-not-square", "dense-diag-vector", "affine-dims"])
+        (lambda: Transition.scaled(True), "must be a real number, got True"),
+        (lambda: Transition.scaled("2"), "must be a real number, got '2'"),
+    ], ids=["diagonal-not-1d", "dense-not-square", "dense-diag-vector", "affine-dims",
+            "scaled-true", "scaled-string"])
     def test_refuses(self, make, message):
         with pytest.raises(P.ContractError, match=message):
             make()

@@ -213,6 +213,13 @@ class TestAttenuation:
         with pytest.raises(P.ContractError, match="sigma2 must be a real number, got True"):
             attenuation(np.eye(2), np.eye(2), True)
 
+    @pytest.mark.parametrize("A, Sigma", [(np.ones((2, 3)), np.eye(2)), (np.eye(2), np.eye(3)),
+                                          (np.ones(2), np.eye(2)), (np.eye(2), np.ones(2))],
+                             ids=["A-not-square", "Sigma-other-size", "A-1d", "Sigma-1d"])
+    def test_refuses_matrices_that_are_not_D_by_D(self, A, Sigma):
+        with pytest.raises(P.ContractError, match="attenuation needs D x D A and Sigma"):
+            attenuation(A, Sigma, 1.0)
+
     def test_infinite_sigma2_is_identity(self):
         np.testing.assert_array_equal(
             attenuation(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), float("inf")), np.eye(2))
@@ -527,6 +534,34 @@ class TestKalmanSolve:
         rep = kalman_solve(sys_, TrustRegionConfig(lam=1e300, solver=SolverConfig(
             max_iters=3, init="zeros", tol=1e-18, metric="merit")))
         assert rep.iterations == 3 and not rep.converged
+
+    @pytest.mark.parametrize("metric", ["diff", "merit"])
+    @pytest.mark.parametrize("lam", [1e10, 1e300])
+    def test_rounded_away_update_is_not_converged(self, lam, metric):
+        """A huge lam moves the iterate by 8.6e-10 (1e10) or not at all
+        (1e300) while the merit stays at 159: a small or zero update is not
+        convergence under either stop. A pass that comes back unchanged ends
+        the solve; one that moves runs on to the budget."""
+        sys_ = P.models.build("lorenz96", 16, seed=0)
+        rep = kalman_solve(sys_, TrustRegionConfig(lam=lam, solver=SolverConfig(
+            max_iters=3, metric=metric)))
+        assert not rep.converged
+        assert rep.iterations == (1 if lam == 1e300 else 3)
+        assert rep.final_diff <= 1e-9 and rep.merit_history[-1] > 159.0
+
+    @pytest.mark.parametrize("metric", ["diff", "merit"])
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_converged_residual_meets_the_stop(self, lam, metric):
+        """A converged solve's residual meets the stop it reports."""
+        sys_ = P.models.build("lorenz96", 32, seed=2)
+        tol = 1e-8
+        rep = kalman_solve(sys_, TrustRegionConfig(lam=lam, solver=SolverConfig(
+            tol=tol, metric=metric, init="normal", seed=0)))
+        assert rep.converged
+        if metric == "merit":
+            assert P.merit(sys_, rep.trajectory) / sys_.horizon <= tol
+        else:
+            assert np.abs(P.residual(sys_, rep.trajectory)).max() <= tol
 
 
 class TestLmStepDense:
