@@ -127,10 +127,13 @@ class DynamicsSystem(ABC):
     ``jacobian``, ``diag_jacobian`` and ``jvp`` are the batch forms applied
     to one row, so both paths share one code path.
 
-    A step index lies in 1..T: the single-row forms check it, and the batch
-    forms, on every solver pass, do not. A system may return read-only,
-    shared or cached arrays; the library never writes an array a system
-    returned. A model keeps only what its step reads.
+    A step index lies in 1..T and a state has length D: the single-row forms
+    check both, and the batch forms, on every solver pass, check neither. A
+    trajectory handed to any library entry point must have the system's T, D
+    and initial state s_0: ``_check_traj`` refuses any other with
+    ContractError and hands out its batch of steps and predecessors. A
+    system may return read-only, shared or cached arrays; the library never
+    writes an array a system returned. A model keeps only what its step reads.
 
     A system's methods, the zoo's and the finite-difference and Hutchinson
     defaults alike, set no numpy error state: they run under their caller's.
@@ -175,33 +178,41 @@ class DynamicsSystem(ABC):
         if t > self.horizon:
             raise ContractError(f"step t must be at most the horizon T={self.horizon}, got {t!r}")
 
-    # -- single-row forms: the batch forms on one row, at a checked step
+    def _check_row(self, t, *vectors):
+        """The one-row batches of step ``t`` and of ``vectors``; raise ContractError
+        unless ``t`` is a step from 1 to T and each vector is a D-vector."""
+        self._check_step(t)
+        return (np.array([t]), *(as_state(v, self.dim)[None, :] for v in vectors))
+
+    # -- single-row forms: the batch forms on one row, at a checked step and state
 
     def step(self, t: int, s: np.ndarray) -> np.ndarray:
-        # _check_step's verdict for a Python int, inline: the rollout calls step T times
-        if type(t) is not int or not 0 < t <= self.horizon:
-            self._check_step(t)
-        return self.step_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
+        # _check_row's verdict for a Python int, inline: the rollout calls step T times
+        s = np.asarray(s, dtype=np.float64)
+        if type(t) is not int or not 0 < t <= self.horizon or s.shape != (self.dim,):
+            self._check_row(t, s)
+        return self.step_batch(np.array([t]), s[None, :])[0]
 
     def jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
-        self._check_step(t)
-        return self.jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
+        return self.jacobian_batch(*self._check_row(t, s))[0]
 
     def diag_jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
-        self._check_step(t)
-        return self.diag_jacobian_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :])[0]
+        return self.diag_jacobian_batch(*self._check_row(t, s))[0]
 
     def jvp(self, t: int, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._check_step(t)
-        return self.jvp_batch(np.array([t]), np.asarray(s, dtype=np.float64)[None, :],
-                              np.asarray(v, dtype=np.float64)[None, :])[0]
+        return self.jvp_batch(*self._check_row(t, s, v))[0]
 
-    def _check_traj(self, traj: Trajectory):
+    def _check_traj(self, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+        """Steps 1..T and predecessors s_0..s_{T-1} of ``traj``; raise ContractError
+        unless it has the system's T, D and initial state s_0."""
         if traj.dim != self.dim or traj.horizon != self.horizon:
             raise ContractError(
                 f"trajectory shape (T={traj.horizon}, D={traj.dim}) does not match "
                 f"system (T={self.horizon}, D={self.dim})"
             )
+        if not np.array_equal(traj.initial, self.initial_state):
+            raise ContractError("trajectory's initial state is not the system's s_0")
+        return np.arange(1, self.horizon + 1), traj.prev_states()
 
 
 def rollout_sequential(sys: DynamicsSystem) -> Trajectory:
@@ -214,19 +225,16 @@ def rollout_sequential(sys: DynamicsSystem) -> Trajectory:
     s = as_state(sys.initial_state, sys.dim)
     with np.errstate(all="ignore"):
         for t in range(1, sys.horizon + 1):
-            s = np.asarray(sys.step(t, s), dtype=np.float64)
+            s = sys.step(t, s)
             states[t - 1] = s
     return Trajectory(sys.initial_state, states)
 
 
 def residual(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
     """One-step prediction error r_t = s_t - f_t(s_{t-1}) as a T x D matrix."""
-    sys._check_traj(traj)
-    ts = np.arange(1, sys.horizon + 1)
-    prev = traj.prev_states()
+    ts, prev = sys._check_traj(traj)
     with np.errstate(all="ignore"):
-        pred = sys.step_batch(ts, prev)
-        return traj.states - pred
+        return traj.states - sys.step_batch(ts, prev)
 
 
 def merit(sys: DynamicsSystem, traj: Trajectory) -> float:

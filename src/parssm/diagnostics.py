@@ -55,17 +55,16 @@ def estimate_lle(sys: DynamicsSystem, traj: Trajectory, probes: int = 3,
     """
     require_int("probes", probes, 1)
     require_int("the probe seed", seed, 0)
-    sys._check_traj(traj)
+    ts, prev = sys._check_traj(traj)
     T, D = traj.horizon, traj.dim
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((D, probes))
     U /= np.linalg.norm(U, axis=0, keepdims=True)
     acc = np.zeros(probes)
-    prev = traj.prev_states()
     with np.errstate(all="ignore"):
         for start in range(0, T, LLE_BLOCK):
             stop = min(start + LLE_BLOCK, T)
-            for j in sys.jacobian_batch(np.arange(start + 1, stop + 1), prev[start:stop]):
+            for j in sys.jacobian_batch(ts[start:stop], prev[start:stop]):
                 U = j @ U
                 norms = np.linalg.norm(U, axis=0)
                 acc += np.log(norms)
@@ -91,11 +90,10 @@ def assemble_big_j(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
     its inverse collects the Jacobian chain products A_t ... A_{tau+1} in
     block (t, tau). Guarded to T*D <= 4096; holds one numpy error state.
     """
-    sys._check_traj(traj)
-    T, D = traj.horizon, traj.dim
-    _check_dense_guard(T, D, "assemble_big_j")
+    ts, prev = sys._check_traj(traj)
+    _check_dense_guard(*prev.shape, "assemble_big_j")
     with np.errstate(all="ignore"):
-        return assemble_blocks(sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states()))
+        return assemble_blocks(sys.jacobian_batch(ts, prev))
 
 
 def min_singular_value(M: np.ndarray) -> float:
@@ -165,10 +163,10 @@ def _transitions_at(sys, traj, method):
     """(lane, A) of the method's undamped A~_t at the trajectory, t = 1..T;
     None for Newton, whose transitions are the true Jacobians. Runs under the
     caller's numpy error state, as do the two readers below."""
+    ts, prev = sys._check_traj(traj)
     if method.kind == "newton":
         return None
-    ts = np.arange(1, traj.horizon + 1)
-    return _method_transitions(sys, ts, traj.prev_states(), method, NO_DAMPING)
+    return _method_transitions(sys, ts, prev, method, NO_DAMPING)
 
 
 def _mismatch_at(sys, traj, transitions) -> float:
@@ -176,9 +174,9 @@ def _mismatch_at(sys, traj, transitions) -> float:
     if transitions is None:
         return 0.0
     lane, A = transitions
-    T, D = traj.horizon, traj.dim
-    true = sys.jacobian_batch(np.arange(1, T + 1), traj.prev_states())
-    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
+    ts, prev = sys._check_traj(traj)
+    true = sys.jacobian_batch(ts, prev)
+    diffs = lane_matrices(lane, A, *prev.shape)[1:] - true[1:]  # block t = 1 never enters J
     return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
 
 

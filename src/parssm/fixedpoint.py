@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ContractError, DynamicsSystem, Trajectory, as_state,
-                   exact_rows_and_merit, max_abs_diff, require_int, require_positive,
-                   require_real)
+                   exact_rows_and_merit, max_abs_diff, require_finite, require_int,
+                   require_positive, require_real)
 from .core import merit  # noqa: F401  (tracing tools patch fixedpoint.merit by name)
 from .pscan import (DENSE, DIAGONAL, IDENTITY, SCALED, ZERO, AffineOp, evaluate_stacked,
                     lane_apply, row_transition)
@@ -34,9 +34,7 @@ class SolverMethod:
         if self.kind not in ("newton", "quasi", "picard", "jacobi", "scaled"):
             raise ContractError(f"unknown solver method {self.kind!r}")
         if self.kind == "scaled":
-            require_real("the scaled method's coefficient", self.coeff)
-            if not np.isfinite(self.coeff):
-                raise ContractError("scaled-identity method needs a finite coefficient")
+            require_finite("the scaled method's coefficient", self.coeff)
         elif self.coeff is not None:
             raise ContractError(f"method {self.kind!r} takes no coefficient")
 
@@ -294,9 +292,8 @@ def linearize(sys: DynamicsSystem, traj: Trajectory, method: SolverMethod,
     coefficient a, as Zero when a = 0 and as Identity when a = 1. Holds one numpy error state.
     """
     with np.errstate(all="ignore"):
-        sys._check_traj(traj)
-        ts = np.arange(1, sys.horizon + 1)
-        lane, A, b = _linearize_stacked(sys, traj.prev_states(), ts, method, damping)
+        ts, prev = sys._check_traj(traj)
+        lane, A, b = _linearize_stacked(sys, prev, ts, method, damping)
         kind = SCALED if lane == DIAGONAL and method.kind != "quasi" else lane
         rows = [None] * sys.horizon if A is None else A
         return [AffineOp(row_transition(kind, a), b_t) for a, b_t in zip(rows, b)]

@@ -92,14 +92,13 @@ def hutchinson_diag(sys, t: int, s: np.ndarray, n: int = 1, seed=0) -> DiagEstim
 
     Exact whenever A_t is diagonal, for any n and any seed. Holds one numpy
     error state. The probes are drawn from ``numpy.random.default_rng(seed)``.
-    The step t is an integer from 1 to the horizon T.
+    The step t is an integer from 1 to the horizon T, and s a state of length D.
     """
     require_int("n", n, 1)
-    sys._check_step(t)
-    s = np.asarray(s, dtype=np.float64)
-    probes = _rademacher(np.random.default_rng(seed), n, s.shape[0])
+    ts, S = sys._check_row(t, s)
+    probes = _rademacher(np.random.default_rng(seed), n, sys.dim)
     with np.errstate(all="ignore"):
-        values = _hutchinson(sys, np.array([t]), s[None, :], probes[None, :, :])[0]
+        values = _hutchinson(sys, ts, S, probes[None, :, :])[0]
     return DiagEstimate(values, samples=n, seed=seed)
 
 

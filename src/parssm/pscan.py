@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, Trajectory, as_state, require_real
+from .core import ContractError, Trajectory, as_state, require_finite
 
 ZERO = "zero"
 IDENTITY = "identity"
@@ -62,7 +62,7 @@ class Transition:
 
     @staticmethod
     def scaled(a: float) -> "Transition":
-        require_real("a scaled identity's coefficient", a)
+        require_finite("a scaled identity's coefficient", a)
         return Transition(SCALED, float(a))
 
     @staticmethod
@@ -70,6 +70,8 @@ class Transition:
         d = np.asarray(d, dtype=np.float64)
         if d.ndim != 1:
             raise ContractError("diagonal transition needs a 1-D vector")
+        if not np.all(np.isfinite(d)):
+            raise ContractError("diagonal transition entries must be finite")
         return Transition(DIAGONAL, d)
 
     @staticmethod

@@ -22,11 +22,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ContractError, DynamicsSystem, NumericalFailure, Trajectory,
-                   as_state, require_real, residual)
+                   require_real, residual)
 from .diagnostics import assemble_big_j
 from .fixedpoint import (NEWTON, NO_DAMPING, QUASI_DIAGONAL, SolveReport, SolverConfig,
                          _linearize_stacked, solve_loop)
 from .pscan import DENSE, evaluate_stacked, lane_algebra, lane_apply, tree_scan
+
+
+def _check_lam(lam):
+    """Raise ContractError unless the penalty ``lam`` is a finite real >= 0 (a bool is not)."""
+    require_real("lam", lam)
+    if not 0 <= lam < np.inf:
+        raise ContractError(f"lam must be >= 0 and finite, got {lam!r}")
 
 
 @dataclass
@@ -45,9 +52,7 @@ class TrustRegionConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        require_real("lam", self.lam)
-        if not 0 <= self.lam < np.inf:
-            raise ContractError(f"lam must be >= 0 and finite, got {self.lam!r}")
+        _check_lam(self.lam)
         if self.mode not in ("filter", "smoother"):
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.jacobian not in ("full", "diagonal"):
@@ -216,10 +221,9 @@ def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -
     and runs the same chunk ``kalman_solve`` runs on each pass.
     """
     with np.errstate(all="ignore"):
-        sys._check_traj(traj)
-        window = np.vstack([as_state(sys.initial_state, sys.dim), traj.states])
-        means = _kalman_chunk(sys, window, np.arange(1, sys.horizon + 1), cfg)
-        return Trajectory(window[0], means)
+        ts, prev = sys._check_traj(traj)
+        window = np.vstack([prev, traj.states[-1:]])
+        return Trajectory(traj.initial, _kalman_chunk(sys, window, ts, cfg))
 
 
 def _default_max_iters(T: int, lam: float, tol: float) -> int:
@@ -260,8 +264,10 @@ def lm_step_dense(sys: DynamicsSystem, traj: Trajectory, lam: float) -> Trajecto
     """Dense damped update s - (J^T J + lam I)^{-1} J^T r. Oracle only.
 
     Assembles the full block-bidiagonal residual Jacobian, so it is guarded
-    to T*D <= 4096. Holds one numpy error state around the whole step.
+    to T*D <= 4096. The penalty lam is checked as ``TrustRegionConfig`` checks
+    it. Holds one numpy error state around the whole step.
     """
+    _check_lam(lam)
     with np.errstate(all="ignore"):
         J = assemble_big_j(sys, traj)
         r = residual(sys, traj).ravel()

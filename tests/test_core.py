@@ -1,5 +1,7 @@
 """Core types, the sequential oracle, and objective plumbing."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,188 @@ class TestBatchFirstContract:
         sys_ = P.models.build("affine", 8, alpha=0.5, inputs=np.arange(8.0))
         for t in (1, 8, np.int64(8), np.int32(3)):
             assert sys_.step(t, [2.0])[0] == 1.0 + (t - 1)
+
+    SINGLE_ROW = {
+        "step": lambda sys_, bad, ok: sys_.step(1, bad),
+        "jacobian": lambda sys_, bad, ok: sys_.jacobian(1, bad),
+        "diag_jacobian": lambda sys_, bad, ok: sys_.diag_jacobian(1, bad),
+        "jvp-state": lambda sys_, bad, ok: sys_.jvp(1, bad, ok),
+        "jvp-tangent": lambda sys_, bad, ok: sys_.jvp(1, ok, bad),
+        "hutchinson_diag": lambda sys_, bad, ok: P.hutchinson_diag(sys_, 1, bad),
+    }
+
+    @pytest.mark.parametrize("shape", ["D+1", "D-1", "2xD"])
+    @pytest.mark.parametrize("form", sorted(SINGLE_ROW))
+    @pytest.mark.parametrize("kind, params", [("s5", {}), ("rnn", dict(D=3, g=0.8)),
+                                              ("gru", dict(D=3)), ("lorenz96", {})])
+    def test_single_row_state_must_have_length_D(self, kind, params, form, shape):
+        """s5 gave a 5 x 5 Jacobian at a 6-vector and rnn a zero diagonal at a
+        4-vector; each form now refuses a state that is not a D-vector."""
+        sys_ = P.models.build(kind, 8, **params)
+        D = sys_.dim
+        bad = {"D+1": np.ones(D + 1), "D-1": np.ones(D - 1), "2xD": np.ones((2, D))}[shape]
+        with pytest.raises(P.ContractError, match="^state vector (has length|must be 1-D)"):
+            self.SINGLE_ROW[form](sys_, bad, np.ones(D))
+
+
+def _door_system():
+    return P.models.build("gru", 8, D=3, seed=0)
+
+
+def _door_trajectory(sys_):
+    """A trajectory of the system off its solution, so every residual row moves."""
+    rng = np.random.default_rng(1)
+    states = P.rollout_sequential(sys_).states
+    return P.Trajectory(sys_.initial_state, states + 0.1 * rng.standard_normal(states.shape))
+
+
+def _mismatched(sys_, how):
+    T, D = sys_.horizon, sys_.dim
+    s0 = sys_.initial_state
+    return {"T+1": P.Trajectory(s0, np.zeros((T + 1, D))),
+            "T-1": P.Trajectory(s0, np.zeros((T - 1, D))),
+            "D+1": P.Trajectory(np.append(s0, 0.0), np.zeros((T, D + 1))),
+            "s0+1": P.Trajectory(s0 + 1.0, _door_trajectory(sys_).states)}[how]
+
+
+_FILTER = P.TrustRegionConfig(lam=0.5)
+_SMOOTHER = P.TrustRegionConfig(lam=0.5, mode="smoother")
+
+TRAJECTORY_ENTRIES = {
+    "residual": P.residual,
+    "merit": P.merit,
+    "linearize-newton": lambda s, tr: P.linearize(s, tr, P.NEWTON),
+    "linearize-quasi": lambda s, tr: P.linearize(s, tr, P.QUASI_DIAGONAL),
+    "kalman_step-filter": lambda s, tr: P.kalman_step(s, tr, _FILTER),
+    "kalman_step-smoother": lambda s, tr: P.kalman_step(s, tr, _SMOOTHER),
+    "lm_step_dense": lambda s, tr: P.lm_step_dense(s, tr, 0.5),
+    "estimate_lle": P.estimate_lle,
+    "assemble_big_j": P.assemble_big_j,
+    **{f"{name}-{m.kind}": functools.partial(fn, method=m)
+       for name, fn in [("jacobian_mismatch", P.jacobian_mismatch),
+                        ("rate_factor", P.diagnostics.rate_factor),
+                        ("asymptotic_rate", P.asymptotic_rate)]
+       for m in (P.NEWTON, P.QUASI_DIAGONAL, P.PICARD)},
+}
+
+
+class TestOneDoorForTrajectories:
+    """Every trajectory entry point takes its batch from ``_check_traj``,
+    which refuses a trajectory whose T, D or s_0 is not the system's."""
+
+    def test_door_hands_out_the_steps_and_predecessors(self):
+        sys_ = _door_system()
+        tr = _door_trajectory(sys_)
+        ts, prev = sys_._check_traj(tr)
+        np.testing.assert_array_equal(ts, np.arange(1, 9))
+        assert ts.dtype == np.arange(1, 9).dtype
+        np.testing.assert_array_equal(prev, tr.prev_states())
+
+    @pytest.mark.parametrize("how", ["T+1", "T-1", "D+1", "s0+1"])
+    @pytest.mark.parametrize("entry", sorted(TRAJECTORY_ENTRIES))
+    def test_refuses_a_trajectory_of_another_system(self, entry, how):
+        """The rate diagnostics raised IndexError at T+1 and a matmul
+        ValueError at D+1, answered for the shorter system at T-1, and every
+        entry point but ``kalman_step`` answered from a shifted s_0."""
+        sys_ = _door_system()
+        message = "initial state is not the system's" if how == "s0+1" else "does not match system"
+        with pytest.raises(P.ContractError, match=message):
+            TRAJECTORY_ENTRIES[entry](sys_, _mismatched(sys_, how))
+
+    def test_an_equal_initial_state_is_admitted(self):
+        """The door compares values: a list or a fresh copy of s_0 passes."""
+        sys_ = _door_system()
+        tr = _door_trajectory(sys_)
+        same = P.Trajectory(list(sys_.initial_state), tr.states.copy())
+        np.testing.assert_array_equal(P.residual(sys_, same), P.residual(sys_, tr))
+
+
+def _lle_walk(J, probes=3, seed=0):
+    """``estimate_lle``'s walk over a given Jacobian stack."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((J.shape[1], probes))
+    U /= np.linalg.norm(U, axis=0, keepdims=True)
+    acc = np.zeros(probes)
+    for j in J:
+        U = j @ U
+        norms = np.linalg.norm(U, axis=0)
+        acc += np.log(norms)
+        U /= norms
+    return float(np.mean(acc) / len(J))
+
+
+class TestDoorKeepsTheBits:
+    """On a matching trajectory each entry point returns what the batch
+    built by hand, steps ``np.arange(1, T + 1)`` and predecessors
+    ``prev_states()``, gives through direct system calls, bit for bit."""
+
+    sys_ = _door_system()
+    tr = _door_trajectory(sys_)
+    T, D = tr.states.shape
+    ts = np.arange(1, T + 1)
+    prev = tr.prev_states()
+
+    def f(self):
+        return self.sys_.step_batch(self.ts, self.prev)
+
+    def jac(self):
+        return self.sys_.jacobian_batch(self.ts, self.prev)
+
+    def diag(self):
+        return self.sys_.diag_jacobian_batch(self.ts, self.prev)
+
+    def test_residual_and_merit(self):
+        r = self.tr.states - self.f()
+        np.testing.assert_array_equal(P.residual(self.sys_, self.tr), r)
+        assert P.merit(self.sys_, self.tr) == exact_rows_and_merit(r)[1]
+
+    @pytest.mark.parametrize("method", [P.NEWTON, P.QUASI_DIAGONAL], ids=lambda m: m.kind)
+    def test_linearize(self, method):
+        from parssm.pscan import DENSE, DIAGONAL, lane_apply
+
+        newton = method.kind == "newton"
+        A = self.jac() if newton else self.diag()
+        b = self.f() - lane_apply(DENSE if newton else DIAGONAL, A, self.prev)
+        ops = P.linearize(self.sys_, self.tr, method)
+        np.testing.assert_array_equal([op.A.value for op in ops], A)
+        np.testing.assert_array_equal([op.b for op in ops], b)
+
+    @pytest.mark.parametrize("cfg", [_FILTER, _SMOOTHER], ids=lambda c: c.mode)
+    def test_kalman_step(self, cfg):
+        from parssm.trustregion import _kalman_chunk
+
+        window = np.vstack([self.sys_.initial_state, self.tr.states])
+        got = P.kalman_step(self.sys_, self.tr, cfg)
+        np.testing.assert_array_equal(got.states, _kalman_chunk(self.sys_, window, self.ts, cfg))
+        np.testing.assert_array_equal(got.initial, self.sys_.initial_state)
+
+    def test_lm_step_dense(self):
+        J = P.diagnostics.assemble_blocks(self.jac())
+        r = (self.tr.states - self.f()).ravel()
+        delta = np.linalg.solve(J.T @ J + 0.5 * np.eye(len(r)), J.T @ r)
+        got = P.lm_step_dense(self.sys_, self.tr, 0.5)
+        np.testing.assert_array_equal(got.states, self.tr.states - delta.reshape(self.T, self.D))
+
+    def test_assemble_big_j_and_estimate_lle(self):
+        np.testing.assert_array_equal(P.assemble_big_j(self.sys_, self.tr),
+                                      P.diagnostics.assemble_blocks(self.jac()))
+        assert P.estimate_lle(self.sys_, self.tr).lam == _lle_walk(self.jac())
+
+    def test_rate_diagnostics(self):
+        from parssm.pscan import DIAGONAL, lane_matrices
+
+        dg = P.diagnostics
+        d = self.diag()
+        mismatch = float(np.linalg.norm(lane_matrices(DIAGONAL, d, self.T, self.D)[1:]
+                                        - self.jac()[1:], ord=2, axis=(1, 2)).max())
+        factor = max(1.0 / dg.min_singular_value(dg.assemble_blocks(d[:, i, None, None]))
+                     for i in range(self.D))
+        q = P.QUASI_DIAGONAL
+        assert P.jacobian_mismatch(self.sys_, self.tr, q) == mismatch
+        assert dg.rate_factor(self.sys_, self.tr, q) == factor
+        assert P.asymptotic_rate(self.sys_, self.tr, q) == factor * mismatch
+        assert dg.rate_factor(self.sys_, self.tr, P.PICARD) == dg.picard_inverse_norm(self.T)
+        assert P.asymptotic_rate(self.sys_, self.tr, P.NEWTON) == 0.0
 
 
 class Frozen(P.DynamicsSystem):

@@ -49,7 +49,7 @@ class TestMethodAndDampingTypes:
 
     @pytest.mark.parametrize("make, args, message", [
         (SolverMethod, ("bogus",), "unknown solver method 'bogus'"),
-        (SolverMethod, ("scaled", float("nan")), "needs a finite coefficient"),
+        (SolverMethod, ("scaled", float("nan")), "coefficient must be finite, got nan"),
         (SolverMethod, ("newton", 0.5), "method 'newton' takes no coefficient"),
         (Damping, ("bogus",), "unknown damping 'bogus'"),
     ], ids=["unknown-method", "nan-coefficient", "stray-coefficient", "unknown-damping"])

@@ -66,8 +66,14 @@ class TestConstructorChecks:
          "transition dim 2 does not match offset dim 3"),
         (lambda: Transition.scaled(True), "must be a real number, got True"),
         (lambda: Transition.scaled("2"), "must be a real number, got '2'"),
+        (lambda: Transition.scaled(np.inf), "must be finite, got inf"),
+        (lambda: Transition.scaled(np.nan), "must be finite, got nan"),
+        (lambda: Transition.diagonal([0.5, np.nan]), "diagonal transition entries must be finite"),
+        (lambda: Transition.diagonal([-np.inf]), "diagonal transition entries must be finite"),
+        (lambda: Transition.dense([[np.inf]]), "dense transition entries must be finite"),
     ], ids=["diagonal-not-1d", "dense-not-square", "dense-diag-vector", "affine-dims",
-            "scaled-true", "scaled-string"])
+            "scaled-true", "scaled-string", "scaled-inf", "scaled-nan", "diagonal-nan",
+            "diagonal-inf", "dense-inf"])
     def test_refuses(self, make, message):
         with pytest.raises(P.ContractError, match=message):
             make()

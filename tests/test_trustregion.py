@@ -569,3 +569,18 @@ class TestLmStepDense:
         sys_ = P.models.build("rnn", 3000, D=2, g=0.8, seed=0)
         with pytest.raises(P.ContractError):
             lm_step_dense(sys_, P.rollout_sequential(sys_), 1.0)
+
+    @pytest.mark.parametrize("lam, message", [
+        (float("nan"), "lam must be >= 0 and finite, got nan"),
+        (float("inf"), "lam must be >= 0 and finite, got inf"),
+        (-1.0, "lam must be >= 0 and finite, got -1.0"),
+        (True, "lam must be a real number, got True"),
+    ], ids=["nan", "inf", "negative", "bool"])
+    def test_lam_follows_the_trust_region_rule(self, lam, message):
+        """NaN and inf gave non-finite states, and -1 and True a step that
+        ``TrustRegionConfig`` refuses; both refuse with one message."""
+        sys_ = P.models.build("rnn", 8, D=2, g=0.8, seed=0)
+        for make in (lambda: lm_step_dense(sys_, _noisy_guess(sys_), lam),
+                     lambda: TrustRegionConfig(lam=lam, mode="smoother")):
+            with pytest.raises(P.ContractError, match=f"^{message}$"):
+                make()
