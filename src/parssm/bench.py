@@ -280,8 +280,8 @@ def _run_instance(cfg: ExperimentConfig, T: int, params: dict) -> list:
         elif not record.diag_error:
             try:  # one evaluation of the transitions serves both columns
                 with np.errstate(all="ignore"):
-                    transitions = diagnostics._transitions_at(sys_, oracle, entry.method)
-                    record.mismatch = diagnostics._mismatch_at(sys_, oracle, transitions)
+                    ts, prev, transitions = diagnostics._transitions_at(sys_, oracle, entry.method)
+                    record.mismatch = diagnostics._mismatch_at(sys_, ts, prev, transitions)
                     record.gamma = diagnostics._factor_at(oracle, transitions) * record.mismatch
             except Exception as e:
                 record.diag_error = _describe(e)

@@ -234,7 +234,8 @@ def residual(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
     """One-step prediction error r_t = s_t - f_t(s_{t-1}) as a T x D matrix."""
     ts, prev = sys._check_traj(traj)
     with np.errstate(all="ignore"):
-        return traj.states - sys.step_batch(ts, prev)
+        pred = sys.step_batch(ts, prev)
+        return traj.states - pred
 
 
 def merit(sys: DynamicsSystem, traj: Trajectory) -> float:

@@ -91,7 +91,8 @@ def assemble_big_j(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
     block (t, tau). Guarded to T*D <= 4096; holds one numpy error state.
     """
     ts, prev = sys._check_traj(traj)
-    _check_dense_guard(*prev.shape, "assemble_big_j")
+    T, D = traj.horizon, traj.dim
+    _check_dense_guard(T, D, "assemble_big_j")
     with np.errstate(all="ignore"):
         return assemble_blocks(sys.jacobian_batch(ts, prev))
 
@@ -160,23 +161,23 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
 
 
 def _transitions_at(sys, traj, method):
-    """(lane, A) of the method's undamped A~_t at the trajectory, t = 1..T;
-    None for Newton, whose transitions are the true Jacobians. Runs under the
-    caller's numpy error state, as do the two readers below."""
+    """The checked batch (ts, prev) and (lane, A) of the method's undamped A~_t
+    there, t = 1..T; None for Newton, whose transitions are the true Jacobians.
+    Runs under the caller's numpy error state, as do the two readers below."""
     ts, prev = sys._check_traj(traj)
     if method.kind == "newton":
-        return None
-    return _method_transitions(sys, ts, prev, method, NO_DAMPING)
+        return ts, prev, None
+    return ts, prev, _method_transitions(sys, ts, prev, method, NO_DAMPING)
 
 
-def _mismatch_at(sys, traj, transitions) -> float:
-    """``jacobian_mismatch`` from the transitions ``_transitions_at`` gave."""
+def _mismatch_at(sys, ts, prev, transitions) -> float:
+    """``jacobian_mismatch`` from the batch and transitions ``_transitions_at`` gave."""
     if transitions is None:
         return 0.0
     lane, A = transitions
-    ts, prev = sys._check_traj(traj)
+    T, D = prev.shape
     true = sys.jacobian_batch(ts, prev)
-    diffs = lane_matrices(lane, A, *prev.shape)[1:] - true[1:]  # block t = 1 never enters J
+    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
     return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
 
 
@@ -206,7 +207,7 @@ def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
     subdiagonal. Holds one numpy error state.
     """
     with np.errstate(all="ignore"):
-        return _mismatch_at(sys, traj, _transitions_at(sys, traj, method))
+        return _mismatch_at(sys, *_transitions_at(sys, traj, method))
 
 
 def picard_inverse_norm(T: int) -> float:
@@ -229,7 +230,8 @@ def rate_factor(sys: DynamicsSystem, traj_star: Trajectory,
     bitwise-distinct coordinate chains, each solved once. Newton's factor is
     0, as its rate is. Holds one numpy error state."""
     with np.errstate(all="ignore"):
-        return _factor_at(traj_star, _transitions_at(sys, traj_star, method))
+        _, _, transitions = _transitions_at(sys, traj_star, method)
+        return _factor_at(traj_star, transitions)
 
 
 def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
@@ -238,9 +240,9 @@ def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
     ``rate_factor`` times ``jacobian_mismatch``, from one evaluation of the
     transitions under one numpy error state. Newton's rate is 0."""
     with np.errstate(all="ignore"):
-        transitions = _transitions_at(sys, traj_star, method)
+        ts, prev, transitions = _transitions_at(sys, traj_star, method)
         return (_factor_at(traj_star, transitions)
-                * _mismatch_at(sys, traj_star, transitions))
+                * _mismatch_at(sys, ts, prev, transitions))
 
 
 def basin_radius(mu: float, L: float) -> float:

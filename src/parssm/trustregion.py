@@ -221,8 +221,8 @@ def kalman_step(sys: DynamicsSystem, traj: Trajectory, cfg: TrustRegionConfig) -
     and runs the same chunk ``kalman_solve`` runs on each pass.
     """
     with np.errstate(all="ignore"):
-        ts, prev = sys._check_traj(traj)
-        window = np.vstack([prev, traj.states[-1:]])
+        ts, _ = sys._check_traj(traj)
+        window = np.vstack([traj.initial, traj.states])
         return Trajectory(traj.initial, _kalman_chunk(sys, window, ts, cfg))
 
 

@@ -18,7 +18,7 @@ from parssm.pscan import lane_apply, lane_matrices
 
 def _assemble_approx_j(sys_, traj, method):
     """Rate oracle: ``assemble_big_j`` with the method's transitions A~_t."""
-    lane, A = dg._transitions_at(sys_, traj, method)
+    _, _, (lane, A) = dg._transitions_at(sys_, traj, method)
     return dg.assemble_blocks(lane_matrices(lane, A, traj.horizon, traj.dim))
 
 
@@ -388,7 +388,7 @@ class TestAsymptoticRate:
 def _per_coordinate_rate(sys_, tr, method):
     """gamma with one bidiagonal SVD per coordinate, built entry by entry."""
     T, D = tr.horizon, tr.dim
-    lane, A = dg._transitions_at(sys_, tr, method)
+    _, _, (lane, A) = dg._transitions_at(sys_, tr, method)
     diag = lane_apply(lane, A, np.ones((T, D)))
     inv_norms = []
     for j in range(D):
