@@ -17,8 +17,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from . import diagnostics, models
 from .core import (ContractError, max_abs_diff, merit, require_int, require_real,
                    rollout_sequential)
@@ -278,11 +276,9 @@ def _run_instance(cfg: ExperimentConfig, T: int, params: dict) -> list:
         if not record.diag_error and entry.kalman is not None:
             record.diag_error = KALMAN_RATE_NOTE
         elif not record.diag_error:
-            try:  # one evaluation of the transitions serves both columns
-                with np.errstate(all="ignore"):
-                    ts, prev, transitions = diagnostics._transitions_at(sys_, oracle, entry.method)
-                    record.mismatch = diagnostics._mismatch_at(sys_, ts, prev, transitions)
-                    record.gamma = diagnostics._factor_at(oracle, transitions) * record.mismatch
+            try:
+                record.mismatch = diagnostics.jacobian_mismatch(sys_, oracle, entry.method)
+                record.gamma = diagnostics.rate_factor(sys_, oracle, entry.method) * record.mismatch
             except Exception as e:
                 record.diag_error = _describe(e)
     return records

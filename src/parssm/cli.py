@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def _cmd_diagnose(args) -> int:
     if args.what == "pl-bounds":
         b = diagnostics.pl_bounds(args.lle, a_burn=args.a_burn, b_burn=args.b_burn,
                                   T=args.T, D=args.D)
-        print(json.dumps({"lower": b.lower, "upper": b.upper, "lle": b.lle,
-                          "a_burn": b.a_burn, "b_burn": b.b_burn, "T": b.T, "D": b.D}))
+        print(json.dumps(asdict(b)))
         return EXIT_OK
     # gamma / mismatch need a model rollout
     sys_ = _build_model(args)

@@ -100,6 +100,8 @@ def assemble_big_j(sys: DynamicsSystem, traj: Trajectory) -> np.ndarray:
 def min_singular_value(M: np.ndarray) -> float:
     """Smallest singular value via a dense SVD."""
     M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.size == 0:
+        raise ContractError(f"min_singular_value needs a nonempty 2-D matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ContractError("min_singular_value needs a finite matrix")
     return float(np.linalg.svd(M, compute_uv=False).min())
@@ -160,54 +162,23 @@ def pl_bounds(lle: float, a_burn: float = 1.0, b_burn: float = 1.0,
                     b_burn=b_burn, T=int(T), D=int(D))
 
 
-def _transitions_at(sys, traj, method):
-    """The checked batch (ts, prev) and (lane, A) of the method's undamped A~_t
-    there, t = 1..T; None for Newton, whose transitions are the true Jacobians.
-    Runs under the caller's numpy error state, as do the two readers below."""
-    ts, prev = sys._check_traj(traj)
-    if method.kind == "newton":
-        return ts, prev, None
-    return ts, prev, _method_transitions(sys, ts, prev, method, NO_DAMPING)
-
-
-def _mismatch_at(sys, ts, prev, transitions) -> float:
-    """``jacobian_mismatch`` from the batch and transitions ``_transitions_at`` gave."""
-    if transitions is None:
-        return 0.0
-    lane, A = transitions
-    T, D = prev.shape
-    true = sys.jacobian_batch(ts, prev)
-    diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
-    return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
-
-
-def _factor_at(traj, transitions) -> float:
-    """``rate_factor`` from the transitions ``_transitions_at`` gave."""
-    if transitions is None:
-        return 0.0
-    lane, A = transitions
-    T = traj.horizon
-    if lane == ZERO:
-        return 1.0
-    if lane == IDENTITY:
-        return picard_inverse_norm(T)
-    # the diagonal lane, the only other a non-Newton method gives
-    _check_dense_guard(T, 1, "asymptotic_rate (per-coordinate path)")
-    chains = np.unique(A.T.view(np.int64), axis=0).view(np.float64)
-    return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
-                     for c in chains))
-
-
 def jacobian_mismatch(sys: DynamicsSystem, traj: Trajectory,
                       method: SolverMethod) -> float:
     """max over t >= 2 of ||A~_t - A_t||_2 at the trajectory's states.
 
     Equals the spectral-norm distance between the assembled approximate and
     true residual Jacobians, because the block difference sits on a single
-    subdiagonal. Holds one numpy error state.
+    subdiagonal. Newton's mismatch is 0. Holds one numpy error state.
     """
+    ts, prev = sys._check_traj(traj)
+    if method.kind == "newton":
+        return 0.0
+    T, D = prev.shape
     with np.errstate(all="ignore"):
-        return _mismatch_at(sys, *_transitions_at(sys, traj, method))
+        lane, A = _method_transitions(sys, ts, prev, method, NO_DAMPING)
+        true = sys.jacobian_batch(ts, prev)
+        diffs = lane_matrices(lane, A, T, D)[1:] - true[1:]  # block t = 1 never enters J
+        return float(np.linalg.norm(diffs, ord=2, axis=(1, 2)).max(initial=0.0))
 
 
 def picard_inverse_norm(T: int) -> float:
@@ -229,20 +200,28 @@ def rate_factor(sys: DynamicsSystem, traj_star: Trajectory,
     blocks, so their factor needs only T <= 4096; it is the largest over the
     bitwise-distinct coordinate chains, each solved once. Newton's factor is
     0, as its rate is. Holds one numpy error state."""
+    ts, prev = sys._check_traj(traj_star)
+    if method.kind == "newton":
+        return 0.0
+    T = traj_star.horizon
     with np.errstate(all="ignore"):
-        _, _, transitions = _transitions_at(sys, traj_star, method)
-        return _factor_at(traj_star, transitions)
+        lane, A = _method_transitions(sys, ts, prev, method, NO_DAMPING)
+        if lane == ZERO:
+            return 1.0
+        if lane == IDENTITY:
+            return picard_inverse_norm(T)
+        # the diagonal lane, the only other a non-Newton method gives
+        _check_dense_guard(T, 1, "rate_factor (per-coordinate path)")
+        chains = np.unique(A.T.view(np.int64), axis=0).view(np.float64)
+        return float(max(1.0 / min_singular_value(assemble_blocks(c[:, None, None]))
+                         for c in chains))
 
 
 def asymptotic_rate(sys: DynamicsSystem, traj_star: Trajectory,
                     method: SolverMethod) -> float:
     """gamma = ||J~(s*)^{-1}||_2 * max_t ||A~_t - A_t||_2 at the solution:
-    ``rate_factor`` times ``jacobian_mismatch``, from one evaluation of the
-    transitions under one numpy error state. Newton's rate is 0."""
-    with np.errstate(all="ignore"):
-        ts, prev, transitions = _transitions_at(sys, traj_star, method)
-        return (_factor_at(traj_star, transitions)
-                * _mismatch_at(sys, ts, prev, transitions))
+    ``rate_factor`` times ``jacobian_mismatch``. Newton's rate is 0."""
+    return rate_factor(sys, traj_star, method) * jacobian_mismatch(sys, traj_star, method)
 
 
 def basin_radius(mu: float, L: float) -> float:

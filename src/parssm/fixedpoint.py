@@ -460,6 +460,8 @@ def prefix_lock_check(iterates, oracle: Trajectory, tol: float = 1e-8):
     counts = []
     for it in iterates:
         x = it.states if isinstance(it, Trajectory) else np.asarray(it)
+        if x.shape != target.shape:
+            raise ContractError(f"iterate shape {x.shape} is not the oracle's {target.shape}")
         with np.errstate(invalid="ignore"):
             row_err = np.max(np.abs(x - target), axis=1)
         row_err = np.where(np.isnan(row_err), np.inf, row_err)

@@ -42,6 +42,8 @@ class FunctionSystem(DynamicsSystem):
                  diag_fn=None, jvp_fn=None):
         self._set_sizes(dim, horizon)
         self.initial_state = as_state(initial_state, self.dim)
+        if not np.all(np.isfinite(self.initial_state)):
+            raise ContractError("initial state must be finite")
         self._step_fn = step_fn
         self._jac_fn = jac_fn
         self._diag_fn = diag_fn
@@ -81,9 +83,12 @@ class ScalarAffine(DynamicsSystem):
         if inputs is None:
             self.inputs = np.zeros(self.horizon)
         else:
-            self.inputs = np.asarray(inputs, dtype=np.float64).reshape(-1)
-            if self.inputs.shape[0] != self.horizon:
-                raise ContractError("inputs must have length T")
+            u = np.asarray(inputs)
+            if u.shape != (self.horizon,):
+                raise ContractError(f"inputs must have length T, got shape {u.shape}")
+            if u.dtype.kind not in "iuf" or not np.all(np.isfinite(u)):
+                raise ContractError("inputs must be finite integers or floats")
+            self.inputs = u.astype(np.float64)
 
     def step_batch(self, ts, S):
         return self.alpha * S + self.inputs.take(np.asarray(ts) - 1, axis=0)[:, None]
@@ -189,7 +194,7 @@ class Gru(DynamicsSystem):
 
 
 class Lorenz96(DynamicsSystem):
-    """Cyclic Lorenz-96 field advanced by one fixed-step RK4 stage per step.
+    """Cyclic Lorenz-96 field advanced by one four-stage RK4 step of size dt per step.
 
     dx_k/dt = (x_{k+1} - x_{k-2}) x_{k-1} - x_k + F. With F = 8 the flow is
     chaotic. The Jacobian is left to the finite-difference default; the
@@ -231,7 +236,7 @@ class LangevinTwoWell(DynamicsSystem):
 
     phi is the negative log density of an equal mixture of two Gaussians
     centered at (0, -1.4) and (0, 1.6) with shared diagonal covariance
-    diag(0.8, 0.4); the saddle between the wells has negative curvature in y,
+    diag(0.8, 0.6); the saddle between the wells has negative curvature in y,
     so the dynamics are locally unstable there but contracting inside the
     wells. s_{t+1} = s_t - eps grad phi(s_t) + sqrt(2 eps) w_t with the noise
     w_{1:T} pre-drawn from the seed and curried. Jacobian: I - eps hess phi.

@@ -434,10 +434,11 @@ class TestRunExperiment:
         for row, method in zip(records, [P.JACOBI, P.QUASI_DIAGONAL]):  # sorted by label
             assert row.diag_error == "" and row.gamma == P.asymptotic_rate(sys_, oracle, method)
 
-    def test_one_diagonal_stack_per_quasi_row(self, tmp_path, monkeypatch):
-        """Outside its solve, a quasi row evaluates the Jacobian diagonals at
-        the oracle once, for its mismatch and its gamma both; a Picard row
-        never does. The columns equal the diagnostics' own bit for bit."""
+    def test_rate_columns_are_the_public_diagnostics(self, tmp_path, monkeypatch):
+        """Outside its solve, a Picard row never evaluates the Jacobian
+        diagonals, and a quasi row evaluates them at the oracle once for its
+        mismatch and once for its gamma. The columns equal the public
+        diagnostics bit for bit."""
         sys_ = P.models.build("gru", 16, D=4, seed=0)
         calls, solving = [], []
         inner_diag, inner_solve = type(sys_).diag_jacobian_batch, bench.MethodEntry.solve
@@ -460,7 +461,7 @@ class TestRunExperiment:
                            methods=[{"method": "quasi"}, {"method": "picard"}],
                            sweep={}, seeds=[0])
         records = bench.run_experiment(bench.ExperimentConfig.from_dict(doc))
-        assert calls == [16]
+        assert calls == [16, 16]
         monkeypatch.undo()
         oracle = P.rollout_sequential(sys_)
         for row, method in zip(records, [P.PICARD, P.QUASI_DIAGONAL]):  # sorted by label

@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 import parssm as P
 from parssm import bench
 from parssm import diagnostics as dg
-from parssm.fixedpoint import JACOBI, NEWTON, PICARD, QUASI_DIAGONAL, SolverMethod
+from parssm.fixedpoint import (JACOBI, NEWTON, NO_DAMPING, PICARD, QUASI_DIAGONAL, SolverMethod,
+                               _method_transitions)
 from parssm.models import FunctionSystem
 from parssm.pscan import lane_apply, lane_matrices
 
 
 def _assemble_approx_j(sys_, traj, method):
     """Rate oracle: ``assemble_big_j`` with the method's transitions A~_t."""
-    _, _, (lane, A) = dg._transitions_at(sys_, traj, method)
+    ts, prev = sys_._check_traj(traj)
+    lane, A = _method_transitions(sys_, ts, prev, method, NO_DAMPING)
     return dg.assemble_blocks(lane_matrices(lane, A, traj.horizon, traj.dim))
 
 
@@ -188,6 +190,12 @@ class TestMinSingularValue:
         assert dg.min_singular_value(J) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.6180339887498949, abs=1e-12)
 
+    @pytest.mark.parametrize("M", [np.zeros((0, 0)), np.zeros((3, 0)), np.ones(3),
+                                   np.ones((2, 2, 2))], ids=["0x0", "3x0", "1-D", "3-D"])
+    def test_refuses_an_empty_or_non_matrix(self, M):
+        with pytest.raises(P.ContractError, match="nonempty 2-D matrix"):
+            dg.min_singular_value(M)
+
 
 class TestPlBounds:
     def test_lambda_zero_reference_point(self):
@@ -341,6 +349,17 @@ class TestAsymptoticRate:
         sys_ = P.models.build("gru", 16, D=3, seed=4)
         assert dg.asymptotic_rate(sys_, P.rollout_sequential(sys_), NEWTON) == 0.0
 
+    @pytest.mark.parametrize("kind,params", _ZOO_AT_64, ids=[k for k, _ in _ZOO_AT_64])
+    @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL, PICARD, JACOBI,
+                                        SolverMethod("scaled", 0.5)],
+                             ids=["newton", "quasi", "picard", "jacobi", "scaled:0.5"])
+    def test_is_rate_factor_times_mismatch(self, kind, params, method):
+        """The rate is the product of the two public diagnostics, bit for bit."""
+        sys_ = P.models.build(kind, 64, seed=3, **params)
+        tr = P.rollout_sequential(sys_)
+        factor, mismatch = dg.rate_factor(sys_, tr, method), dg.jacobian_mismatch(sys_, tr, method)
+        assert dg.asymptotic_rate(sys_, tr, method) == factor * mismatch
+
     def test_gamma_ordering_predicts_zeroth_order_gap(self):
         """gamma for the zero-transition scheme stays below the
         identity-transition scheme on the GRU, whose Jacobian is nowhere near
@@ -388,7 +407,8 @@ class TestAsymptoticRate:
 def _per_coordinate_rate(sys_, tr, method):
     """gamma with one bidiagonal SVD per coordinate, built entry by entry."""
     T, D = tr.horizon, tr.dim
-    _, _, (lane, A) = dg._transitions_at(sys_, tr, method)
+    ts, prev = sys_._check_traj(tr)
+    lane, A = _method_transitions(sys_, ts, prev, method, NO_DAMPING)
     diag = lane_apply(lane, A, np.ones((T, D)))
     inv_norms = []
     for j in range(D):

@@ -460,6 +460,15 @@ class TestPrefixLocking:
         assert rep.converged and rep.iterations <= 40
         assert P.max_abs_diff(rep.trajectory, P.rollout_sequential(sys_)) == 0.0
 
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 3), (3, 2), (8,)],
+                             ids=["narrower", "wider", "shorter", "flat"])
+    def test_refuses_an_iterate_of_another_shape(self, shape):
+        """An iterate that would broadcast against the oracle is not read as a lock."""
+        sys_ = P.models.FunctionSystem(2, 4, np.zeros(2), lambda t, s: 0.5 * s + 1.0)
+        oracle = P.rollout_sequential(sys_)
+        with pytest.raises(P.ContractError, match="is not the oracle's"):
+            prefix_lock_check([oracle.states, np.zeros(shape)], oracle)
+
 
 def _spy_step_batch(sys_):
     """Record the row count of every ``step_batch`` call on this instance."""

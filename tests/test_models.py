@@ -110,6 +110,26 @@ class TestDirectConstruction:
         with pytest.raises(P.ContractError, match="inputs must have length T"):
             models.ScalarAffine(0.5, 8, inputs=np.zeros(7))
 
+    @pytest.mark.parametrize("inputs, message", [
+        (np.zeros((2, 2)), "inputs must have length T"),
+        (np.zeros((4, 1)), "inputs must have length T"),
+        ([True, False, True, False], "finite integers or floats"),
+        (["1.5", "2", "0", "0"], "finite integers or floats"),
+        ([1j, 0, 0, 0], "finite integers or floats"),
+        ([0.0, np.nan, 0.0, 0.0], "finite integers or floats"),
+        ([0.0, 0.0, -np.inf, 0.0], "finite integers or floats"),
+    ], ids=["2x2", "column", "bool", "string", "complex", "nan", "inf"])
+    def test_affine_inputs_are_T_finite_numbers(self, inputs, message):
+        with pytest.raises(P.ContractError, match=message):
+            models.ScalarAffine(0.5, 4, inputs=inputs)
+
+    def test_affine_inputs_take_integers_and_floats(self):
+        ints = models.ScalarAffine(0.5, 4, inputs=[1, 0, 2, 0])
+        floats = models.ScalarAffine(0.5, 4, inputs=np.array([1.0, 0.0, 2.0, 0.0], np.float32))
+        for m in (ints, floats):
+            assert m.inputs.dtype == np.float64
+            np.testing.assert_array_equal(m.inputs, [1.0, 0.0, 2.0, 0.0])
+
 
 class TestMeanFieldRNN:
     def test_zero_self_coupling(self):
@@ -391,6 +411,13 @@ class TestFunctionSystem:
     def test_sizes_must_be_integers_at_least_1(self, dim, horizon):
         with pytest.raises(P.ContractError, match="dim|horizon"):
             models.FunctionSystem(dim, horizon, np.zeros(2), lambda t, s: s)
+
+    @pytest.mark.parametrize("s0", [[0.0, np.nan], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_initial_state_must_be_finite(self, s0):
+        """A non-finite s_0 is refused at construction, as the zoo refuses it,
+        not later by the rollout."""
+        with pytest.raises(P.ContractError, match="initial state must be finite"):
+            models.FunctionSystem(2, 4, s0, lambda t, s: s)
 
     def test_diagonal_read_off_jac_fn(self, monkeypatch):
         """With a jac_fn and no diag_fn, the Jacobian diagonals are those of
