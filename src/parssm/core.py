@@ -59,8 +59,12 @@ def require_positive(name: str, value) -> None:
 
 
 def as_state(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a float64 state vector, optionally checking its length."""
-    s = np.asarray(x, dtype=np.float64)
+    """Coerce ``x``, integers or floats, to a float64 state vector, optionally
+    checking its length; a bool, string or other non-numeric entry is refused."""
+    s = np.asarray(x)
+    if s.dtype.kind not in "iuf":
+        raise ContractError(f"state vector must hold integers or floats, got dtype {s.dtype}")
+    s = s.astype(np.float64, copy=False)
     if s.ndim != 1:
         raise ContractError(f"state vector must be 1-D, got shape {s.shape}")
     if dim is not None and s.shape[0] != dim:
@@ -120,12 +124,18 @@ class DynamicsSystem(ABC):
     A subclass sets ``dim``, ``horizon`` and ``initial_state`` itself and
     implements ``step_batch``; the library's own systems set their sizes
     through ``_set_sizes``, which refuses any but integers >= 1.
-    ``jacobian_batch`` defaults to central finite differences,
+    ``jacobian_batch`` defaults to finite differences,
     ``diag_jacobian_batch`` to a one-probe Hutchinson estimate seeded
-    ``(0, t)`` for row t, and ``jvp_batch`` to a central difference;
+    ``(0, t)`` for row t, and ``jvp_batch`` to a finite difference;
     override any of them with analytic forms. The single-row ``step``,
     ``jacobian``, ``diag_jacobian`` and ``jvp`` are the batch forms applied
     to one row, so both paths share one code path.
+
+    Each of the three takes an optional keyword ``F``: f_t at exactly the
+    rows of S, which a solver pass already holds and passes on. The defaults
+    then take forward differences at half the f rows; called without it they
+    stay central, the oracle the single-row forms and the diagnostics use.
+    An override must accept ``F`` and may ignore it.
 
     A step index lies in 1..T and a state has length D: the single-row forms
     check both, and the batch forms, on every solver pass, check neither. A
@@ -148,24 +158,24 @@ class DynamicsSystem(ABC):
     def step_batch(self, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
         """Apply f_{ts[i]} to each row S[i] of an (n, D) batch."""
 
-    def jacobian_batch(self, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
-        """(n, D, D) Jacobians of f_t at each row."""
+    def jacobian_batch(self, ts: np.ndarray, S: np.ndarray, F=None) -> np.ndarray:
+        """(n, D, D) Jacobians of f_t at each row; ``F`` is f_t at the rows, or None."""
         from . import jacutils
 
-        return jacutils.fd_jacobian_batch(self, np.asarray(ts), np.asarray(S))
+        return jacutils.fd_jacobian_batch(self, np.asarray(ts), np.asarray(S), F=F)
 
-    def diag_jacobian_batch(self, ts: np.ndarray, S: np.ndarray) -> np.ndarray:
-        """(n, D) Jacobian diagonals of f_t at each row."""
+    def diag_jacobian_batch(self, ts: np.ndarray, S: np.ndarray, F=None) -> np.ndarray:
+        """(n, D) Jacobian diagonals of f_t at each row; ``F`` is f_t at the rows, or None."""
         from . import jacutils
 
-        return jacutils.hutchinson_diag_batch(self, np.asarray(ts), np.asarray(S))
+        return jacutils.hutchinson_diag_batch(self, np.asarray(ts), np.asarray(S), F=F)
 
-    def jvp_batch(self, ts: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """(n, D) Jacobian-vector products A_t(S[i]) V[i]."""
+    def jvp_batch(self, ts: np.ndarray, S: np.ndarray, V: np.ndarray, F=None) -> np.ndarray:
+        """(n, D) Jacobian-vector products A_t(S[i]) V[i]; ``F`` is f_t at the rows, or None."""
         from . import jacutils
 
         V = np.asarray(V, dtype=np.float64)
-        return jacutils._central_diff(self, ts, np.asarray(S, dtype=np.float64), V[:, None, :])[:, 0]
+        return jacutils._diff(self, ts, np.asarray(S, dtype=np.float64), V[:, None, :], F)[:, 0]
 
     def _set_sizes(self, dim, horizon):
         require_int("state size dim", dim, 1)
@@ -187,10 +197,11 @@ class DynamicsSystem(ABC):
     # -- single-row forms: the batch forms on one row, at a checked step and state
 
     def step(self, t: int, s: np.ndarray) -> np.ndarray:
-        # _check_row's verdict for a Python int, inline: the rollout calls step T times
-        s = np.asarray(s, dtype=np.float64)
-        if type(t) is not int or not 0 < t <= self.horizon or s.shape != (self.dim,):
-            self._check_row(t, s)
+        # _check_row's verdict for a Python int and a float64 D-vector, inline:
+        # the rollout calls step T times
+        if (type(t) is not int or not 0 < t <= self.horizon or type(s) is not np.ndarray
+                or s.dtype is not _FLOAT64 or s.shape != (self.dim,)):
+            return self.step_batch(*self._check_row(t, s))[0]
         return self.step_batch(np.array([t]), s[None, :])[0]
 
     def jacobian(self, t: int, s: np.ndarray) -> np.ndarray:
@@ -250,6 +261,7 @@ def merit(sys: DynamicsSystem, traj: Trajectory) -> float:
 
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_FLOAT64 = np.dtype(np.float64)
 
 
 def exact_rows_and_merit(r: np.ndarray, eps: float = 0.0) -> tuple[int, float]:

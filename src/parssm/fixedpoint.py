@@ -193,9 +193,11 @@ def check_damping(method: SolverMethod, damping: Damping):
         raise ContractError("clip damping is defined for diagonal transitions only")
 
 
-def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
+def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping, F=None):
     """Stacked transition lane and array for the given method and damping.
 
+    Newton and quasi-Newton pass ``F``, f_t at the rows of ``prev`` or None,
+    on to the system's Jacobians (forward differences where it has none).
     Picard, Jacobi and ``scaled:<a>`` all scan a scaled identity, a = 1, 0 or
     the coefficient, times the damping scale: the zero map when a = 0, the
     prefix sum when a = 1, and otherwise the constant diagonal a 1, all
@@ -203,10 +205,10 @@ def _method_transitions(sys, ts, prev, method: SolverMethod, damping: Damping):
     check_damping(method, damping)
     scale = 1.0 - damping.k if damping.kind == "scale" else 1.0
     if method.kind == "newton":
-        A = sys.jacobian_batch(ts, prev)
+        A = sys.jacobian_batch(ts, prev, F=F)
         return (DENSE, A if scale == 1.0 else scale * A)
     if method.kind == "quasi":
-        d = sys.diag_jacobian_batch(ts, prev)
+        d = sys.diag_jacobian_batch(ts, prev, F=F)
         if scale != 1.0:
             d = scale * d
         if damping.kind == "clip":
@@ -253,9 +255,11 @@ def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None, reset=
     value 0 instead, so the operators are the method transition at a point
     the dynamics can evaluate; f there comes from ``reset``, the solve's
     ``ResetTable``, or, when none is given, from a fresh table, which
-    evaluates all T rows at 0. A row whose transition alone is not finite
-    takes that transition at 0. Each check reads its verdict and its rows
-    from one elementwise mask. Runs under the caller's numpy error state.
+    evaluates all T rows at 0. The transitions get f at their rows as ``F``,
+    so a system without Jacobians takes forward differences. A row whose
+    transition alone is not finite takes that transition at 0, without
+    ``F``. Each check reads its verdict and its rows from one elementwise
+    mask. Runs under the caller's numpy error state.
     """
     prev = np.asarray(states_prev, dtype=np.float64)
     fvals = sys.step_batch(ts, prev) if fvals is None else fvals
@@ -267,7 +271,7 @@ def _linearize_stacked(sys, states_prev, ts, method, damping, fvals=None, reset=
         f_zero = (ResetTable(sys) if reset is None else reset).take(ts, bad)
         prev = np.where(bad, 0.0, prev)
         fvals = np.where(bad, f_zero, fvals)
-    lane, A = _method_transitions(sys, ts, prev, method, damping)
+    lane, A = _method_transitions(sys, ts, prev, method, damping, F=fvals)
     if A is not None and not (finite := np.isfinite(A).reshape(len(ts), -1)).all():
         abad = ~finite.all(axis=1)
         zeros = np.zeros((int(abad.sum()), prev.shape[1]))

@@ -36,12 +36,14 @@ def _map_rows(fn, ts, *rows):
 class FunctionSystem(DynamicsSystem):
     """Ad-hoc system from per-row callables; handy for curried or synthetic
     dynamics. Each callable takes (t, s) (``jvp_fn`` takes (t, s, v)) and is
-    mapped over the rows of every batch."""
+    mapped over the rows of every batch. A form without its callable is the
+    base class's default, which gets ``F``; the callables never see it. The
+    system keeps its own copy of ``initial_state``."""
 
     def __init__(self, dim, horizon, initial_state, step_fn, jac_fn=None,
                  diag_fn=None, jvp_fn=None):
         self._set_sizes(dim, horizon)
-        self.initial_state = as_state(initial_state, self.dim)
+        self.initial_state = as_state(initial_state, self.dim).copy()  # not the caller's array
         if not np.all(np.isfinite(self.initial_state)):
             raise ContractError("initial state must be finite")
         self._step_fn = step_fn
@@ -52,22 +54,22 @@ class FunctionSystem(DynamicsSystem):
     def step_batch(self, ts, S):
         return _map_rows(self._step_fn, ts, S)
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         if self._jac_fn is not None:
             return _map_rows(self._jac_fn, ts, S)
-        return super().jacobian_batch(ts, S)
+        return super().jacobian_batch(ts, S, F=F)
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         if self._diag_fn is not None:
             return _map_rows(self._diag_fn, ts, S)
         if self._jac_fn is not None:
             return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2)
-        return super().diag_jacobian_batch(ts, S)
+        return super().diag_jacobian_batch(ts, S, F=F)
 
-    def jvp_batch(self, ts, S, V):
+    def jvp_batch(self, ts, S, V, F=None):
         if self._jvp_fn is not None:
             return _map_rows(self._jvp_fn, ts, S, V)
-        return super().jvp_batch(ts, S, V)
+        return super().jvp_batch(ts, S, V, F=F)
 
 
 class ScalarAffine(DynamicsSystem):
@@ -93,10 +95,10 @@ class ScalarAffine(DynamicsSystem):
     def step_batch(self, ts, S):
         return self.alpha * S + self.inputs.take(np.asarray(ts) - 1, axis=0)[:, None]
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         return np.broadcast_to(np.array([[self.alpha]]), (len(ts), 1, 1))
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         return np.full((len(ts), 1), self.alpha)
 
 
@@ -122,10 +124,10 @@ class MeanFieldRNN(DynamicsSystem):
     def step_batch(self, ts, S):
         return np.tanh(S) @ self.W.T + self.inputs.take(np.asarray(ts) - 1, axis=0)[:, None]
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         return self.W[None, :, :] * (1.0 - np.tanh(S) ** 2)[:, None, :]
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         return np.zeros((len(ts), self.dim))  # W_ii = 0 exactly
 
 
@@ -167,7 +169,7 @@ class Gru(DynamicsSystem):
         Z, _, Htil = self._gates(ts, S)
         return (1.0 - Z) * S + Z * Htil
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         n, d = S.shape
         Z, R, Htil = self._gates(ts, S)
         eye = np.eye(d)
@@ -182,7 +184,7 @@ class Gru(DynamicsSystem):
             + Z[:, :, None] * dhtil
         )
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         Z, R, Htil = self._gates(ts, S)
         dz_diag = Z * (1.0 - Z) * np.diag(self.Wz_h)[None, :]
         # diag of Wh_h (diag(r) + diag(h) diag(r(1-r)) Wr_h)
@@ -197,8 +199,10 @@ class Lorenz96(DynamicsSystem):
     """Cyclic Lorenz-96 field advanced by one four-stage RK4 step of size dt per step.
 
     dx_k/dt = (x_{k+1} - x_{k-2}) x_{k-1} - x_k + F. With F = 8 the flow is
-    chaotic. The Jacobian is left to the finite-difference default; the
-    sequential rollout of this fixed-step discretization is the only oracle.
+    chaotic. The Jacobian and its diagonal are left to the finite-difference
+    and Hutchinson defaults: forward differences from the f a solver pass
+    holds, central ones elsewhere. The sequential rollout of this fixed-step
+    discretization is the only oracle.
 
     The field reads its three neighbours from one gather along the ring:
     column j of ``X[..., ring]`` is x_{(j-2) mod D}, so three slices of it
@@ -294,10 +298,10 @@ class LangevinTwoWell(DynamicsSystem):
         drift = S - self.eps * self.grad_potential_batch(S)
         return drift + np.sqrt(2.0 * self.eps) * self.noise.take(np.asarray(ts) - 1, axis=0)
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         return np.eye(2)[None, :, :] - self.eps * self.hess_potential_batch(S)
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         return np.diagonal(self.jacobian_batch(ts, S), axis1=1, axis2=2)
 
 
@@ -323,10 +327,10 @@ class S5WordProblem(DynamicsSystem):
         flat = self.perms.take(np.asarray(ts) - 1, axis=0) + np.arange(0, S.size, 5)[:, None]
         return S.take(flat)
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         return np.eye(5)[self.perms.take(np.asarray(ts) - 1, axis=0)]
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         return (self.perms.take(np.asarray(ts) - 1, axis=0) == np.arange(5)).astype(np.float64)
 
 
@@ -346,10 +350,10 @@ class LogisticMap(DynamicsSystem):
     def step_batch(self, ts, S):
         return self.r * S * (1.0 - S)
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         return (self.r * (1.0 - 2.0 * S))[:, :, None]
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         return self.r * (1.0 - 2.0 * S)
 
 

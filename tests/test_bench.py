@@ -443,10 +443,10 @@ class TestRunExperiment:
         calls, solving = [], []
         inner_diag, inner_solve = type(sys_).diag_jacobian_batch, bench.MethodEntry.solve
 
-        def counted(self, ts, S):
+        def counted(self, ts, S, F=None):
             if not solving:
                 calls.append(len(ts))
-            return inner_diag(self, ts, S)
+            return inner_diag(self, ts, S, F=F)
 
         def solve(self, *args):
             solving.append(self.label)

@@ -417,6 +417,26 @@ class TestBatchFirstContract:
         with pytest.raises(P.ContractError, match="^state vector (has length|must be 1-D)"):
             self.SINGLE_ROW[form](sys_, bad, np.ones(D))
 
+    NON_NUMERIC = {"bool": [True, False], "numeric-string": ["1.5", "2"],
+                   "word": ["a", "b"], "complex": [1j, 0.0], "object": [None, 1.0]}
+
+    @pytest.mark.parametrize("entries", sorted(NON_NUMERIC))
+    @pytest.mark.parametrize("form", sorted(SINGLE_ROW))
+    def test_single_row_state_must_be_numbers(self, form, entries):
+        """A bool or a numeric string was taken as a number, and a word
+        raised numpy's own ValueError."""
+        sys_ = P.models.build("rnn", 8, D=2, g=0.8)
+        with pytest.raises(P.ContractError, match="^state vector must hold integers or floats"):
+            self.SINGLE_ROW[form](sys_, self.NON_NUMERIC[entries], np.ones(2))
+
+    @pytest.mark.parametrize("form", ["step", "jacobian"])
+    def test_single_row_takes_integers_and_floats(self, form):
+        """Integer and float32 states are read as the float64 state of the same values."""
+        sys_ = P.models.build("rnn", 8, D=2, g=0.8)
+        want = self.SINGLE_ROW[form](sys_, np.array([1.0, -2.0]), None)
+        for s in ([1, -2], np.array([1, -2], dtype=np.int32), np.array([1, -2], dtype=np.float32)):
+            np.testing.assert_array_equal(self.SINGLE_ROW[form](sys_, s, None), want)
+
 
 def _door_system():
     return P.models.build("gru", 8, D=3, seed=0)
@@ -601,14 +621,14 @@ class Frozen(P.DynamicsSystem):
     def step_batch(self, ts, S):
         return self._out(self.inner.step_batch(ts, S))
 
-    def jacobian_batch(self, ts, S):
-        return self._out(self.inner.jacobian_batch(ts, S), ts, S)
+    def jacobian_batch(self, ts, S, F=None):
+        return self._out(self.inner.jacobian_batch(ts, S, F=F), ts, S)
 
-    def diag_jacobian_batch(self, ts, S):
-        return self._out(self.inner.diag_jacobian_batch(ts, S), ts, S)
+    def diag_jacobian_batch(self, ts, S, F=None):
+        return self._out(self.inner.diag_jacobian_batch(ts, S, F=F), ts, S)
 
-    def jvp_batch(self, ts, S, V):
-        return self._out(self.inner.jvp_batch(ts, S, V))
+    def jvp_batch(self, ts, S, V, F=None):
+        return self._out(self.inner.jvp_batch(ts, S, V, F=F))
 
 
 def _as_arrays(out):

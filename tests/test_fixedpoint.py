@@ -168,12 +168,12 @@ class MarkedExp(P.DynamicsSystem):
     def step_batch(self, ts, S):
         return 0.5 * np.exp(S) + 0.1 * np.asarray(ts)[:, None]
 
-    def diag_jacobian_batch(self, ts, S):
+    def diag_jacobian_batch(self, ts, S, F=None):
         d = 0.5 * np.exp(S)
         d[S[:, 1] < -50.0] = np.nan
         return d
 
-    def jacobian_batch(self, ts, S):
+    def jacobian_batch(self, ts, S, F=None):
         out = np.zeros((len(S), 2, 2))
         out[:, [0, 1], [0, 1]] = self.diag_jacobian_batch(ts, S)
         return out
@@ -194,7 +194,7 @@ def _linearize_per_row(sys_, prev, ts, method, damping, fvals=None):
             prev = np.where(bad[:, None], 0.0, prev)
             fvals = fvals.copy()
             fvals[bad] = sys_.step_batch(ts[bad], np.zeros((int(bad.sum()), prev.shape[1])))
-        lane, A = _method_transitions(sys_, ts, prev, method, damping)
+        lane, A = _method_transitions(sys_, ts, prev, method, damping, F=fvals)
         if A is not None:
             abad = ~np.all(np.isfinite(A.reshape(len(ts), -1)), axis=1)
             if abad.any():
@@ -302,6 +302,45 @@ class TestWholeArrayGuards:
         clean = np.setdiff1d(np.arange(T), [r for r, _ in MARKS.values()])
         np.testing.assert_array_equal(A[clean], np.broadcast_to(0.5 * np.exp(0.25) * np.eye(2),
                                                                 (len(clean), 2, 2)))
+
+
+class TestGuardedRowsTakeTheirOwnF:
+    """A system without Jacobians linearizes a guarded row at 0 by forward
+    differences from f_t(0), the reset table's value, and repairs a row whose
+    transition alone is not finite by central differences at 0."""
+
+    # exp overflows past s = 709.78; just below that edge f = exp(s)/2 + t/10 is
+    # finite but its +h rows (h > 1e-5 there) overflow, so only the transition is not
+    EDGE = float(np.log(np.finfo(np.float64).max)) - 1e-6
+
+    @pytest.mark.parametrize("method", [NEWTON, QUASI_DIAGONAL], ids=lambda m: m.kind)
+    def test_rows_at_zero(self, method):
+        T = 12
+        sys_ = P.models.FunctionSystem(2, T, np.zeros(2),
+                                       lambda t, s: 0.5 * np.exp(s) + 0.1 * t)
+        ts = np.arange(1, T + 1)
+        prev = np.random.default_rng(0).uniform(-1.0, 1.0, (T, 2))
+        guarded, repaired = [3, 8], [4]
+        prev[3] = [800.0, 0.5]  # f overflows
+        prev[8] = [0.5, 1e101]  # past the overflow guard
+        prev[4] = [self.EDGE, 0.5]  # step 5's Hutchinson probe is +1 on the first entry
+        transitions = (sys_.jacobian_batch if method is NEWTON else sys_.diag_jacobian_batch)
+        with np.errstate(all="ignore"):
+            f = sys_.step_batch(ts, prev)
+            assert np.isfinite(f[4]).all() and not np.isfinite(f[3]).all()
+            lane, A, b = _linearize_stacked(sys_, prev, ts, method, NO_DAMPING, f)
+            zeros = np.zeros((len(guarded), 2))
+            f_zero = sys_.step_batch(ts[guarded], zeros)
+            forward_at_zero = transitions(ts[guarded], zeros, F=f_zero)
+            central_at_zero = transitions(ts[guarded], zeros)
+            clean = np.setdiff1d(np.arange(T), guarded + repaired)
+            forward_clean = transitions(ts[clean], prev[clean], F=f[clean])
+            repair = transitions(ts[repaired], np.zeros((1, 2)))
+        assert not np.array_equal(forward_at_zero, central_at_zero)
+        np.testing.assert_array_equal(A[guarded], forward_at_zero)
+        np.testing.assert_array_equal(b[guarded], f_zero)
+        np.testing.assert_array_equal(A[clean], forward_clean)
+        np.testing.assert_array_equal(A[repaired], repair)
 
 
 def _fmin_system(T=8):
@@ -549,8 +588,8 @@ class TestGuardedSolve:
         assert rep.trajectory.states.tobytes() == want.trajectory.states.tobytes()
 
     @pytest.mark.parametrize("solve, c, k", [
-        (lambda s, cfg: fixed_point_solve(s, cfg, QUASI_DIAGONAL), 0.05, 4.0),
-        (lambda s, cfg: fixed_point_solve(s, cfg, NEWTON), 0.05, 4.0),
+        (lambda s, cfg: fixed_point_solve(s, cfg, QUASI_DIAGONAL), 0.05, 5.0),
+        (lambda s, cfg: fixed_point_solve(s, cfg, NEWTON), 0.05, 5.0),
         (lambda s, cfg: P.kalman_solve(s, P.TrustRegionConfig(lam=1.0, solver=cfg)), 1e-300, 800.0),
     ], ids=["quasi", "newton", "kalman"])
     def test_overflowing_f_under_warnings_as_errors(self, solve, c, k):

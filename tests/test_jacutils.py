@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import parssm as P
-from parssm.jacutils import (DiagEstimate, _central_diff, fd_jacobian_batch, hutchinson_diag,
+from parssm.jacutils import (DiagEstimate, _diff, fd_jacobian_batch, hutchinson_diag,
                              hutchinson_diag_batch)
 from parssm.models import FunctionSystem
 
@@ -226,7 +226,7 @@ class TestCentralDiffOneCall:
         for V in (np.eye(d)[None, :, :], rng.standard_normal((n, 1, d)),
                   rng.choice([-1.0, 1.0], (n, 4, d))):
             calls.clear()
-            got = _central_diff(sys_, ts, S, V)
+            got = _diff(sys_, ts, S, V)
             assert calls == [2 * n * V.shape[1]]
             np.testing.assert_array_equal(got, _central_diff_two_calls(sys_, ts, S, V, step(V)))
         # the public forms built on it: the FD Jacobian and the Hutchinson JVPs
@@ -236,3 +236,134 @@ class TestCentralDiffOneCall:
         V = rng.standard_normal((n, 1, d))
         np.testing.assert_array_equal(sys_.jvp_batch(ts, S, V[:, 0]),
                                       _central_diff_two_calls(sys_, ts, S, V, step(V))[:, 0])
+
+
+def _parent_central_diff(sys_, ts, S, V):
+    """The central-difference kernel as it stood before ``F`` existed, kept
+    verbatim as the oracle that calls without ``F`` reproduce bit for bit."""
+    n, d = S.shape
+    k = V.shape[-2]
+    hs = 1e-6 * (1.0 + np.max(np.abs(S), axis=1)) / np.abs(V).max(axis=(1, 2), initial=1.0)
+    h = hs[:, None, None]
+    ts_rep = np.tile(np.repeat(np.asarray(ts), k), 2)
+    delta = h * V
+    both = np.stack([S[:, None, :] + delta, S[:, None, :] - delta]).reshape(2 * n * k, d)
+    fp, fm = sys_.step_batch(ts_rep, both).reshape(2, n, k, d)
+    return (fp - fm) / (2.0 * h)
+
+
+def _forward_reference(sys_, ts, S, V, F):
+    """(f_t(s + h v) - F) / h with h = sqrt(eps) (1 + ||s||_inf) / max(||v||_inf, 1)."""
+    n, d = S.shape
+    k = V.shape[-2]
+    vmax = np.abs(np.broadcast_to(V, (n, k, d))).max(axis=(1, 2))
+    h = (np.sqrt(np.finfo(np.float64).eps) * (1.0 + np.max(np.abs(S), axis=1))
+         / np.maximum(vmax, 1.0))[:, None, None]
+    fp = sys_.step_batch(np.repeat(ts, k), (S[:, None, :] + h * V).reshape(n * k, d))
+    return (fp.reshape(n, k, d) - F[:, None, :]) / h
+
+
+FD_SYSTEMS = [lambda: P.models.build("lorenz96", 64, seed=7), lambda: _no_jacobian_system(40)]
+FD_IDS = ["lorenz96", "function-system"]
+
+
+def _batch(sys_, seed=8):
+    """Steps 1..T, states about the system's scale, f at them, and one tangent per row."""
+    rng = np.random.default_rng(seed)
+    n, d = sys_.horizon, sys_.dim
+    ts = np.arange(1, n + 1)
+    S = sys_.initial_state + 3.0 * rng.standard_normal((n, d))
+    with np.errstate(all="ignore"):
+        return ts, S, sys_.step_batch(ts, S), rng.standard_normal((n, d))
+
+
+class TestForwardDifferences:
+    """Given ``F``, f_t at the rows of S, the defaults take forward
+    differences from one ``step_batch`` call of n k rows; without it they
+    are the central kernel, bit for bit."""
+
+    @pytest.mark.parametrize("make", FD_SYSTEMS, ids=FD_IDS)
+    def test_without_F_bit_identical_to_the_central_kernel(self, make):
+        sys_ = make()
+        ts, S, _, V = _batch(sys_)
+        E = np.eye(sys_.dim)[None]
+        np.testing.assert_array_equal(fd_jacobian_batch(sys_, ts, S),
+                                      np.swapaxes(_parent_central_diff(sys_, ts, S, E), 1, 2))
+        np.testing.assert_array_equal(sys_.jacobian_batch(ts, S),
+                                      np.swapaxes(_parent_central_diff(sys_, ts, S, E), 1, 2))
+        np.testing.assert_array_equal(sys_.jvp_batch(ts, S, V),
+                                      _parent_central_diff(sys_, ts, S, V[:, None, :])[:, 0])
+        for t in (1, 5, sys_.horizon):
+            np.testing.assert_array_equal(
+                sys_.jacobian(t, S[t - 1]),
+                _parent_central_diff(sys_, ts[t - 1:t], S[t - 1:t], E)[0].T)
+            np.testing.assert_array_equal(
+                sys_.jvp(t, S[t - 1], V[t - 1]),
+                _parent_central_diff(sys_, ts[t - 1:t], S[t - 1:t], V[t - 1:t, None, :])[0, 0])
+
+    @pytest.mark.parametrize("make", FD_SYSTEMS, ids=FD_IDS)
+    def test_forward_follows_its_step_rule(self, make):
+        sys_ = make()
+        ts, S, F, V = _batch(sys_)
+        E = np.eye(sys_.dim)[None]
+        want = np.swapaxes(_forward_reference(sys_, ts, S, E, F), 1, 2)
+        np.testing.assert_array_equal(fd_jacobian_batch(sys_, ts, S, F=F), want)
+        np.testing.assert_array_equal(sys_.jacobian_batch(ts, S, F=F), want)
+        np.testing.assert_array_equal(sys_.jvp_batch(ts, S, V, F=F),
+                                      _forward_reference(sys_, ts, S, V[:, None, :], F)[:, 0])
+
+    @pytest.mark.parametrize("make", FD_SYSTEMS, ids=FD_IDS)
+    def test_forward_agrees_with_central(self, make):
+        """Truncation O(h) against O(h^2), both far below 1e-6 of the Jacobian's scale."""
+        sys_ = make()
+        ts, S, F, V = _batch(sys_)
+        central = fd_jacobian_batch(sys_, ts, S)
+        forward = fd_jacobian_batch(sys_, ts, S, F=F)
+        assert not np.array_equal(forward, central)
+        scale = np.maximum(1.0, np.abs(central).max(axis=(1, 2)))
+        assert np.max(np.abs(forward - central).max(axis=(1, 2)) / scale) <= 1e-6
+        jvp_c, jvp_f = sys_.jvp_batch(ts, S, V), sys_.jvp_batch(ts, S, V, F=F)
+        scale = np.maximum(1.0, np.abs(jvp_c).max(axis=1))
+        assert np.max(np.abs(jvp_f - jvp_c).max(axis=1) / scale) <= 1e-6
+        diag_c = hutchinson_diag_batch(sys_, ts, S)
+        diag_f = sys_.diag_jacobian_batch(ts, S, F=F)
+        scale = np.maximum(1.0, np.abs(diag_c).max(axis=1))
+        assert np.max(np.abs(diag_f - diag_c).max(axis=1) / scale) <= 1e-6
+
+    @pytest.mark.parametrize("make", FD_SYSTEMS, ids=FD_IDS)
+    def test_forward_evaluates_half_the_rows(self, make):
+        """n D perturbed rows for the Jacobians with ``F``, 2 n D without;
+        one per Hutchinson probe with it, two without; each in one call."""
+        sys_ = make()
+        ts, S, F, _ = _batch(sys_)
+        n, d = S.shape
+        calls = []
+        inner = sys_.step_batch
+        sys_.step_batch = lambda ts_, S_: calls.append(len(ts_)) or inner(ts_, S_)
+        for form, rows in ((lambda **kw: fd_jacobian_batch(sys_, ts, S, **kw), n * d),
+                           (lambda **kw: sys_.jacobian_batch(ts, S, **kw), n * d),
+                           (lambda **kw: hutchinson_diag_batch(sys_, ts, S, **kw), n),
+                           (lambda **kw: sys_.diag_jacobian_batch(ts, S, **kw), n)):
+            calls.clear()
+            form(F=F)
+            assert calls == [rows]
+            calls.clear()
+            form()
+            assert calls == [2 * rows]
+
+    def test_forward_hutchinson_exact_on_a_diagonal_linear_map(self):
+        """On f(s) = d * s the forward JVP of a probe v is d v up to the
+        rounding of f over the step, which sqrt(eps) (1 + ||s||_inf) keeps
+        below 2 sqrt(eps) |d|; at s = 0 the step is 2**-26 and the estimate exact."""
+        dvec = np.array([0.5, -1.2, 3.0, 0.0, 7.25])
+        T = 32
+        sys_ = FunctionSystem(dim=5, horizon=T, initial_state=np.zeros(5),
+                              step_fn=lambda t, s: dvec * s)
+        ts = np.arange(1, T + 1)
+        zeros = np.zeros((T, 5))
+        np.testing.assert_array_equal(
+            hutchinson_diag_batch(sys_, ts, zeros, F=sys_.step_batch(ts, zeros)),
+            np.broadcast_to(dvec, (T, 5)))
+        S = 10.0 * np.random.default_rng(3).standard_normal((T, 5))
+        got = sys_.diag_jacobian_batch(ts, S, F=sys_.step_batch(ts, S))
+        assert np.all(np.abs(got - dvec) <= 2.0 * np.sqrt(np.finfo(np.float64).eps) * np.abs(dvec))

@@ -419,6 +419,26 @@ class TestFunctionSystem:
         with pytest.raises(P.ContractError, match="initial state must be finite"):
             models.FunctionSystem(2, 4, s0, lambda t, s: s)
 
+    @pytest.mark.parametrize("s0", [[True, False], ["1.5", "2"], [1j, 0.0]],
+                             ids=["bool", "numeric-string", "complex"])
+    def test_initial_state_must_be_numbers(self, s0):
+        """Bools and numeric strings were read as numbers."""
+        with pytest.raises(P.ContractError, match="^state vector must hold integers or floats"):
+            models.FunctionSystem(2, 4, s0, lambda t, s: s)
+
+    def test_initial_state_takes_integers(self):
+        m = models.FunctionSystem(2, 4, np.array([1, 2]), lambda t, s: s)
+        assert m.initial_state.dtype == np.float64
+        np.testing.assert_array_equal(m.initial_state, [1.0, 2.0])
+
+    def test_keeps_its_own_initial_state(self):
+        """Writing to the caller's array after construction moved s_0."""
+        s0 = np.zeros(2)
+        m = models.FunctionSystem(2, 4, s0, lambda t, s: s + 1.0)
+        s0[0] = 5.0
+        np.testing.assert_array_equal(m.initial_state, [0.0, 0.0])
+        np.testing.assert_array_equal(P.rollout_sequential(m).states[0], [1.0, 1.0])
+
     def test_diagonal_read_off_jac_fn(self, monkeypatch):
         """With a jac_fn and no diag_fn, the Jacobian diagonals are those of
         jac_fn's matrices; no Hutchinson estimate is made."""

@@ -1,6 +1,6 @@
 """Bit-for-bit record of the gated benchmark workloads' solves.
 
-    python3 tools/states_digest.py                      # seeds 801 and 5
+    python3 tools/states_digest.py                      # seeds 801, 5 and 2718
     python3 tools/states_digest.py --seeds 2718 --tiny
 
 Run from the repository root; the library is imported from ``src/``. For
@@ -56,7 +56,7 @@ def digest(workload: str, seed: int, tiny: bool = False) -> tuple[str, int, str]
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[801, 5])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[801, 5, 2718])
     ap.add_argument("--tiny", action="store_true")
     args = ap.parse_args(argv)
     for seed in args.seeds:
